@@ -29,7 +29,6 @@ __all__ = [
     "AbstractModel",
     "WitnessEvent",
     "WitnessTable",
-    "immediate_consequence",
     "compute_thresholds",
     "analyze",
     "check_safety",
@@ -117,19 +116,6 @@ def _contribution(clause: Clause, model: AbstractModel) -> Polyhedron:
         return Polyhedron.bottom(space)
     projected = project(cs, head.args)
     return Polyhedron.of(space, projected.rename(dict(zip(head.args, space))))
-
-
-def immediate_consequence(program: Program, model: AbstractModel) -> AbstractModel:
-    """One round over all clauses; contributions joined by hull in clause order."""
-    new: Dict[str, Polyhedron] = {}
-    for cl in program.clauses:
-        pred = cl.head_atom.pred
-        contrib = _contribution(cl, model)
-        prev = new.get(pred)
-        new[pred] = contrib if prev is None else prev.hull(contrib)
-    for pred, arity in program.predicates.items():
-        new.setdefault(pred, Polyhedron.bottom(canonical_args(arity)))
-    return AbstractModel(new)
 
 
 def compute_thresholds(program: Program, iterations: int = 3,

@@ -164,9 +164,6 @@ class Program:
                 return cl
         raise KeyError(clause_id)
 
-    def has_false_clauses(self) -> bool:
-        return any(cl.is_false_head() for cl in self.clauses)
-
 
 class FreshNames:
     """Deterministic fresh variable source: V1, V2, ... avoiding a base set."""

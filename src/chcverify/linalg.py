@@ -1,11 +1,15 @@
 """Exact linear rational arithmetic: constraints, satisfiability, projection,
 entailment, simplification and Farkas certificates.
 
-Everything in this module is exact. Coefficients and bounds are rationals
-(gmpy2.mpq when available, fractions.Fraction otherwise). Satisfiability is
-decided by a two-phase simplex with Bland's rule on a fraction-free integer
-tableau: each row is scaled to integers once, and only the optimum and its
-point are turned back into rationals. Strict inequalities are handled by
+Everything in this module is exact. A constraint with variables is stored in
+its canonical form: coprime Python `int` coefficients and bound. Rationals
+(gmpy2.mpq when available, fractions.Fraction otherwise) appear only where a
+value is not an integer: inputs to `LinearConstraint.make`, the bound of a
+constant constraint, projection's substitutions, LP optima and points, and
+Farkas multipliers. Satisfiability is decided by a two-phase simplex with
+Bland's rule on a fraction-free integer tableau: an integer row enters it
+as is, a rational one is scaled to integers once, and only the optimum and
+its point are turned back into rationals. Strict inequalities are handled by
 maximising a shared slack: a mixed system is strictly satisfiable iff the
 optimum of the slack is positive (or unbounded).
 
@@ -21,7 +25,7 @@ from __future__ import annotations
 import itertools
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
 
@@ -57,7 +61,6 @@ LT = "<"
 EQ = "="
 
 _ZERO = Rat(0)
-_ONE = Rat(1)
 
 
 def rat(num, den=1) -> Rat:
@@ -89,41 +92,78 @@ class LinearConstraint:
 
     Invariants: coefficients are non-zero and sorted by variable name, the
     relation is one of <=, <, =, and the whole constraint is scaled so that
-    coefficients and bound are coprime integers. Equalities are additionally
-    sign-normalised (first coefficient positive). Inequalities keep their
-    sign since scaling by a negative factor would flip them.
+    coefficients and bound are coprime integers, stored as `int`. Equalities
+    are additionally sign-normalised (first coefficient positive).
+    Inequalities keep their sign since scaling by a negative factor would
+    flip them. A constant constraint (no variables) keeps its exact rational
+    bound. The hash is computed once, at construction, so cache lookups keyed
+    on constraints do not re-hash their coefficients.
     """
 
-    coeffs: Tuple[Tuple[str, Rat], ...]
+    coeffs: Tuple[Tuple[str, int], ...]
     rel: str
     bound: Rat
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.coeffs, self.rel, self.bound)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not LinearConstraint:
+            return NotImplemented
+        return (self._hash == other._hash and self.coeffs == other.coeffs
+                and self.rel == other.rel and self.bound == other.bound)
+
+    def __reduce__(self):
+        # Rebuild on unpickling: the cached hash of the variable names is
+        # only valid in the process that computed it.
+        return LinearConstraint, (self.coeffs, self.rel, self.bound)
 
     @staticmethod
     def make(coeffs: Mapping[str, Rat], rel: str, bound) -> "LinearConstraint":
-        bound = Rat(bound)
-        items = {v: Rat(c) for v, c in coeffs.items() if c != 0}
-        if rel in (">=", ">"):
-            items = {v: -c for v, c in items.items()}
-            bound = -bound
-            rel = LE if rel == ">=" else LT
-        if rel not in (LE, LT, EQ):
-            raise ValueError(f"unknown relation {rel!r}")
-        ordered = tuple(sorted(items.items()))
-        return LinearConstraint(ordered, rel, bound)._canonical()
+        """The canonical constraint for  coeffs . vars  rel  bound.
 
-    def _canonical(self) -> "LinearConstraint":
-        if not self.coeffs:
-            return self
-        nums = [self.bound] + [c for _, c in self.coeffs]
-        den_lcm = math.lcm(*(int(q.denominator) for q in nums))
-        g = math.gcd(*(int(q * den_lcm) for q in nums)) or 1
-        scale = Rat(den_lcm, g)
-        if self.rel == EQ and self.coeffs[0][1] * scale < 0:
-            scale = -scale
-        if scale == 1:
-            return self
-        coeffs = tuple((v, c * scale) for v, c in self.coeffs)
-        return LinearConstraint(coeffs, self.rel, self.bound * scale)
+        Coefficients and bound may be ints, rationals or rational strings;
+        `rel` may also be ">=" or ">".
+        """
+        sign = 1
+        if rel in (">=", ">"):
+            sign = -1
+            rel = LE if rel == ">=" else LT
+        elif rel not in (LE, LT, EQ):
+            raise ValueError(f"unknown relation {rel!r}")
+        if isinstance(bound, str):
+            bound = rat(bound)
+        items = []
+        for v, c in coeffs.items():
+            if isinstance(c, str):
+                c = rat(c)
+            if c != 0:
+                items.append((v, c))
+        if not items:
+            return LinearConstraint((), rel, Rat(-bound if sign < 0 else bound))
+        items.sort()
+        return LinearConstraint._canonical(items, rel, sign, bound)
+
+    @staticmethod
+    def _canonical(items: List[Tuple[str, Rat]], rel: str, sign: int, bound: Rat
+                   ) -> "LinearConstraint":
+        # The integer row of  sign * (items  rel  bound), straight from each
+        # value's numerator and denominator, divided by its gcd.
+        den = math.lcm(int(bound.denominator),
+                       *(int(c.denominator) for _, c in items))
+        nums = [int(c.numerator) * (den // int(c.denominator)) for _, c in items]
+        b = int(bound.numerator) * (den // int(bound.denominator))
+        g = math.gcd(b, *nums)
+        if sign < 0 or (rel == EQ and nums[0] < 0):
+            g = -g
+        coeffs = tuple((v, n // g) for (v, _), n in zip(items, nums))
+        return LinearConstraint(coeffs, rel, b // g)
 
     # -- simple queries ----------------------------------------------------
 
@@ -134,7 +174,7 @@ class LinearConstraint:
         for v, c in self.coeffs:
             if v == var:
                 return c
-        return _ZERO
+        return 0
 
     def is_constant(self) -> bool:
         return not self.coeffs
@@ -174,7 +214,7 @@ class LinearConstraint:
             return self
         out: Dict[str, Rat] = {v: c for v, c in self.coeffs if v != var}
         for v, c in expr_coeffs.items():
-            out[v] = out.get(v, _ZERO) + c_v * c
+            out[v] = out.get(v, 0) + c_v * c
         return LinearConstraint.make(out, self.rel, self.bound - c_v * expr_const)
 
     def negations(self) -> Tuple["LinearConstraint", ...]:
@@ -231,10 +271,28 @@ class ConstraintSet:
     """An immutable conjunction of linear constraints.
 
     Constraints are deduplicated and kept in a fixed sorted order so that
-    equal sets compare and hash equal; the empty set is `true`.
+    equal sets compare and hash equal; the empty set is `true`. As for a
+    constraint, the hash is computed once, at construction.
     """
 
     constraints: Tuple[LinearConstraint, ...]
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        object.__setattr__(self, "_hash", hash((self.constraints,)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other) -> bool:
+        if self is other:
+            return True
+        if other.__class__ is not ConstraintSet:
+            return NotImplemented
+        return self._hash == other._hash and self.constraints == other.constraints
+
+    def __reduce__(self):
+        return ConstraintSet, (self.constraints,)
 
     @staticmethod
     def make(constraints: Iterable[LinearConstraint]) -> "ConstraintSet":
@@ -371,15 +429,14 @@ def solve_lp(rows: Sequence[Tuple[Mapping[str, Rat], str, Rat]],
     scales: List[int] = []
     slack_i = 0
     for coeffs, rel, bound in rows:
-        b = Rat(bound)
-        flip = -1 if b < 0 else 1
+        flip = -1 if bound < 0 else 1
         entries = columns(coeffs, flip)
         if rel == LE:
-            entries[nstruct + slack_i] = Rat(flip)
+            entries[nstruct + slack_i] = flip
             slack_i += 1
         elif rel != EQ:
             raise ValueError(f"unknown LP relation {rel!r}")
-        row, scale = _int_row(entries, flip * b, art_first)
+        row, scale = _int_row(entries, flip * bound, art_first)
         tableau.append(row)
         scales.append(scale)
     basis = [art_first + i for i in range(m)]
@@ -489,7 +546,7 @@ def _lp_rows(constraints: Iterable[LinearConstraint]):
     for c in constraints:
         coeffs = dict(c.coeffs)
         if c.rel == LT:
-            coeffs[_EPS] = _ONE
+            coeffs[_EPS] = 1
             strict = True
             rows.append((coeffs, LE, c.bound))
         elif c.rel == LE:
@@ -513,7 +570,7 @@ def is_satisfiable(cs: ConstraintSet) -> bool:
     if only_single:
         return _interval_satisfiable(cs.constraints)
     rows, strict = _lp_rows(cs.constraints)
-    status, value, _ = solve_lp(rows, {_EPS: _ONE}, frozenset({_EPS}))
+    status, value, _ = solve_lp(rows, {_EPS: 1}, frozenset({_EPS}))
     if status == _INFEASIBLE:
         return False
     if status == _UNBOUNDED:
@@ -527,7 +584,7 @@ def _interval_satisfiable(constraints: Sequence[LinearConstraint]) -> bool:
     hi: Dict[str, Tuple[Rat, bool]] = {}
     for c in constraints:
         (v, k) = c.coeffs[0]
-        b = c.bound / k
+        b = Rat(c.bound, k)
         if c.rel == EQ:
             _tighten(lo, v, b, False)
             _tighten_hi(hi, v, b, False)
@@ -637,8 +694,8 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
             if var is None:
                 continue
             c_v = c.coeff(var)
-            expr = {v: -k / c_v for v, k in c.coeffs if v != var}
-            const = c.bound / c_v
+            expr = {v: Rat(-k, c_v) for v, k in c.coeffs if v != var}
+            const = Rat(c.bound, c_v)
             work = [
                 d.substitute(var, expr, const)
                 for j, d in enumerate(work)
@@ -675,9 +732,9 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
             ku, kl = up.coeff(var), -lo.coeff(var)
             combo: Dict[str, Rat] = {}
             for v, c in up.coeffs:
-                combo[v] = combo.get(v, _ZERO) + c * kl
+                combo[v] = combo.get(v, 0) + c * kl
             for v, c in lo.coeffs:
-                combo[v] = combo.get(v, _ZERO) + c * ku
+                combo[v] = combo.get(v, 0) + c * ku
             rel = LT if LT in (up.rel, lo.rel) else LE
             cand = LinearConstraint.make(combo, rel, up.bound * kl + lo.bound * ku)
             if cand.is_trivially_false():
@@ -840,40 +897,32 @@ def farkas_refutation(first: ConstraintSet, second: ConstraintSet
     for v in sorted({v for r in rows for v in r.variables()}):
         lp_rows.append(
             ({lam[i]: rows[i].coeff(v) for i in range(len(rows))
-              if rows[i].coeff(v) != 0}, EQ, _ZERO))
+              if rows[i].coeff(v) != 0}, EQ, 0))
     bound_row = {lam[i]: rows[i].bound for i in range(len(rows)) if rows[i].bound != 0}
     nn = frozenset(lam)
     # Case A: sum of bounds strictly negative.
     status, _, point = solve_lp(
-        lp_rows + [(bound_row, LE, Rat(-1))], {}, nn, want_point=True)
+        lp_rows + [(bound_row, LE, -1)], {}, nn, want_point=True)
     if status != _OPTIMAL:
         # Case B: bounds sum to <= 0 with positive weight on a strict row.
-        strict_row = {lam[i]: _ONE for i in range(len(rows)) if rows[i].rel == LT}
+        strict_row = {lam[i]: 1 for i in range(len(rows)) if rows[i].rel == LT}
         if not strict_row:
             raise RuntimeError(
                 "farkas_refutation: no certificate with a negative bound sum "
                 "for an unsatisfiable system without strict rows")
         status, _, point = solve_lp(
-            lp_rows + [(bound_row, LE, _ZERO),
-                       ({k: -v for k, v in strict_row.items()}, LE, Rat(-1))],
+            lp_rows + [(bound_row, LE, 0),
+                       ({k: -v for k, v in strict_row.items()}, LE, -1)],
             {}, nn, want_point=True)
         if status != _OPTIMAL:
             raise RuntimeError(
                 "farkas_refutation: no certificate for an unsatisfiable system "
                 "(Motzkin transposition guarantees one)")
     multipliers = tuple(point.get(l, _ZERO) for l in lam)
-    coeffs: Dict[str, Rat] = {}
-    bound = _ZERO
-    strict = False
-    for r, m in zip(rows, multipliers):
-        if m == 0:
-            continue
-        for v, c in r.coeffs:
-            coeffs[v] = coeffs.get(v, _ZERO) + m * c
-        bound += m * r.bound
-        strict = strict or r.rel == LT
-    derived = LinearConstraint.make(coeffs, LT if strict else LE, bound)
-    cert = FarkasCertificate(tuple(rows), tuple(origin), multipliers, derived)
+    cert = FarkasCertificate(tuple(rows), tuple(origin), multipliers, FALSE_CONSTRAINT)
+    coeffs, bound, strict = cert.combination()
+    cert = replace(cert, derived=LinearConstraint.make(
+        coeffs, LT if strict else LE, bound))
     if not cert.validate():
         raise RuntimeError(
             "farkas_refutation: the multipliers do not re-multiply to a "

@@ -19,8 +19,7 @@ from dataclasses import dataclass
 from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
 
 from .linalg import (EQ, LE, ConstraintSet, FALSE_SET, LinearConstraint,
-                     Rat, entails, entails_all, is_satisfiable, project, rat,
-                     simplify)
+                     Rat, entails, entails_all, project, rat, simplify)
 
 __all__ = [
     "Polyhedron",
@@ -69,8 +68,10 @@ class Polyhedron:
 
     @classmethod
     def of(cls, space: Sequence[str], cs: ConstraintSet) -> "Polyhedron":
+        # simplify returns FALSE_SET itself for an unsatisfiable input and
+        # an equivalent (so satisfiable) set otherwise.
         cs = simplify(cs)
-        if cs is FALSE_SET or cs.has_trivially_false() or not is_satisfiable(cs):
+        if cs is FALSE_SET:
             return cls.bottom(space)
         return cls(tuple(space), cs)
 

@@ -367,3 +367,95 @@ def test_false_constraint_is_constant_and_false():
 def test_rat_accepts_pairs_and_strings():
     assert rat(1, 3) + rat(2, 3) == rat(1)
     assert rat("7/2") == rat(7, 2)
+
+
+def assert_int_form(c):
+    """Every coefficient, and the bound of a non-constant row, is an int."""
+    assert all(type(k) is int for _, k in c.coeffs), c
+    if c.coeffs:
+        assert type(c.bound) is int, c
+
+
+class TestIntegerStorage:
+    def test_make_from_fractions_stores_ints(self):
+        c = LinearConstraint.make(
+            {"X": Fraction(1, 2), "Y": Fraction(-3, 4)}, LE, Fraction(5, 6))
+        assert_int_form(c)
+        assert c.coeffs == (("X", 6), ("Y", -9)) and c.bound == 10
+
+    def test_make_from_strings_stores_ints(self):
+        c = LinearConstraint.make({"X": "1/2", "Y": "0.25"}, ">=", "3")
+        assert_int_form(c)
+        assert c.coeffs == (("X", -2), ("Y", -1)) and c.bound == -12
+        assert c.rel == LE
+
+    def test_constant_row_keeps_its_rational_bound(self):
+        c = LinearConstraint.make({"X": 0}, LT, Fraction(1, 2))
+        assert c.is_constant() and c.bound == Fraction(1, 2)
+
+    def test_transformations_keep_ints(self):
+        c = C({"X": "1/3", "Y": -2}, LE, "5/6")
+        eq = C({"X": 2, "Y": "2/3"}, EQ, 1)
+        assert_int_form(c)
+        assert_int_form(c.rename({"X": "Z"}))
+        assert_int_form(c.substitute("X", {"Y": rat(1, 3), "Z": rat(-5, 7)},
+                                     rat(1, 2)))
+        assert_int_form(c.scaled(rat(3, 5)))
+        for d in c.negations() + eq.negations() + eq.split_equality():
+            assert_int_form(d)
+        assert_int_form(c.closure())
+        assert_int_form(c.strict())
+
+    def test_project_simplify_and_hull_keep_ints(self):
+        from chcverify.polyhedra import Polyhedron
+
+        cs = S(C({"X": "1/2", "Y": 1}, LE, 3), C({"X": 1, "Z": "-2/3"}, EQ, 1),
+               C({"Y": -1, "Z": 1}, LT, "7/4"), C({"Y": 1}, ">=", "1/3"))
+        for out in (project(cs, {"X", "Y"}), project(cs, {"Y"}), simplify(cs)):
+            assert out.constraints
+            for c in out:
+                assert_int_form(c)
+        p = Polyhedron.of(("X", "Y"), S(C({"X": 1}, EQ, "1/2"), C({"Y": 1}, LE, 0)))
+        q = Polyhedron.of(("X", "Y"), S(C({"X": 1}, EQ, 3), C({"Y": -1}, LE, -1)))
+        hull = p.hull(q)
+        assert hull.constraints.constraints
+        for c in hull.constraints:
+            assert_int_form(c)
+
+    def test_int_and_fraction_inputs_compare_and_hash_equal(self):
+        a = LinearConstraint.make({"X": 2, "Y": -3}, LT, 4)
+        b = LinearConstraint.make({"X": Fraction(2), "Y": Fraction(-3)}, LT, Fraction(4))
+        c = LinearConstraint.make(
+            {"X": Fraction(1, 3), "Y": Fraction(-1, 2)}, LT, Fraction(2, 3))
+        assert a == b == c
+        assert hash(a) == hash(b) == hash(c)
+        d = LinearConstraint.make({"X": 1}, EQ, 0)
+        e = LinearConstraint.make({"X": Fraction(-5)}, EQ, Fraction(0))
+        assert S(a, d) == S(e, c)
+        assert hash(S(a, d)) == hash(S(e, c))
+        assert a != d and S(a) != S(a, d)
+
+    def test_equal_sets_share_a_cache_entry(self):
+        a = S(C({"X": 1, "Y": 1}, LE, 7), C({"X": -1}, LT, -2))
+        b = S(LinearConstraint.make({"X": Fraction(-3)}, LT, Fraction(-6)),
+              LinearConstraint.make({"X": Fraction(1, 7), "Y": Fraction(1, 7)}, LE, 1))
+        assert a is not b
+        is_satisfiable(a)
+        hits = is_satisfiable.cache_info().hits
+        assert is_satisfiable(b)
+        assert is_satisfiable.cache_info().hits == hits + 1
+
+    def test_gaussian_substitution_divides_exactly(self):
+        # 3X = Y + 1 and X <= 1 give Y <= 2; a float 1/3 would not.
+        out = project(S(C({"X": 3, "Y": -1}, EQ, 1), C({"X": 1}, LE, 1)), {"Y"})
+        assert out == S(C({"Y": 1}, LE, 2))
+        assert_int_form(out.constraints[0])
+
+    def test_pickling_rebuilds_the_cached_hash(self):
+        import pickle
+
+        cs = S(C({"X": 1, "Y": -2}, LT, 3), C({"Y": 1}, EQ, "1/2"))
+        back = pickle.loads(pickle.dumps(cs))
+        assert back == cs and hash(back) == hash(cs)
+        assert back.constraints[0] == cs.constraints[0]
+        assert hash(back.constraints[0]) == hash(cs.constraints[0])

@@ -78,6 +78,15 @@ def _dump(cfg: Config, name: str, kind: str, text: str) -> None:
         raise
 
 
+def _safe(rounds: int, events: List[str], program: Program,
+          model: AbstractModel) -> Verdict:
+    """A safe verdict, once the model is re-checked to be inductive."""
+    if not is_inductive_model(program, model):
+        raise RuntimeError("analysis returned a non-inductive model")
+    return Verdict("safe", rounds, events=tuple(events),
+                   program=program, model=model)
+
+
 def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     cfg = config or Config()
     reset_caches()
@@ -90,8 +99,7 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
             if early_safe(program):
                 events.append(f"round {rounds}: no clause derives false")
                 model, _ = analyze(program)
-                return Verdict("safe", rounds, events=tuple(events),
-                               program=program, model=model)
+                return _safe(rounds, events, program, model)
             qa = qa_transform(program, FALSE)
             _dump(cfg, f"round{rounds}.qa", "qa", program_text(qa))
             qa_thresholds = compute_thresholds(qa) if cfg.use_thresholds else None
@@ -104,18 +112,14 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
                 events.append(
                     f"round {rounds}: propagation removed every false clause")
                 model, _ = analyze(program)
-                return Verdict("safe", rounds, events=tuple(events),
-                               program=program, model=model)
+                return _safe(rounds, events, program, model)
             thresholds = compute_thresholds(program) if cfg.use_thresholds else None
             model, witness = analyze(program, thresholds)
             _dump(cfg, f"round{rounds}.model", "model",
                   model_to_text(model, program))
             if check_safety(model):
-                if not is_inductive_model(program, model):
-                    raise RuntimeError("analysis returned a non-inductive model")
                 events.append(f"round {rounds}: model proves false unreachable")
-                return Verdict("safe", rounds, events=tuple(events),
-                               program=program, model=model)
+                return _safe(rounds, events, program, model)
             trace = extract_trace(witness)
             tree = build_and_tree(program, trace)
             if feasible(tree):

@@ -6,12 +6,22 @@ its canonical form: coprime Python `int` coefficients and bound. Rationals
 (gmpy2.mpq when available, fractions.Fraction otherwise) appear only where a
 value is not an integer: inputs to `LinearConstraint.make`, the bound of a
 constant constraint, projection's substitutions, LP optima and points, and
-Farkas multipliers. Satisfiability is decided by a two-phase simplex with
-Bland's rule on a fraction-free integer tableau: an integer row enters it
-as is, a rational one is scaled to integers once, and only the optimum and
-its point are turned back into rationals. Strict inequalities are handled by
-maximising a shared slack: a mixed system is strictly satisfiable iff the
-optimum of the slack is positive (or unbounded).
+Farkas multipliers.
+
+Satisfiability, entailment and redundancy are decided by one incremental
+simplex with Bland's rule on a fraction-free integer tableau (`_Tableau`).
+It is kept feasible while rows are added one at a time: a `<=` row whose
+reduced right-hand side is non-negative enters with its slack basic, any
+other row gets one artificial and a phase 1 over that row alone. A free
+variable is one free column. A row is dropped again by freeing its slack.
+Strict inequalities share one slack `$eps`: a mixed system is strictly
+satisfiable iff `$eps` can be made positive. So the queries on one
+constraint set share a single phase 1: `entails` copies the cached tableau
+of the set and adds one negation of the query, and `simplify` and
+`_semantic_prune` relax each row of one tableau in turn and test it against
+the rest. An integer row enters the tableau as is, a rational one is scaled
+to integers once, and only an LP optimum and its point are turned back into
+rationals.
 
 Projection is Fourier-Motzkin elimination. Equalities are first used for
 Gaussian substitution, which keeps the combinatorial part small; the number of
@@ -27,7 +37,7 @@ import math
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 try:  # pragma: no cover - exercised implicitly by whichever backend is present
     from gmpy2 import mpq as Rat
@@ -202,9 +212,19 @@ class LinearConstraint:
     # -- transformations ---------------------------------------------------
 
     def rename(self, mapping: Mapping[str, str]) -> "LinearConstraint":
-        return LinearConstraint.make(
-            {mapping.get(v, v): c for v, c in self.coeffs}, self.rel, self.bound
-        )
+        # Renaming keeps the integers coprime: only the order by name and
+        # the sign of an equality can change, unless two names merge.
+        items = sorted((mapping.get(v, v), c) for v, c in self.coeffs)
+        if any(a[0] == b[0] for a, b in zip(items, items[1:])):
+            merged: Dict[str, int] = {}
+            for v, c in items:
+                merged[v] = merged.get(v, 0) + c
+            return LinearConstraint.make(merged, self.rel, self.bound)
+        bound = self.bound
+        if self.rel == EQ and items and items[0][1] < 0:
+            items = [(v, -c) for v, c in items]
+            bound = -bound
+        return LinearConstraint(tuple(items), self.rel, bound)
 
     def substitute(self, var: str, expr_coeffs: Mapping[str, Rat], expr_const: Rat
                    ) -> "LinearConstraint":
@@ -219,14 +239,16 @@ class LinearConstraint:
 
     def negations(self) -> Tuple["LinearConstraint", ...]:
         """Constraints whose disjunction is the negation of this one."""
-        neg = {v: -c for v, c in self.coeffs}
+        # Negated coprime integers stay coprime, and inequalities keep their
+        # sign: every result is already canonical.
+        neg = tuple((v, -c) for v, c in self.coeffs)
         if self.rel == LE:  # not (t <= b)  ==  -t < -b
-            return (LinearConstraint.make(neg, LT, -self.bound),)
+            return (LinearConstraint(neg, LT, -self.bound),)
         if self.rel == LT:  # not (t < b)   ==  -t <= -b
-            return (LinearConstraint.make(neg, LE, -self.bound),)
+            return (LinearConstraint(neg, LE, -self.bound),)
         return (  # not (t = b)  ==  t < b  or  t > b
-            LinearConstraint.make(dict(self.coeffs), LT, self.bound),
-            LinearConstraint.make(neg, LT, -self.bound),
+            LinearConstraint(self.coeffs, LT, self.bound),
+            LinearConstraint(neg, LT, -self.bound),
         )
 
     def closure(self) -> "LinearConstraint":
@@ -345,30 +367,31 @@ FALSE_SET = ConstraintSet((FALSE_CONSTRAINT,))
 
 
 # ---------------------------------------------------------------------------
-# Simplex. Two-phase tableau over integers, fraction-free, Bland's rule for
-# termination. Every row, the objective row included, is held as a positive
-# integer multiple of the true rational row; only the final point and value
-# are read back as rationals. Positive scaling preserves every sign and every
-# ratio order, so the pivot sequence is the one a rational tableau would
-# take. Small systems only; this is the single hot spot of the whole verifier
-# so the inner loops stay primitive.
+# Simplex. One fraction-free integer tableau, kept feasible while rows are
+# added one at a time and relaxed again: incremental simplex in the style of
+# Dutertre and de Moura (CAV 2006), so that the queries on one constraint set
+# share a single phase 1. Every row, an objective row included, is held as a
+# positive integer multiple of the true rational row, right-hand side first;
+# positive scaling preserves every sign and every ratio order, so the pivots
+# are the ones a rational tableau would take, and only an optimum and its
+# point are read back as rationals. Bland's rule (lowest eligible column,
+# lowest basic column on ties) ensures termination. Small systems only; this
+# is the single hot spot of the whole verifier, so the inner loops stay
+# primitive.
 # ---------------------------------------------------------------------------
 
 _OPTIMAL = "optimal"
 _UNBOUNDED = "unbounded"
 _INFEASIBLE = "infeasible"
 
+# Column kinds. A free column may enter the basis in either direction and,
+# once basic, never blocks the ratio test. A fixed column (the slack of an
+# equality row) stays nonbasic at 0 until its row is relaxed. An artificial
+# column never enters; basic, it blocks like a non-negative one.
+_NONNEG, _FREE, _FIXED, _ART = range(4)
 
-def _int_row(entries: Mapping[int, Rat], rhs: Rat, width: int
-             ) -> Tuple[List[int], int]:
-    """Dense integer row (rhs last) and the positive factor it was scaled by."""
-    scale = math.lcm(int(rhs.denominator),
-                     *(int(q.denominator) for q in entries.values()))
-    row = [0] * (width + 1)
-    for j, q in entries.items():
-        row[j] = int(q.numerator) * (scale // int(q.denominator))
-    row[width] = int(rhs.numerator) * (scale // int(rhs.denominator))
-    return row, scale
+# The shared slack of the strict rows.
+_EPS = "$eps"
 
 
 def _eliminate(row: List[int], q: int, prow: List[int], p: int,
@@ -387,6 +410,244 @@ def _eliminate(row: List[int], q: int, prow: List[int], p: int,
     return row
 
 
+def _support(row: List[int]) -> List[int]:
+    return [j for j, x in enumerate(row) if x]
+
+
+class _Tableau:
+    """A feasible simplex tableau over a growing set of rows.
+
+    Row i reads  sum_j rows[i][j] * x_j = rows[i][0]  and has the basic
+    column basis[i], whose entry is positive. Nonbasic columns are at 0, so
+    the value of a basic column is rows[i][0] / rows[i][basis[i]]; it is
+    non-negative unless the column is free. The k-th added row  a.x <= b  or
+    a.x = b  reads  a.x + s = b  with its own slack column s, non-negative or
+    fixed at 0; `relax(k)` frees s, which drops the row. A strict row
+    a.x < b  enters as  a.x + eps <= b  with the shared non-negative column
+    `$eps`, and the rows hold with the strict ones strict iff eps can be
+    made positive. A variable seen for the first time gets a free column.
+
+    Adding rows and optimising change the tableau; a shared one is copied
+    first.
+    """
+
+    __slots__ = ("rows", "basis", "kind", "col", "slacks", "strict")
+
+    def __init__(self) -> None:
+        self.rows: List[List[int]] = []
+        self.basis: List[int] = []
+        self.kind: List[int] = [_FIXED]  # column 0 holds the right-hand side
+        self.col: Dict[str, int] = {}
+        # Per added row: its slack column (0 for a constant row), strict?
+        self.slacks: List[Tuple[int, bool]] = []
+        self.strict = 0  # strict rows not relaxed
+
+    @staticmethod
+    def of(constraints: Iterable[LinearConstraint]) -> "Optional[_Tableau]":
+        """The tableau of the constraints, or None when their closure is
+        empty."""
+        t = _Tableau()
+        for c in constraints:
+            if not t.add(c):
+                return None
+        return t
+
+    def copy(self) -> "_Tableau":
+        t = _Tableau.__new__(_Tableau)
+        t.rows = [row[:] for row in self.rows]
+        t.basis = self.basis[:]
+        t.kind = self.kind[:]
+        t.col = self.col.copy()
+        t.slacks = self.slacks[:]
+        t.strict = self.strict
+        return t
+
+    def column(self, var: str, kind: int = _FREE) -> int:
+        j = self.col.get(var)
+        if j is None:
+            j = self.col[var] = self._new_column(kind)
+        return j
+
+    def _new_column(self, kind: int) -> int:
+        for row in self.rows:
+            row.append(0)
+        self.kind.append(kind)
+        return len(self.kind) - 1
+
+    def add(self, c: LinearConstraint) -> bool:
+        """Add one constraint; False (and an unusable tableau) when the
+        closure of the rows becomes empty."""
+        if not c.coeffs:
+            self.slacks.append((0, False))
+            return c.is_trivially_true()
+        entries = [(self.column(v), a) for v, a in c.coeffs]
+        strict = c.rel == LT
+        if strict:
+            entries.append((self.column(_EPS, _NONNEG), 1))
+        return self.add_row(entries, c.rel == EQ, c.bound, strict)
+
+    def add_row(self, entries: Sequence[Tuple[int, int]], equality: bool,
+                rhs: int, strict: bool = False) -> bool:
+        """Add  sum(a * x_j for j, a in entries) <= rhs  (= rhs for an
+        equality) over existing columns with integer entries; as `add`."""
+        rows, basis, kind = self.rows, self.basis, self.kind
+        s = self._new_column(_FIXED if equality else _NONNEG)
+        self.slacks.append((s, strict))
+        self.strict += strict
+        row = self._reduced([*entries, (s, 1)], rhs)
+        if not equality and row[0] >= 0:
+            rows.append(row)
+            basis.append(s)
+            return True
+        # Otherwise an artificial column carries the row's violation and a
+        # phase 1 over this row alone (maximise -art) drives it to 0.
+        if row[0] < 0:
+            row = [-x for x in row]
+        art = self._new_column(_ART)
+        row.append(1)
+        rows.append(row)
+        basis.append(art)
+        zrow = row[:]
+        zrow[art] = 0
+        zrow = self._optimise(zrow, 1)
+        if zrow is None:
+            raise RuntimeError("simplex: phase 1 objective is unbounded")
+        if zrow[0]:
+            return False
+        if art in basis:
+            # Basic at 0: pivot it out on any entry, which keeps the right-
+            # hand side 0. A row with none is a combination of equality rows
+            # over fixed columns only; its artificial stays basic at 0.
+            i = basis.index(art)
+            row = rows[i]
+            for j in range(1, art):
+                if row[j] and kind[j] <= _FREE:
+                    self._pivot(i, j)
+                    break
+            else:
+                return True
+        for r in rows:  # the artificial is the last column
+            r.pop()
+        kind.pop()
+        return True
+
+    def relax(self, k: int) -> None:
+        """Drop the k-th added row by freeing its slack; the basis stays
+        feasible."""
+        s, strict = self.slacks[k]
+        if not s or self.kind[s] == _FREE:
+            return
+        if self.kind[s] == _FIXED:
+            # A leftover artificial row would move with a free s: make s
+            # basic there first (the right-hand side is 0).
+            for i, b in enumerate(self.basis):
+                if self.kind[b] == _ART and self.rows[i][s]:
+                    self._pivot(i, s)
+                    break
+        self.kind[s] = _FREE
+        self.strict -= strict
+
+    def satisfiable(self) -> bool:
+        """Do the rows hold, the strict ones strictly, at some point?"""
+        if not self.strict:
+            return True
+        zrow = self._optimise(self._reduced([(self.col[_EPS], 1)]), 0)
+        return zrow is None or zrow[0] < 0
+
+    def implies(self, c: LinearConstraint, relax: Optional[int] = None) -> bool:
+        """Do the rows, less the `relax`-th one, entail `c`? Leaves the
+        tableau as it is."""
+        for neg in c.negations():
+            t = self.copy()
+            if relax is not None:
+                t.relax(relax)
+            if t.add(neg) and t.satisfiable():
+                return False
+        return True
+
+    def _reduced(self, entries: Sequence[Tuple[int, int]], rhs: int = 0
+                 ) -> List[int]:
+        """The row  sum(a * x_j for j, a in entries) = rhs  over the nonbasic
+        columns; as an objective row (rhs 0), the objective reduced against
+        the basis. Eliminating one basic column brings in no other, since
+        its row is zero there."""
+        row = [0] * len(self.kind)
+        row[0] = rhs
+        for j, a in entries:
+            row[j] = a
+        basis = self.basis
+        for j, _ in entries:
+            if j in basis:
+                prow = self.rows[basis.index(j)]
+                row = _eliminate(row, row[j], prow, prow[j], _support(prow))
+        return row
+
+    def _optimise(self, zrow: List[int], stop_below: Optional[int] = None
+                  ) -> Optional[List[int]]:
+        """Maximise the objective row; the final row, or None if unbounded.
+
+        zrow[j] is the rate at which nonbasic column j raises the objective
+        and zrow[0] the negated objective value, both times one positive
+        factor. With `stop_below` set, stop once zrow[0] < stop_below.
+        """
+        rows, basis, kind = self.rows, self.basis, self.kind
+        while stop_below is None or zrow[0] >= stop_below:
+            pcol = 0
+            for j in range(1, len(zrow)):
+                d = zrow[j]
+                if d and (kind[j] == _FREE or (d > 0 and kind[j] == _NONNEG)):
+                    pcol = j
+                    break
+            if not pcol:
+                break
+            # Ratios rhs/a, a the rate at which the basic column falls, are
+            # compared by cross-multiplication.
+            up = zrow[pcol] > 0
+            prow, best_num, best_den = -1, 0, 1
+            for i, row in enumerate(rows):
+                a = row[pcol] if up else -row[pcol]
+                if a > 0 and kind[basis[i]] != _FREE:
+                    lhs, rhs = row[0] * best_den, best_num * a
+                    if prow < 0 or lhs < rhs or (
+                            lhs == rhs and basis[i] < basis[prow]):
+                        prow, best_num, best_den = i, row[0], a
+            if prow < 0:
+                return None
+            zrow = self._pivot(prow, pcol, zrow)
+        return zrow
+
+    def _pivot(self, i: int, j: int, zrow: Optional[List[int]] = None
+               ) -> Optional[List[int]]:
+        rows = self.rows
+        prow = rows[i]
+        p = prow[j]
+        if p < 0:  # keep the basic entry positive
+            prow = rows[i] = [-x for x in prow]
+            p = -p
+        support = _support(prow)
+        for k, row in enumerate(rows):
+            if k != i:
+                q = row[j]
+                if q:
+                    rows[k] = _eliminate(row, q, prow, p, support)
+        self.basis[i] = j
+        if zrow is not None:
+            q = zrow[j]
+            if q:
+                zrow = _eliminate(zrow, q, prow, p, support)
+        return zrow
+
+
+def _integral(coeffs: Mapping[str, Rat], bound) -> Tuple[List[Tuple[str, int]], int]:
+    """The row  coeffs . x = bound  times a positive factor, in integers."""
+    items = [(v, c) for v, c in coeffs.items() if c]
+    den = math.lcm(int(bound.denominator),
+                   *(int(c.denominator) for _, c in items))
+    return ([(v, int(c.numerator) * (den // int(c.denominator)))
+             for v, c in items],
+            int(bound.numerator) * (den // int(bound.denominator)))
+
+
 def solve_lp(rows: Sequence[Tuple[Mapping[str, Rat], str, Rat]],
              objective: Mapping[str, Rat],
              nonneg: frozenset,
@@ -399,161 +660,23 @@ def solve_lp(rows: Sequence[Tuple[Mapping[str, Rat], str, Rat]],
     "infeasible"; point is None unless requested and status is "optimal".
     Value and point are exact rationals.
     """
-    variables = sorted({v for coeffs, _, _ in rows for v in coeffs} | set(objective))
-    # Column layout: for a free variable two columns (v+ and v-), for a
-    # non-negative variable one, then one slack per inequality row, then the
-    # right-hand side. Each row also has an artificial variable, numbered
-    # art_first + row; no decision ever reads an artificial's column, so
-    # only its place in the basis is kept.
-    col_of: Dict[Tuple[str, int], int] = {}  # (var, sign) -> column
-    for v in variables:
-        col_of[(v, 1)] = len(col_of)
-        if v not in nonneg:
-            col_of[(v, -1)] = len(col_of)
-    nstruct = len(col_of)
-    nslack = sum(1 for _, rel, _ in rows if rel == LE)
-    m = len(rows)
-    art_first = nstruct + nslack
-
-    def columns(coeffs: Mapping[str, Rat], sign: int) -> Dict[int, Rat]:
-        # sign * coeffs by column; the v- column of a free v carries -c.
-        out: Dict[int, Rat] = {}
-        for v, c in coeffs.items():
-            if c:
-                out[col_of[(v, 1)]] = sign * c
-                if v not in nonneg:
-                    out[col_of[(v, -1)]] = -sign * c
-        return out
-
-    tableau: List[List[int]] = []
-    scales: List[int] = []
-    slack_i = 0
-    for coeffs, rel, bound in rows:
-        flip = -1 if bound < 0 else 1
-        entries = columns(coeffs, flip)
-        if rel == LE:
-            entries[nstruct + slack_i] = flip
-            slack_i += 1
-        elif rel != EQ:
+    for _, rel, _ in rows:
+        if rel not in (LE, EQ):
             raise ValueError(f"unknown LP relation {rel!r}")
-        row, scale = _int_row(entries, flip * bound, art_first)
-        tableau.append(row)
-        scales.append(scale)
-    basis = [art_first + i for i in range(m)]
-
-    def pivot(prow_i: int, pcol: int, zrow: List[int]) -> List[int]:
-        prow = tableau[prow_i]
-        p = prow[pcol]
-        if p < 0:  # keep the pivot row a positive multiple of the true row
-            prow = tableau[prow_i] = [-x for x in prow]
-            p = -p
-        support = [j for j, x in enumerate(prow) if x]
-        for i in range(m):
-            if i != prow_i:
-                q = tableau[i][pcol]
-                if q:
-                    tableau[i] = _eliminate(tableau[i], q, prow, p, support)
-        basis[prow_i] = pcol
-        q = zrow[pcol]
-        return _eliminate(zrow, q, prow, p, support) if q else zrow
-
-    def optimise(zrow: List[int]) -> Tuple[str, List[int]]:
-        # Maximise; Bland's rule (lowest eligible column, lowest basic var).
-        # Ratios rhs/a are compared by cross-multiplication (a > 0).
-        while True:
-            pcol = -1
-            for j in range(art_first):
-                if zrow[j] > 0:
-                    pcol = j
-                    break
-            if pcol < 0:
-                return _OPTIMAL, zrow
-            prow, best_num, best_den = -1, 0, 1
-            for i in range(m):
-                row = tableau[i]
-                a = row[pcol]
-                if a > 0:
-                    lhs, rhs = row[-1] * best_den, best_num * a
-                    if prow < 0 or lhs < rhs or (
-                            lhs == rhs and basis[i] < basis[prow]):
-                        prow, best_num, best_den = i, row[-1], a
-            if prow < 0:
-                return _UNBOUNDED, zrow
-            zrow = pivot(prow, pcol, zrow)
-
-    # Phase 1: maximise -(sum of artificials). Its objective row is the sum
-    # of the true rows, brought to a common integer scale.
-    common = math.lcm(*scales)
-    zrow = [0] * (art_first + 1)
-    for row, s in zip(tableau, scales):
-        f = common // s
-        for j, x in enumerate(row):
-            if x:
-                zrow[j] += f * x
-    status, zrow = optimise(zrow)
-    if status != _OPTIMAL:
-        raise RuntimeError("simplex: phase 1 objective is unbounded")
-    if zrow[-1] != 0:
-        return _INFEASIBLE, None, None
-    # Drive leftover artificials out of the basis. Their rows have a zero
-    # right-hand side, so a pivot entry of either sign keeps feasibility.
-    for i in range(m):
-        if basis[i] >= art_first:
-            for j in range(art_first):
-                if tableau[i][j] != 0:
-                    pivot(i, j, zrow)  # the phase 1 row is done with
-                    break
-    # Phase 2: the objective, reduced against the current basis. A row whose
-    # artificial is still basic is all zero in the stored columns, so it
-    # reduces nothing.
-    obj = columns(objective, 1)
-    zrow, _ = _int_row(obj, _ZERO, art_first)
-    for i, b in enumerate(basis):
-        if b < art_first:
-            q = zrow[b]
-            if q:
-                row = tableau[i]
-                zrow = _eliminate(zrow, q, row, row[b],
-                                  [j for j, x in enumerate(row) if x])
-    status, zrow = optimise(zrow)
-    if status == _UNBOUNDED:
+    t = _Tableau()
+    for v in sorted({v for coeffs, _, _ in rows for v in coeffs} | set(objective)):
+        t.column(v, _NONNEG if v in nonneg else _FREE)
+    for coeffs, rel, bound in rows:
+        entries, rhs = _integral(coeffs, bound)
+        if not t.add_row([(t.col[v], a) for v, a in entries], rel == EQ, rhs):
+            return _INFEASIBLE, None, None
+    entries, _ = _integral(objective, 0)
+    if t._optimise(t._reduced([(t.col[v], a) for v, a in entries])) is None:
         return _UNBOUNDED, None, None
-    # Basic column b of row i has the value rhs/row[b]; the rest are zero.
-    values: Dict[int, Rat] = {}
-    for i, b in enumerate(basis):
-        if b < nstruct:
-            row = tableau[i]
-            values[b] = Rat(row[-1], row[b])
-    value = sum((c * values[j] for j, c in obj.items() if j in values), _ZERO)
-    point = None
-    if want_point:
-        point = {}
-        for v in variables:
-            x = values.get(col_of[(v, 1)], _ZERO)
-            if v not in nonneg:
-                x -= values.get(col_of[(v, -1)], _ZERO)
-            point[v] = x
-    return _OPTIMAL, value, point
-
-
-_EPS = "$eps"
-
-
-def _lp_rows(constraints: Iterable[LinearConstraint]):
-    """Encode constraints as LP rows, strict ones padded with the shared slack."""
-    rows = []
-    strict = False
-    for c in constraints:
-        coeffs = dict(c.coeffs)
-        if c.rel == LT:
-            coeffs[_EPS] = 1
-            strict = True
-            rows.append((coeffs, LE, c.bound))
-        elif c.rel == LE:
-            rows.append((coeffs, LE, c.bound))
-        else:
-            rows.append((coeffs, EQ, c.bound))
-    return rows, strict
+    values = {b: Rat(row[0], row[b]) for row, b in zip(t.rows, t.basis)}
+    point = {v: values.get(j, _ZERO) for v, j in t.col.items()}
+    value = sum((c * point[v] for v, c in objective.items()), _ZERO)
+    return _OPTIMAL, value, point if want_point else None
 
 
 @lru_cache(maxsize=65536)
@@ -569,13 +692,8 @@ def is_satisfiable(cs: ConstraintSet) -> bool:
             only_single = False
     if only_single:
         return _interval_satisfiable(cs.constraints)
-    rows, strict = _lp_rows(cs.constraints)
-    status, value, _ = solve_lp(rows, {_EPS: 1}, frozenset({_EPS}))
-    if status == _INFEASIBLE:
-        return False
-    if status == _UNBOUNDED:
-        return True
-    return bool(strict) is False or value > 0
+    t = _Tableau.of(cs.constraints)
+    return t is not None and t.satisfiable()
 
 
 def _interval_satisfiable(constraints: Sequence[LinearConstraint]) -> bool:
@@ -614,13 +732,11 @@ def _tighten_hi(hi, v, b, strict):
         hi[v] = (b, strict)
 
 
-@lru_cache(maxsize=65536)
-def _entails_cached(cs: ConstraintSet, c: LinearConstraint) -> bool:
-    if c.is_trivially_true():
-        return True
-    # Syntactic fast path: a constraint in the set with the same linear part
-    # and an equal or tighter bound already implies c.
-    for d in cs.constraints:
+def _syntactically_entailed(constraints: Iterable[LinearConstraint],
+                            c: LinearConstraint) -> bool:
+    """A constraint with c's linear part and an equal or tighter bound
+    implies c."""
+    for d in constraints:
         if d.coeffs == c.coeffs:
             if c.rel == EQ:
                 if d.rel == EQ and d.bound == c.bound:
@@ -631,26 +747,22 @@ def _entails_cached(cs: ConstraintSet, c: LinearConstraint) -> bool:
             elif d.bound < c.bound or (
                     d.bound == c.bound and (d.rel == c.rel or c.rel == LE)):
                 return True
-    for neg in c.negations():
-        if is_satisfiable(cs.add(neg)):
-            return False
-    return True
+    return False
 
 
-# The cached functions themselves, so that `reset_caches` reaches their caches
-# even when the module attributes are rebound (by a tracer, say).
-_CACHED = (is_satisfiable, _entails_cached)
+@lru_cache(maxsize=256)
+def _tableau_of(cs: ConstraintSet) -> Optional[_Tableau]:
+    """The tableau of `cs` that its entailment queries share; never changed
+    (`implies` works on copies). None when the closure of `cs` is empty."""
+    return _Tableau.of(cs.constraints)
 
 
-def reset_caches() -> None:
-    """Empty the satisfiability and entailment caches and their counts.
-
-    `verify` calls this when a run starts, so that what a run costs does
-    not depend on what ran before it in the process. The entries stay until
-    the next run starts, so `cache_info()` still describes the last run.
-    """
-    for fn in _CACHED:
-        fn.cache_clear()
+@lru_cache(maxsize=65536)
+def _entails_cached(cs: ConstraintSet, c: LinearConstraint) -> bool:
+    if c.is_trivially_true() or _syntactically_entailed(cs.constraints, c):
+        return True
+    base = _tableau_of(cs)
+    return base is None or base.implies(c)
 
 
 def entails(cs: ConstraintSet, c: LinearConstraint) -> bool:
@@ -771,22 +883,43 @@ def _dominance_prune(rows: List[LinearConstraint]) -> List[LinearConstraint]:
 
 
 def _semantic_prune(rows: List[LinearConstraint]) -> List[LinearConstraint]:
-    kept = list(rows)
-    i = 0
-    while i < len(kept):
-        others = ConstraintSet.make(kept[:i] + kept[i + 1:])
-        if entails(others, kept[i]):
-            kept.pop(i)
+    return _drop_redundant(rows, range(len(rows)), _Tableau.of(rows))
+
+
+def _drop_redundant(rows: Sequence[LinearConstraint], order: Iterable[int],
+                    base: Optional[_Tableau]) -> List[LinearConstraint]:
+    """`rows` less each row, visited in `order`, that the rows kept entail.
+
+    `base` is the tableau of `rows`, added in order, or None when their
+    closure is empty; it is changed. The queries share it: row i is relaxed
+    for its own query and stays relaxed once found redundant. Without a
+    tableau the rows are queried one set at a time.
+    """
+    kept = [True] * len(rows)
+    for i in order:
+        c = rows[i]
+        others = [d for j, d in enumerate(rows) if kept[j] and j != i]
+        if base is None:
+            redundant = entails(ConstraintSet.make(others), c)
         else:
-            i += 1
-    return kept
+            redundant = (c.is_trivially_true()
+                         or _syntactically_entailed(others, c)
+                         or base.implies(c, relax=i))
+        if redundant:
+            kept[i] = False
+            if base is not None:
+                base.relax(i)
+    return [c for c, k in zip(rows, kept) if k]
 
 
 # ---------------------------------------------------------------------------
 # Simplification.
 # ---------------------------------------------------------------------------
 
+_REL_RANK = {EQ: 0, LT: 1, LE: 2}
 
+
+@lru_cache(maxsize=65536)
 def simplify(cs: ConstraintSet) -> ConstraintSet:
     """A logically equivalent, canonical, redundancy-free constraint set.
 
@@ -796,30 +929,43 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
     """
     if not is_satisfiable(cs):
         return FALSE_SET
-    work = list(cs.constraints)
     # Upgrade inequalities to equalities when the reverse direction holds.
-    upgraded: List[LinearConstraint] = []
-    full = ConstraintSet.make(work)
-    for c in work:
+    rows = list(cs.constraints)
+    upgraded = False
+    for i, c in enumerate(rows):
         if c.rel == LE:
-            reverse = LinearConstraint.make(
-                {v: -k for v, k in c.coeffs}, LE, -c.bound)
-            if entails(full, reverse):
-                upgraded.append(LinearConstraint.make(dict(c.coeffs), EQ, c.bound))
-                continue
-        upgraded.append(c)
-    # Drop anything the remaining constraints already imply. Deterministic
-    # order: strict before non-strict before equalities, then constraint key,
-    # so the surviving basis is stable across runs.
-    order = {EQ: 0, LT: 1, LE: 2}
-    upgraded = sorted(set(upgraded), key=lambda c: (order[c.rel], _constraint_key(c)))
-    i = len(upgraded) - 1
-    while i >= 0:
-        rest = ConstraintSet.make(upgraded[:i] + upgraded[i + 1:])
-        if entails(rest, upgraded[i]):
-            upgraded.pop(i)
-        i -= 1
-    return ConstraintSet.make(upgraded)
+            reverse = LinearConstraint(
+                tuple((v, -k) for v, k in c.coeffs), LE, -c.bound)
+            if entails(cs, reverse):
+                rows[i] = LinearConstraint.make(dict(c.coeffs), EQ, c.bound)
+                upgraded = True
+    # Drop anything the remaining constraints already imply, last first in
+    # a deterministic order: equalities before strict before non-strict,
+    # then constraint key, so the surviving basis is stable across runs. A
+    # row that an upgrade made a duplicate of another goes, as entailed by
+    # its twin. Without upgrades the rows are those of the entailment
+    # tableau of `cs`.
+    order = sorted(range(len(rows)), reverse=True,
+                   key=lambda i: (_REL_RANK[rows[i].rel], _constraint_key(rows[i])))
+    base = _Tableau.of(rows) if upgraded else _tableau_of(cs).copy()
+    return ConstraintSet.make(_drop_redundant(rows, order, base))
+
+
+# The cached functions themselves, so that `reset_caches` reaches their caches
+# even when the module attributes are rebound (by a tracer, say).
+_CACHED = (is_satisfiable, _entails_cached, _tableau_of, simplify)
+
+
+def reset_caches() -> None:
+    """Empty the kernel's caches and their counts: satisfiability,
+    entailment, the entailment tableaux and `simplify`.
+
+    `verify` calls this when a run starts, so that what a run costs does
+    not depend on what ran before it in the process. The entries stay until
+    the next run starts, so `cache_info()` still describes the last run.
+    """
+    for fn in _CACHED:
+        fn.cache_clear()
 
 
 # ---------------------------------------------------------------------------

@@ -3,10 +3,13 @@
 import json
 import os
 
-from chcverify.analysis import is_inductive_model
+import pytest
+
+from chcverify import driver
+from chcverify.analysis import AbstractModel, is_inductive_model
 from chcverify.chc_ast import parse_program
 from chcverify.driver import Config, Verdict, main, verify
-from chcverify.linalg import _entails_cached, is_satisfiable
+from chcverify.linalg import _entails_cached, _tableau_of, is_satisfiable, simplify
 
 T4 = open("tests/data/t4.pl").read()
 
@@ -45,7 +48,8 @@ class TestVerify:
 
     def test_a_run_costs_the_same_whatever_ran_before(self):
         def cache_counts():
-            return is_satisfiable.cache_info(), _entails_cached.cache_info()
+            return (is_satisfiable.cache_info(), _entails_cached.cache_info(),
+                    simplify.cache_info(), _tableau_of.cache_info())
 
         verify(parse_program(UNSAFE_COUNTER))
         verify(parse_program(BOUNDARY_COUNTER), Config(max_refinements=1))
@@ -54,6 +58,34 @@ class TestVerify:
         verify(parse_program(BOUNDARY_COUNTER), Config(max_refinements=1))
         assert cache_counts() == after_other_runs
         assert after_other_runs[0].misses > 0
+
+    def test_an_early_safe_model_is_re_checked(self, monkeypatch):
+        # No integrity clause: safe before any analysis, but the model that
+        # ships must still be inductive. Here p is bottom although c1
+        # derives p(0).
+        monkeypatch.setattr(driver, "analyze",
+                            lambda program, thresholds=None: (AbstractModel({}), None))
+        with pytest.raises(RuntimeError, match="non-inductive"):
+            verify(parse_program("p(X) :- 1*X = 0.\n"))
+
+    def test_a_model_after_propagation_is_re_checked(self, monkeypatch):
+        # Propagation deletes the integrity clause and keeps c1; the analysis
+        # after that returns a model in which p is bottom.
+        real = driver.analyze
+        calls = []
+
+        def analyze(program, thresholds=None):
+            calls.append(program)
+            if len(calls) == 1:
+                return real(program, thresholds)
+            return AbstractModel({}), None
+
+        monkeypatch.setattr(driver, "analyze", analyze)
+        with pytest.raises(RuntimeError, match="non-inductive"):
+            verify(parse_program("p(X) :- 1*X = 0.\n"
+                                 "q(X) :- 1*X = 1.\n"
+                                 "false :- p(X), q(X).\n"))
+        assert len(calls) == 2 and len(calls[1].clauses) == 1
 
     def test_safe_verdicts_carry_an_inductive_model(self):
         verdict = verify(parse_program(SAFE_COUNTER))

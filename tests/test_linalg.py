@@ -459,3 +459,158 @@ class TestIntegerStorage:
         assert back == cs and hash(back) == hash(cs)
         assert back.constraints[0] == cs.constraints[0]
         assert hash(back.constraints[0]) == hash(cs.constraints[0])
+
+
+class TestRename:
+    def test_merging_names_sums_the_coefficients(self):
+        c = C({"A": 1, "B": 1}, LE, 1).rename({"A": "B"})
+        assert c == C({"B": 2}, LE, 1)
+        assert c.coeffs == (("B", 2),) and c.bound == 1
+        assert C({"A": 1, "B": -1}, LE, 1).rename({"A": "B"}) == C({}, LE, 1)
+
+    def test_equality_is_sign_normalised_after_resorting(self):
+        # 1*A - 2*B = 3 renamed A -> Z puts -2*B first: the sign flips.
+        c = C({"A": 1, "B": -2}, EQ, 3).rename({"A": "Z"})
+        assert c.coeffs == (("B", 2), ("Z", -1)) and c.bound == -3
+        assert c == LinearConstraint.make({"Z": 1, "B": -2}, EQ, 3)
+
+    def test_rename_agrees_with_make(self):
+        rng = random.Random(7)
+        names = ("A", "B", "C", "D")
+        for _ in range(200):
+            coeffs = {v: rng.randint(-3, 3) for v in names if rng.random() < 0.7}
+            c = C(coeffs, rng.choice((LE, LT, EQ)), rng.randint(-4, 4))
+            mapping = {v: rng.choice(names) for v in names if rng.random() < 0.5}
+            expected = {}
+            for v, k in c.coeffs:
+                w = mapping.get(v, v)
+                expected[w] = expected.get(w, 0) + k
+            assert c.rename(mapping) == LinearConstraint.make(expected, c.rel, c.bound)
+
+
+class TestIncrementalTableau:
+    """Targeted cases of the shared tableau: relaxing rows and leftover
+    artificials."""
+
+    def test_relaxing_an_equality_drops_it(self):
+        rows = [C({"X": 1, "Y": -1}, EQ, 0), C({"X": 1}, LE, 3)]
+        t = linalg._Tableau.of(rows)
+        assert t.implies(C({"Y": 1}, LE, 3))
+        assert not t.implies(C({"Y": 1}, LE, 3), relax=0)
+        t.relax(0)
+        assert not t.implies(rows[0])
+        assert not t.implies(C({"Y": 1}, LE, 3))
+        assert t.implies(rows[1])
+
+    def test_dependent_equality_leaves_its_artificial_basic(self):
+        # X = Z is the sum of X = Y and Y = Z: no variable column is left to
+        # pivot its artificial out on.
+        rows = [C({"X": 1, "Y": -1}, EQ, 0), C({"Y": 1, "Z": -1}, EQ, 0),
+                C({"X": 1, "Z": -1}, EQ, 0)]
+        t = linalg._Tableau.of(rows)
+        assert [t.kind[b] for b in t.basis].count(linalg._ART) == 1
+        # The other two rows still imply the first one.
+        assert t.implies(rows[0], relax=0)
+        t.relax(0)
+        assert linalg._ART not in [t.kind[b] for b in t.basis]
+        assert t.implies(rows[0]) and t.implies(rows[2])
+        t.relax(1)
+        assert not t.implies(rows[0]) and t.implies(rows[2])
+        assert not t.implies(C({"X": 1}, LE, 0))
+
+    def test_relaxing_the_dependent_equality_itself(self):
+        rows = [C({"X": 1, "Y": -1}, EQ, 0), C({"Y": 1, "Z": -1}, EQ, 0),
+                C({"X": 1, "Z": -1}, EQ, 1)]
+        assert linalg._Tableau.of(rows) is None  # X - Z = 0 and = 1
+        rows[2] = C({"X": 1, "Z": -1}, EQ, 0)
+        t = linalg._Tableau.of(rows)
+        t.relax(2)
+        assert t.implies(rows[2])  # still implied by the first two
+        t.relax(0)
+        assert not t.implies(rows[2]) and t.implies(rows[1])
+
+    def test_duplicate_equalities_prune_to_one(self):
+        e = C({"X": 1, "Y": 2}, EQ, 1)
+        assert linalg._semantic_prune([e, e, C({"X": 1}, LE, 0)]) == [
+            e, C({"X": 1}, LE, 0)]
+        cs = S(C({"X": 1, "Y": -1}, EQ, 0), C({"Y": 1, "Z": -1}, EQ, 0),
+               C({"X": 1, "Z": -1}, EQ, 0))
+        out = simplify(cs)
+        assert len(out) == 2 and all(c.rel == EQ for c in out)
+        assert entails_all(out, cs) and entails_all(cs, out)
+
+    def test_relaxed_strict_row_no_longer_needs_a_positive_slack(self):
+        # X < 0 and X > 0: the closure is X = 0, so eps is 0 at best.
+        rows = [C({"X": 1}, LT, 0), C({"X": -1}, LT, 0)]
+        t = linalg._Tableau.of(rows)
+        assert not t.copy().satisfiable()
+        t.relax(0)
+        assert t.copy().satisfiable()
+        assert t.implies(C({"X": 1}, LE, 0)) is False
+        assert t.implies(C({"X": -1}, LT, 0))
+
+    def test_infeasible_rows_are_pruned_one_set_at_a_time(self):
+        # The closure is empty, so there is no shared tableau. Neither X <= 0
+        # nor X >= 1 is entailed by the other rows, but together they entail
+        # each Y row.
+        rows = [C({"X": 1}, LE, 0), C({"X": -1}, LE, -1), C({"Y": 1}, LE, 5),
+                C({"Y": 1}, LE, 6)]
+        assert linalg._Tableau.of(rows) is None
+        assert linalg._semantic_prune(rows) == rows[:2]
+
+
+def random_row(rng, variables):
+    coeffs = {v: rng.randint(-3, 3) for v in variables if rng.random() < 0.6}
+    return C(coeffs, rng.choice((LE, LE, LT, EQ)), rng.randint(-4, 4))
+
+
+class TestKernelAgainstOracles:
+    """The kernel's decisions and simplifications on random sets over 3-4
+    variables, judged by vertex enumeration."""
+
+    def test_random_sets(self):
+        rng = random.Random(2006)
+        unsat = leftovers = 0
+        for case in range(300):
+            variables = ("W", "X", "Y", "Z")[:rng.randint(3, 4)]
+            rows = [random_row(rng, variables) for _ in range(rng.randint(1, 4))]
+            eqs = [c for c in rows if c.rel == EQ and c.coeffs]
+            if len(eqs) >= 2 and rng.random() < 0.5:
+                # a dependent equality: the sum of two others
+                total = {}
+                for c in eqs[:2]:
+                    for v, k in c.coeffs:
+                        total[v] = total.get(v, 0) + k
+                rows.append(C(total, EQ, eqs[0].bound + eqs[1].bound))
+                leftovers += 1
+            cs = S(*rows)
+            tag = f"case {case}: {cs}"
+            sat = oracle_sat(cs)
+            unsat += not sat
+            assert is_satisfiable(cs) == sat, tag
+            # a query over a variable the set may not mention
+            pool = variables + ("V",) if len(variables) == 3 else variables
+            q = random_row(rng, pool)
+            assert entails(cs, q) == oracle_entails(cs, q), f"{tag} |= {q}"
+            # Rows kept from the input are entailed by it; only the rows
+            # dropped or changed need the oracle.
+            out = simplify(cs)
+            if not sat:
+                assert out == FALSE_SET, tag
+            else:
+                assert all(oracle_entails(out, c) for c in cs if c not in out), tag
+                assert all(oracle_entails(cs, d) for d in out if d not in cs), tag
+                for d in out:
+                    rest = S(*(e for e in out if e != d))
+                    assert not oracle_entails(rest, d), f"{tag}: {d} redundant"
+                    if d.rel == LE:
+                        reverse = C({v: -k for v, k in d.coeffs}, LE, -d.bound)
+                        assert not oracle_entails(cs, reverse), f"{tag}: {d}"
+            pruned = linalg._semantic_prune(list(rows))
+            assert all(d in rows for d in pruned), tag
+            if not sat:
+                assert not oracle_sat(pruned), tag
+            else:
+                assert all(oracle_entails(S(*pruned), c)
+                           for c in rows if c not in pruned), tag
+        assert unsat >= 30 and leftovers >= 10

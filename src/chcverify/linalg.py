@@ -5,8 +5,7 @@ Everything in this module is exact. A constraint with variables is stored in
 its canonical form: coprime Python `int` coefficients and bound. Rationals
 (gmpy2.mpq when available, fractions.Fraction otherwise) appear only where a
 value is not an integer: inputs to `LinearConstraint.make`, the bound of a
-constant constraint, projection's substitutions, LP optima and points, and
-Farkas multipliers.
+constant constraint, LP optima and points, and Farkas multipliers.
 
 Satisfiability, entailment and redundancy are decided by one incremental
 simplex with Bland's rule on a fraction-free integer tableau (`_Tableau`).
@@ -15,19 +14,25 @@ reduced right-hand side is non-negative enters with its slack basic, any
 other row gets one artificial and a phase 1 over that row alone. A free
 variable is one free column. A row is dropped again by freeing its slack.
 Strict inequalities share one slack `$eps`: a mixed system is strictly
-satisfiable iff `$eps` can be made positive. So the queries on one
-constraint set share a single phase 1: `entails` copies the cached tableau
-of the set and adds one negation of the query, and `simplify` and
-`_semantic_prune` relax each row of one tableau in turn and test it against
-the rest. An integer row enters the tableau as is, a rational one is scaled
-to integers once, and only an LP optimum and its point are turned back into
-rationals.
+satisfiable iff `$eps` can be made positive. Entailment adds no row: on the
+tableau of a strictly satisfiable set, `a.x rel b` is entailed iff the
+maximum of a.x - b is below 0, or is 0 and the query is not strict, and the
+maximisation stops as soon as the value passes 0. Only a strict query whose
+maximum is exactly 0 on a tableau with strict rows adds its negation, to ask
+whether the boundary is reached. So the queries on one constraint set share
+a single phase 1: `entails` maximises over a copy of the cached tableau of
+the set, and `simplify` and `_semantic_prune` relax each row of one tableau
+in turn and test it against the rest. Each caller first makes sure the set
+is strictly satisfiable (an unsatisfiable set entails everything). An
+integer row enters the tableau as is, a rational one is scaled to integers
+once, and only an LP optimum and its point are turned back into rationals.
 
 Projection is Fourier-Motzkin elimination. Equalities are first used for
-Gaussian substitution, which keeps the combinatorial part small; the number of
-intermediate constraints is capped (see `fm_limit`) and exceeding the cap
-raises ResourceLimitError so callers can degrade to an "unknown" verdict
-instead of diverging.
+Gaussian substitution, which keeps the combinatorial part small. Both steps
+build each new row as one integer combination of two rows (`_combine`). The
+number of intermediate constraints is capped (see `fm_limit`) and exceeding
+the cap raises ResourceLimitError so callers can degrade to an "unknown"
+verdict instead of diverging.
 """
 
 from __future__ import annotations
@@ -226,17 +231,6 @@ class LinearConstraint:
             bound = -bound
         return LinearConstraint(tuple(items), self.rel, bound)
 
-    def substitute(self, var: str, expr_coeffs: Mapping[str, Rat], expr_const: Rat
-                   ) -> "LinearConstraint":
-        """Replace `var` by the affine expression  expr_coeffs . vars + expr_const."""
-        c_v = self.coeff(var)
-        if c_v == 0:
-            return self
-        out: Dict[str, Rat] = {v: c for v, c in self.coeffs if v != var}
-        for v, c in expr_coeffs.items():
-            out[v] = out.get(v, 0) + c_v * c
-        return LinearConstraint.make(out, self.rel, self.bound - c_v * expr_const)
-
     def negations(self) -> Tuple["LinearConstraint", ...]:
         """Constraints whose disjunction is the negation of this one."""
         # Negated coprime integers stay coprime, and inequalities keep their
@@ -341,7 +335,13 @@ class ConstraintSet:
         return out
 
     def rename(self, mapping: Mapping[str, str]) -> "ConstraintSet":
-        return ConstraintSet.make(c.rename(mapping) for c in self.constraints)
+        renamed = [c.rename(mapping) for c in self.constraints]
+        names = {v for c in self.constraints for v, _ in c.coeffs}
+        if len({mapping.get(v, v) for v in names}) < len(names):
+            return ConstraintSet.make(renamed)
+        # Injective on the variables: every row stays non-trivial and the
+        # rows stay distinct, so only their order can change.
+        return ConstraintSet(tuple(sorted(renamed, key=_constraint_key)))
 
     def evaluate(self, point: Mapping[str, Rat]) -> bool:
         return all(c.evaluate(point) for c in self.constraints)
@@ -370,14 +370,15 @@ FALSE_SET = ConstraintSet((FALSE_CONSTRAINT,))
 # Simplex. One fraction-free integer tableau, kept feasible while rows are
 # added one at a time and relaxed again: incremental simplex in the style of
 # Dutertre and de Moura (CAV 2006), so that the queries on one constraint set
-# share a single phase 1. Every row, an objective row included, is held as a
-# positive integer multiple of the true rational row, right-hand side first;
-# positive scaling preserves every sign and every ratio order, so the pivots
-# are the ones a rational tableau would take, and only an optimum and its
-# point are read back as rationals. Bland's rule (lowest eligible column,
-# lowest basic column on ties) ensures termination. Small systems only; this
-# is the single hot spot of the whole verifier, so the inner loops stay
-# primitive.
+# share a single phase 1; an entailment query is one bounded maximisation
+# over a copy, with no row added. Every row, an objective row included, is
+# held as a positive integer multiple of the true rational row, right-hand
+# side first; positive scaling preserves every sign and every ratio order, so
+# the pivots are the ones a rational tableau would take, and only an optimum
+# and its point are read back as rationals. Bland's rule (lowest eligible
+# column, lowest basic column on ties) ensures termination. Small systems
+# only; this is the single hot spot of the whole verifier, so the inner loops
+# stay primitive.
 # ---------------------------------------------------------------------------
 
 _OPTIMAL = "optimal"
@@ -556,13 +557,31 @@ class _Tableau:
 
     def implies(self, c: LinearConstraint, relax: Optional[int] = None) -> bool:
         """Do the rows, less the `relax`-th one, entail `c`? Leaves the
-        tableau as it is."""
-        for neg in c.negations():
-            t = self.copy()
-            if relax is not None:
-                t.relax(relax)
-            if t.add(neg) and t.satisfiable():
+        tableau as it is.
+
+        Precondition: the rows hold, the strict ones strictly, at some point.
+        The tableau then describes the closure of the set the rows define,
+        so `c` (a.x rel b) is entailed iff the maximum of a.x - b over the
+        tableau is below 0, or is 0 and `c` is not strict. Each direction of
+        `c` is one maximisation, which stops as soon as the value passes 0.
+        Only a strict `c` whose maximum is exactly 0 on a tableau with strict
+        rows needs its negation added, to ask whether the boundary is
+        reached; without strict rows the maximum is attained.
+        """
+        if not c.coeffs:
+            return c.is_trivially_true()
+        t = self.copy()
+        if relax is not None:
+            t.relax(relax)
+        for s in ((1, -1) if c.rel == EQ else (1,)):
+            # zrow[0] is -(a.x - b) at the basic point, times a positive factor.
+            zrow = t._optimise(t._reduced(
+                [(t.column(v), s * a) for v, a in c.coeffs], s * c.bound), 0)
+            if zrow is None or zrow[0] < 0:
                 return False
+            if zrow[0] == 0 and c.rel == LT:
+                return bool(t.strict) and not (
+                    t.add(c.negations()[0]) and t.satisfiable())
         return True
 
     def _reduced(self, entries: Sequence[Tuple[int, int]], rhs: int = 0
@@ -751,9 +770,9 @@ def _syntactically_entailed(constraints: Iterable[LinearConstraint],
 
 
 @lru_cache(maxsize=256)
-def _tableau_of(cs: ConstraintSet) -> Optional[_Tableau]:
-    """The tableau of `cs` that its entailment queries share; never changed
-    (`implies` works on copies). None when the closure of `cs` is empty."""
+def _tableau_of(cs: ConstraintSet) -> _Tableau:
+    """The tableau of the satisfiable `cs` that its entailment queries
+    share; never changed (`implies` works on copies)."""
     return _Tableau.of(cs.constraints)
 
 
@@ -761,8 +780,7 @@ def _tableau_of(cs: ConstraintSet) -> Optional[_Tableau]:
 def _entails_cached(cs: ConstraintSet, c: LinearConstraint) -> bool:
     if c.is_trivially_true() or _syntactically_entailed(cs.constraints, c):
         return True
-    base = _tableau_of(cs)
-    return base is None or base.implies(c)
+    return not is_satisfiable(cs) or _tableau_of(cs).implies(c)
 
 
 def entails(cs: ConstraintSet, c: LinearConstraint) -> bool:
@@ -782,9 +800,12 @@ def entails_all(cs: ConstraintSet, other: ConstraintSet) -> bool:
 def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
     """Project onto `keep`: an equivalent constraint set over keep only.
 
-    Exact for linear rational arithmetic. Returns FALSE_SET when `cs` is
-    unsatisfiable. Raises ResourceLimitError when the intermediate constraint
-    count exceeds the `fm_limit` cap.
+    Exact for linear rational arithmetic: the result is FALSE_SET when
+    elimination derives a false constant, and otherwise holds exactly where
+    some values of the other variables satisfy `cs`. An unsatisfiable `cs`
+    need not give FALSE_SET; callers check satisfiability first. Raises
+    ResourceLimitError when the intermediate constraint count exceeds the
+    `fm_limit` cap.
     """
     keep = set(keep)
     drop = sorted(cs.variables() - keep)
@@ -796,25 +817,17 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
     work: List[LinearConstraint] = list(cs.constraints)
 
     # Gaussian pass: use equalities to substitute eliminable variables away.
-    changed = True
-    while changed:
-        changed = False
-        for idx, c in enumerate(work):
-            if c.rel != EQ:
-                continue
-            var = next((v for v, _ in c.coeffs if v not in keep), None)
-            if var is None:
-                continue
-            c_v = c.coeff(var)
-            expr = {v: Rat(-k, c_v) for v, k in c.coeffs if v != var}
-            const = Rat(c.bound, c_v)
-            work = [
-                d.substitute(var, expr, const)
-                for j, d in enumerate(work)
-                if j != idx
-            ]
-            changed = True
+    # Eliminating `var` with  e: a*var + ... = b  from a row d with
+    # coefficient k is the row  |a|*d - sign(a)*k*e.
+    while True:
+        pick = next(((i, e, v, a) for i, e in enumerate(work) if e.rel == EQ
+                     for v, a in e.coeffs if v not in keep), None)
+        if pick is None:
             break
+        idx, e, var, a = pick
+        p, sign = abs(a), (1 if a > 0 else -1)
+        work = [_combine(p, d, -sign * k, e, d.rel) if (k := d.coeff(var)) else d
+                for d in work[:idx] + work[idx + 1:]]
 
     rows = [c for c in work if not c.is_trivially_true()]
     if any(c.is_trivially_false() for c in rows):
@@ -834,21 +847,15 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
         for c in rows:
             k = c.coeff(var)
             if k > 0:
-                uppers.append(c)
+                uppers.append((k, c))
             elif k < 0:
-                lowers.append(c)
+                lowers.append((-k, c))
             else:
                 rest.append(c)
         new: List[LinearConstraint] = []
-        for up, lo in itertools.product(uppers, lowers):
-            ku, kl = up.coeff(var), -lo.coeff(var)
-            combo: Dict[str, Rat] = {}
-            for v, c in up.coeffs:
-                combo[v] = combo.get(v, 0) + c * kl
-            for v, c in lo.coeffs:
-                combo[v] = combo.get(v, 0) + c * ku
+        for (ku, up), (kl, lo) in itertools.product(uppers, lowers):
             rel = LT if LT in (up.rel, lo.rel) else LE
-            cand = LinearConstraint.make(combo, rel, up.bound * kl + lo.bound * ku)
+            cand = _combine(kl, up, ku, lo, rel)
             if cand.is_trivially_false():
                 return FALSE_SET
             if not cand.is_trivially_true():
@@ -860,10 +867,28 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
         if len(rows) > 12:
             rows = _semantic_prune(rows)
 
-    out = ConstraintSet.make(rows)
-    if out.has_trivially_false() or not is_satisfiable(out):
-        return FALSE_SET
-    return out
+    return ConstraintSet.make(rows)
+
+
+def _combine(p: int, c: LinearConstraint, q: int, d: LinearConstraint,
+             rel: str) -> LinearConstraint:
+    """The canonical form of  p*c + q*d  with relation `rel`, computed from
+    the integer rows of two non-constant constraints.
+
+    p must be positive, and so must q unless d is an equality, so that the
+    combination is implied by c and d.
+    """
+    out = {v: p * a for v, a in c.coeffs}
+    for v, a in d.coeffs:
+        out[v] = out.get(v, 0) + q * a
+    items = sorted((v, a) for v, a in out.items() if a)
+    bound = p * c.bound + q * d.bound
+    if not items:
+        return LinearConstraint((), rel, Rat(bound))
+    g = math.gcd(bound, *(a for _, a in items))
+    if rel == EQ and items[0][1] < 0:
+        g = -g
+    return LinearConstraint(tuple((v, a // g) for v, a in items), rel, bound // g)
 
 
 def _dominance_prune(rows: List[LinearConstraint]) -> List[LinearConstraint]:
@@ -883,17 +908,21 @@ def _dominance_prune(rows: List[LinearConstraint]) -> List[LinearConstraint]:
 
 
 def _semantic_prune(rows: List[LinearConstraint]) -> List[LinearConstraint]:
-    return _drop_redundant(rows, range(len(rows)), _Tableau.of(rows))
+    base = _Tableau.of(rows)
+    if base is not None and not base.satisfiable():
+        base = None
+    return _drop_redundant(rows, range(len(rows)), base)
 
 
 def _drop_redundant(rows: Sequence[LinearConstraint], order: Iterable[int],
                     base: Optional[_Tableau]) -> List[LinearConstraint]:
     """`rows` less each row, visited in `order`, that the rows kept entail.
 
-    `base` is the tableau of `rows`, added in order, or None when their
-    closure is empty; it is changed. The queries share it: row i is relaxed
-    for its own query and stays relaxed once found redundant. Without a
-    tableau the rows are queried one set at a time.
+    `base` is the tableau of `rows`, added in order, or None when `rows`
+    are not satisfiable (`implies` needs satisfiable rows); it is changed.
+    The queries share it: row i is relaxed for its own query and stays
+    relaxed once found redundant. Without a tableau the rows are queried
+    one set at a time.
     """
     kept = [True] * len(rows)
     for i in order:

@@ -398,8 +398,7 @@ class TestIntegerStorage:
         eq = C({"X": 2, "Y": "2/3"}, EQ, 1)
         assert_int_form(c)
         assert_int_form(c.rename({"X": "Z"}))
-        assert_int_form(c.substitute("X", {"Y": rat(1, 3), "Z": rat(-5, 7)},
-                                     rat(1, 2)))
+        assert_int_form(linalg._combine(3, c, -2, eq, c.rel))
         assert_int_form(c.scaled(rat(3, 5)))
         for d in c.negations() + eq.negations() + eq.split_equality():
             assert_int_form(d)
@@ -488,6 +487,36 @@ class TestRename:
             assert c.rename(mapping) == LinearConstraint.make(expected, c.rel, c.bound)
 
 
+class TestSetRename:
+    def test_names_merging_across_rows_shrink_the_set(self):
+        cs = S(C({"X": 1}, LE, 1), C({"Y": 1}, LE, 1), C({"Z": 1}, LT, 0))
+        assert cs.rename({"X": "Y"}) == S(C({"Y": 1}, LE, 1), C({"Z": 1}, LT, 0))
+
+    def test_a_row_that_becomes_trivial_is_dropped(self):
+        cs = S(C({"X": 1, "Y": -1}, LE, 0), C({"Y": 1}, LE, 2))
+        assert cs.rename({"X": "Y"}) == S(C({"Y": 1}, LE, 2))
+
+    def test_target_is_an_unmapped_variable_of_the_set(self):
+        cs = S(C({"X": 1, "Z": 1}, LE, 1), C({"X": 1}, LE, 0), C({"Z": 1}, LE, 0))
+        assert cs.rename({"X": "Z"}) == S(C({"Z": 2}, LE, 1), C({"Z": 1}, LE, 0))
+
+    def test_rename_agrees_with_make(self):
+        rng = random.Random(12)
+        names = ("A", "B", "C", "D")
+        injective = 0
+        for _ in range(200):
+            cs = S(*(random_row(rng, names) for _ in range(rng.randint(0, 4))))
+            mapping = {v: rng.choice(names + ("E", "F")) for v in names
+                       if rng.random() < 0.5}
+            used = cs.variables()
+            injective += len({mapping.get(v, v) for v in used}) == len(used)
+            out = cs.rename(mapping)
+            expected = ConstraintSet.make(c.rename(mapping) for c in cs)
+            assert out.constraints == expected.constraints, (cs, mapping)
+            assert hash(out) == hash(expected)
+        assert 50 <= injective <= 150
+
+
 class TestIncrementalTableau:
     """Targeted cases of the shared tableau: relaxing rows and leftover
     artificials."""
@@ -559,6 +588,118 @@ class TestIncrementalTableau:
         assert linalg._semantic_prune(rows) == rows[:2]
 
 
+class TestImplies:
+    """Entailment as a bounded maximisation on a strictly satisfiable
+    tableau, with the negation added only for a strict query at a tie."""
+
+    def implies(self, rows, c, relax=None):
+        return linalg._Tableau.of(rows).implies(c, relax)
+
+    def test_strict_row_implies_itself(self):
+        assert self.implies([C({"X": 1}, LT, 1)], C({"X": 1}, LT, 1))
+
+    def test_non_strict_bound_does_not_imply_the_strict_one(self):
+        assert not self.implies([C({"X": 1}, LE, 1)], C({"X": 1}, LT, 1))
+        assert self.implies([C({"X": 1}, LE, 1)], C({"X": 1}, LE, 1))
+
+    def test_tie_reached_only_through_a_strict_row(self):
+        # X + Y <= 1 and Y > 0: X reaches 1 only on the closure.
+        rows = [C({"X": 1, "Y": 1}, LE, 1), C({"Y": 1}, ">", 0)]
+        assert self.implies(rows, C({"X": 1}, LT, 1))
+        # With the strict row elsewhere, X = 1 is reached.
+        rows = [C({"X": 1}, LE, 1), C({"Y": 1}, ">", 0)]
+        assert not self.implies(rows, C({"X": 1}, LT, 1))
+
+    def test_equality_query_needs_both_directions(self):
+        rows = [C({"X": 1, "Y": -1}, EQ, 0), C({"Y": 1}, LE, 2),
+                C({"Y": 1}, ">=", 2)]
+        assert self.implies(rows, C({"X": 1}, EQ, 2))
+        assert not self.implies(rows, C({"X": 1}, EQ, 3))
+        # X <= 2 holds, X >= 2 does not.
+        assert not self.implies([C({"X": 1}, LE, 2)], C({"X": 1}, EQ, 2))
+
+    def test_query_over_a_variable_the_set_does_not_mention(self):
+        rows = [C({"X": 1}, LE, 1)]
+        assert not self.implies(rows, C({"X": 1, "V": 1}, LE, 5))
+        assert not self.implies(rows, C({"V": 1}, LT, 0))
+        assert not entails(S(*rows), C({"V": 1}, EQ, 0))
+
+    def test_constant_query(self):
+        rows = [C({"X": 1}, LE, 1)]
+        assert self.implies(rows, C({}, LE, 0))
+        assert not self.implies(rows, FALSE_CONSTRAINT)
+
+    def test_strictly_unsatisfiable_set_with_a_non_empty_closure(self):
+        rows = [C({"X": 1}, LT, 0), C({"X": 1}, ">=", 0), C({"Y": 1}, LE, 1),
+                C({"Y": 1}, LE, 2)]
+        assert linalg._Tableau.of(rows) is not None
+        assert not is_satisfiable(S(*rows))
+        assert entails(S(*rows[:2]), C({"X": 1}, LE, -5))
+        # Each Y row is entailed by the unsatisfiable X rows.
+        assert linalg._semantic_prune(rows) == rows[:2]
+
+    def test_relaxed_queries(self):
+        rows = [C({"X": 1, "Y": 1}, LE, 2), C({"X": 1}, LE, 1), C({"Y": 1}, LE, 1)]
+        assert self.implies(rows, rows[0], relax=0)
+        assert not self.implies(rows, rows[1], relax=1)
+
+    def test_relaxed_queries_inside_simplify(self):
+        cs = S(C({"X": 1, "Y": 1}, LE, 2), C({"X": 1}, LE, 1), C({"Y": 1}, LE, 1))
+        assert simplify(cs) == S(C({"X": 1}, LE, 1), C({"Y": 1}, LE, 1))
+        # X + Y < 2 goes at a tie reached only by the strict rows.
+        cs = S(C({"X": 1, "Y": 1}, LT, 2), C({"X": 1}, LT, 1), C({"Y": 1}, LT, 1))
+        assert simplify(cs) == S(C({"X": 1}, LT, 1), C({"Y": 1}, LT, 1))
+        # With X <= 1 the tie X + Y = 2 is still out of reach: Y < 1.
+        cs = S(C({"X": 1, "Y": 1}, LT, 2), C({"X": 1}, LE, 1), C({"Y": 1}, LT, 1))
+        assert simplify(cs) == S(C({"X": 1}, LE, 1), C({"Y": 1}, LT, 1))
+
+
+class TestCombine:
+    """`_combine` against the rational route through `make`."""
+
+    def test_agrees_with_the_fraction_combination(self):
+        rng = random.Random(1701)
+        names = ("X", "Y", "Z")
+        constants = flipped = 0
+
+        def operand():
+            c = random_row(rng, names)
+            return c if c.coeffs else operand()
+
+        for _ in range(400):
+            c, d = operand(), operand()
+            if rng.random() < 0.3:
+                c, d = (LinearConstraint.make(dict(e.coeffs), EQ, e.bound)
+                        for e in (c, d))
+            p = rng.randint(1, 5)
+            q = rng.randint(1, 5) * (rng.choice((1, -1)) if d.rel == EQ else 1)
+            if rng.random() < 0.25:
+                # d parallel to c, with multipliers that cancel every
+                # coefficient: a constant result.
+                d = LinearConstraint.make({v: -k for v, k in c.coeffs},
+                                          rng.choice((LE, LT, EQ)), rng.randint(-4, 4))
+                c0, d0 = c.coeffs[0][1], d.coeffs[0][1]
+                p, q = abs(d0), -c0 * (1 if d0 > 0 else -1)
+            rels = {c.rel, d.rel}
+            rel = EQ if rels == {EQ} else LT if LT in rels else LE
+            combo = {}
+            for row, m in ((c, Fraction(p)), (d, Fraction(q))):
+                for v, k in row.coeffs:
+                    combo[v] = combo.get(v, 0) + m * k
+            bound = Fraction(p) * c.bound + Fraction(q) * d.bound
+            expected = LinearConstraint.make(combo, rel, bound)
+            got = linalg._combine(p, c, q, d, rel)
+            tag = f"{p}*({c}) + {q}*({d})"
+            assert got == expected, tag
+            assert_int_form(got)
+            if got.is_constant():
+                constants += 1
+                assert got.is_trivially_true() == expected.is_trivially_true(), tag
+            elif rel == EQ and next(k for v, k in sorted(combo.items()) if k) < 0:
+                flipped += 1
+        assert constants >= 30 and flipped >= 10
+
+
 def random_row(rng, variables):
     coeffs = {v: rng.randint(-3, 3) for v in variables if rng.random() < 0.6}
     return C(coeffs, rng.choice((LE, LE, LT, EQ)), rng.randint(-4, 4))
@@ -614,3 +755,12 @@ class TestKernelAgainstOracles:
                 assert all(oracle_entails(S(*pruned), c)
                            for c in rows if c not in pruned), tag
         assert unsat >= 30 and leftovers >= 10
+
+
+def test_reset_caches_reaches_every_kernel_cache():
+    cached = {fn for fn in vars(linalg).values() if hasattr(fn, "cache_info")}
+    assert cached and cached <= set(linalg._CACHED)
+    entails(S(C({"X": 1, "Y": 1}, LE, 1)), C({"X": 1}, LE, 5))
+    simplify(S(C({"X": 1, "Y": 1}, LE, 1), C({"X": 1}, LE, 2)))
+    linalg.reset_caches()
+    assert all(fn.cache_info().currsize == 0 for fn in cached)

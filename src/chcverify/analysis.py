@@ -5,7 +5,12 @@ argument names that over-approximates the predicate's least model, by chaotic
 iteration over the strongly connected components of the dependency graph in
 reverse topological order. Cyclic components are iterated to stability with
 threshold widening after a short delay; acyclic ones stabilise in one
-productive pass.
+productive pass. The widening thresholds are the head bounds that each
+clause's own constraint implies (`compute_thresholds`).
+
+`instantiate` is the one place where canonical facts are put on a clause's
+atoms, conjoined with its constraint and checked for satisfiability; every
+module that instantiates a clause calls it.
 
 While iterating, a `WitnessTable` records, per predicate, the clause that
 first made the approximation non-empty (or later grew it), together with the
@@ -16,19 +21,20 @@ FALSE be rebuilt from the table.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .chc_ast import Atom, Clause, FALSE, Program, dependency_graph
-from .linalg import (ConstraintSet, ResourceLimitError, is_satisfiable,
-                     project, simplify)
+from .linalg import (TRUE, ConstraintSet, LinearConstraint, ResourceLimitError,
+                     is_satisfiable, project, simplify)
 from .polyhedra import Polyhedron, ThresholdSet, canonical_args
 
 __all__ = [
     "AbstractModel",
     "WitnessEvent",
     "WitnessTable",
+    "instantiate",
+    "consequence",
     "compute_thresholds",
     "analyze",
     "check_safety",
@@ -101,66 +107,69 @@ class WitnessTable:
         return out
 
 
+def instantiate(clause: Clause,
+                body_facts: Sequence[Optional[ConstraintSet]],
+                head_fact: Optional[ConstraintSet] = None
+                ) -> Optional[ConstraintSet]:
+    """The clause's constraint with each fact placed on its atom's arguments.
+
+    Facts are over canonical argument names, one per body atom in body
+    order, with `None` for bottom; `head_fact`, when given, is placed on the
+    head's arguments. Returns None when a body fact is bottom or the
+    conjunction is unsatisfiable.
+    """
+    rows = list(clause.constraint)
+    placed = list(zip(clause.body, body_facts))
+    if head_fact is not None:
+        placed.append((clause.head_atom, head_fact))
+    for atom, fact in placed:
+        if fact is None:
+            return None
+        rows.extend(fact.rename(dict(zip(canonical_args(atom.arity),
+                                         atom.args))))
+    cs = ConstraintSet.make(rows)
+    return cs if is_satisfiable(cs) else None
+
+
+def consequence(clause: Clause,
+                body_facts: Sequence[Optional[ConstraintSet]]
+                ) -> Optional[ConstraintSet]:
+    """What the clause derives for its head under `body_facts`, over
+    canonical names; None when it derives nothing."""
+    cs = instantiate(clause, body_facts)
+    if cs is None:
+        return None
+    head = clause.head_atom
+    return project(cs, head.args).rename(
+        dict(zip(head.args, canonical_args(head.arity))))
+
+
 def _contribution(clause: Clause, model: AbstractModel) -> Polyhedron:
     """Abstract consequence of one clause under `model`, in canonical space."""
-    head = clause.head_atom
-    space = canonical_args(head.arity)
-    rows = list(clause.constraint)
-    for b in clause.body:
-        v = model.value(b.pred, b.arity)
-        if v.is_bottom:
-            return Polyhedron.bottom(space)
-        rows.extend(v.constraints.rename(dict(zip(v.space, b.args))))
-    cs = ConstraintSet.make(rows)
-    if not is_satisfiable(cs):
-        return Polyhedron.bottom(space)
-    projected = project(cs, head.args)
-    return Polyhedron.of(space, projected.rename(dict(zip(head.args, space))))
+    got = consequence(clause, [model.value(b.pred, b.arity).constraints
+                               for b in clause.body])
+    space = canonical_args(clause.head_atom.arity)
+    return Polyhedron.bottom(space) if got is None else Polyhedron.of(space, got)
 
 
-def compute_thresholds(program: Program, iterations: int = 3,
-                       max_facts: int = 30) -> ThresholdSet:
-    """Candidate widening bounds from a short concrete propagation.
+def compute_thresholds(program: Program) -> ThresholdSet:
+    """Candidate widening bounds read off the clause constraints.
 
-    Runs the concrete consequence operator for `iterations` rounds starting
-    from the all-top model, keeping per predicate a set of facts (capped at
-    `max_facts`, excess dropped in clause/combination order) rather than a
-    single hull, then splits the final facts into their atomic constraints.
+    For every clause, the bounds its own constraint implies on its head's
+    arguments: the atoms of its simplified consequence with every body atom
+    at top. Atoms are kept per head predicate, without duplicates, in clause
+    order.
     """
-    preds = program.predicates
-    facts: Dict[str, Tuple[ConstraintSet, ...]] = {
-        p: (ConstraintSet.make(()),) for p in preds}
-    for _ in range(iterations):
-        new: Dict[str, List[ConstraintSet]] = {p: [] for p in preds}
-        for cl in program.clauses:
-            head = cl.head_atom
-            bucket = new[head.pred]
-            choices = [facts[b.pred] for b in cl.body]
-            for combo in itertools.product(*choices):
-                if len(bucket) >= max_facts:
-                    break
-                rows = list(cl.constraint)
-                for b, f in zip(cl.body, combo):
-                    rows.extend(f.rename(dict(zip(canonical_args(b.arity),
-                                                  b.args))))
-                cs = ConstraintSet.make(rows)
-                if not is_satisfiable(cs):
-                    continue
-                got = simplify(project(cs, head.args)).rename(
-                    dict(zip(head.args, canonical_args(head.arity))))
-                if got not in bucket:
-                    bucket.append(got)
-        facts = {p: tuple(v) for p, v in new.items()}
-    by_pred: Dict[str, Tuple] = {}
-    for pred in preds:
-        seen: List = []
-        for cs in facts[pred]:
-            for c in cs:
-                if c not in seen:
-                    seen.append(c)
-        if seen:
-            by_pred[pred] = tuple(seen)
-    return ThresholdSet(by_pred)
+    by_pred: Dict[str, List[LinearConstraint]] = {}
+    for cl in program.clauses:
+        got = consequence(cl, [TRUE] * len(cl.body))
+        if got is None:
+            continue
+        seen = by_pred.setdefault(cl.head_atom.pred, [])
+        for c in simplify(got):
+            if c not in seen:
+                seen.append(c)
+    return ThresholdSet({p: tuple(cs) for p, cs in by_pred.items()})
 
 
 def analyze(program: Program, thresholds: Optional[ThresholdSet] = None,

@@ -3,8 +3,9 @@
 The verifier's answers can be checked against this module on small inputs:
 `bounded_derive` enumerates every AND-tree of bounded height whose
 instantiated constraints are satisfiable, independently of the abstract
-analysis.  It is deliberately naive; the fan-out cap turns pathological
-inputs into a loud failure instead of an endless enumeration.
+analysis, with which it shares only the instantiation step.  It is
+deliberately naive; the fan-out cap turns pathological inputs into a loud
+failure instead of an endless enumeration.
 """
 
 from __future__ import annotations
@@ -12,9 +13,10 @@ from __future__ import annotations
 import itertools
 from typing import Dict, List, Set, Tuple
 
+from .analysis import instantiate
 from .cex import TraceTerm
 from .chc_ast import Atom, Program
-from .linalg import ConstraintSet, is_satisfiable, project, simplify
+from .linalg import ConstraintSet, project, simplify
 from .polyhedra import canonical_args
 
 FAN_OUT_LIMIT = 10_000
@@ -30,6 +32,11 @@ def bounded_derive(program: Program, goal: Atom, depth: int
     `goal` is derivable within `depth` steps exactly when the result is
     non-empty.  Raises RuntimeError rather than silently truncating when
     more than FAN_OUT_LIMIT trees would be produced.
+
+    Only the instantiation of a clause under its children's answers is
+    shared with the analysis (`analysis.instantiate`); the enumeration of
+    trees, the projection and the canonical renaming are this function's
+    own.
     """
     memo: Dict[Tuple[str, int], Tuple[Tuple[TraceTerm, ConstraintSet], ...]] = {}
     produced = 0
@@ -45,12 +52,8 @@ def bounded_derive(program: Program, goal: Atom, depth: int
         for cl in program.clauses_for(pred):
             options = [derive(b.pred, d - 1) for b in cl.body]
             for combo in itertools.product(*options):
-                rows = list(cl.constraint)
-                for b, (_, answer) in zip(cl.body, combo):
-                    onto = dict(zip(canonical_args(len(b.args)), b.args))
-                    rows.extend(answer.rename(onto))
-                full = ConstraintSet.make(rows)
-                if not is_satisfiable(full):
+                full = instantiate(cl, [answer for _, answer in combo])
+                if full is None:
                     continue
                 head_args = cl.head_atom.args
                 answer = simplify(project(full, head_args)).rename(

@@ -98,15 +98,6 @@ class Polyhedron:
             return False
         return entails_all(self.constraints, other.constraints)
 
-    def rename_space(self, new_space: Sequence[str]) -> "Polyhedron":
-        new_space = tuple(new_space)
-        if len(new_space) != len(self.space):
-            raise ValueError("space arity mismatch")
-        if self.is_bottom:
-            return Polyhedron.bottom(new_space)
-        mapping = dict(zip(self.space, new_space))
-        return Polyhedron(new_space, self.constraints.rename(mapping))
-
     def hull(self, other: "Polyhedron") -> "Polyhedron":
         if self.space != other.space:
             raise ValueError("hull of polyhedra over different spaces")

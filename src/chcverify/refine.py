@@ -22,14 +22,13 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Set, Tuple
 
-from .analysis import AbstractModel
+from .analysis import AbstractModel, instantiate
 from .cex import TreeInterpolant
 from .chc_ast import FALSE, Atom, Clause, Program
 from .linalg import (
     ConstraintSet,
     ResourceLimitError,
     entails,
-    is_satisfiable,
     simplify,
 )
 from .polyhedra import Polyhedron, canonical_args
@@ -143,16 +142,11 @@ def polyvariant_specialise(
     work: deque = deque()
 
     def specialise_clause(cl: Clause, head_version: Optional[int]) -> None:
-        rows = list(cl.constraint)
-        if head_version is not None:
-            head_cell = cell_of(cl.head_atom.pred, head_version)
-            rows.extend(renamed(head_cell, cl.head_atom.args))
-        for b in cl.body:
-            if wholes[b.pred].is_bottom:
-                return
-            rows.extend(renamed(wholes[b.pred], b.args))
-        known = ConstraintSet.make(rows)
-        if not is_satisfiable(known):
+        head_cell = (None if head_version is None else
+                     cell_of(cl.head_atom.pred, head_version).constraints)
+        known = instantiate(cl, [wholes[b.pred].constraints for b in cl.body],
+                            head_cell)
+        if known is None:
             return
         choices = tuple(dispatch(known, b) for b in cl.body)
         body = tuple(Atom(names[(b.pred, k)], b.args)

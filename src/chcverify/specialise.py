@@ -11,9 +11,9 @@ from __future__ import annotations
 
 from typing import List
 
-from .analysis import AbstractModel
+from .analysis import AbstractModel, instantiate
 from .chc_ast import Clause, Program
-from .linalg import ConstraintSet, is_satisfiable, simplify
+from .linalg import simplify
 from .qa import answer_pred
 
 __all__ = ["strengthen", "early_safe"]
@@ -38,16 +38,9 @@ def strengthen(program: Program, qa_model: AbstractModel) -> Program:
         if not head_answer.is_top:
             new_constraint = new_constraint & head_answer.constraints.rename(
                 dict(zip(head_answer.space, head.args)))
-        rows = list(new_constraint)
-        firable = True
-        for b in cl.body:
-            b_answer = qa_model.value(answer_pred(b.pred), b.arity)
-            if b_answer.is_bottom:
-                firable = False
-                break
-            rows.extend(b_answer.constraints.rename(
-                dict(zip(b_answer.space, b.args))))
-        if not firable or not is_satisfiable(ConstraintSet.make(rows)):
+        body_answers = [qa_model.value(answer_pred(b.pred), b.arity).constraints
+                        for b in cl.body]
+        if instantiate(cl, body_answers, head_answer.constraints) is None:
             continue
         out.append(Clause(cl.id, cl.head, simplify(new_constraint), cl.body))
     return Program(tuple(out))

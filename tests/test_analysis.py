@@ -7,10 +7,13 @@ from chcverify.analysis import (
     analyze,
     check_safety,
     compute_thresholds,
+    consequence,
+    instantiate,
     is_inductive_model,
     model_to_text,
 )
-from chcverify.chc_ast import parse_program
+from chcverify.chc_ast import Atom, Clause, parse_program
+from chcverify.linalg import EQ, LE, TRUE, ConstraintSet, LinearConstraint
 from chcverify.polyhedra import Polyhedron
 
 T4 = open("tests/data/t4.pl").read()
@@ -66,6 +69,8 @@ class TestModels:
 
 class TestWitness:
     def test_t4_growth_events(self):
+        # step 4 widens l from D - A =< 1 towards D - A =< 2; no threshold
+        # of l holds there, so l goes to top at once
         prog = parse_program(T4)
         _, witness = analyze(prog, compute_thresholds(prog))
         rows = [(ev.step, ev.pred, ev.clause_id, ev.children)
@@ -75,8 +80,7 @@ class TestWitness:
             (2, "l", "c3", ()),
             (3, "l", "c2", (("l_body", 1), ("l", 2))),
             (4, "l", "c2", (("l_body", 1), ("l", 2))),
-            (5, "l", "c2", (("l_body", 1), ("l", 2))),
-            (6, "false", "c1", (("l", 2),)),
+            (5, "false", "c1", (("l", 2),)),
         ]
 
     def test_children_point_strictly_backwards(self):
@@ -103,13 +107,31 @@ class TestWitness:
 
 class TestThresholds:
     def test_bounds_are_collected_per_predicate(self):
+        # each clause's head bounds, per predicate, in clause order: c2 gives
+        # I < N, c3 and c4 give I >= N (once) and their sum bounds, c5 and c6
+        # the two l_body steps
         prog = parse_program(T4)
         thr = compute_thresholds(prog)
-        assert len(thr) == 16
+        assert [str(c) for c in thr.for_pred("l")] == [
+            "1*A+ -1*D < 0", "-1*A+ 1*D =< 0",
+            "-1*B+ -1*C+ 3*D < 0", "1*B+ 1*C+ -3*D < 0"]
+        assert [str(c) for c in thr.for_pred("l_body")] == [
+            "1*A+ -1*C = -1", "1*B+ -1*D = -2",
+            "1*A+ -1*C = -2", "1*B+ -1*D = -1"]
+        assert len(thr) == 8
         canonical = {"A", "B", "C", "D"}
-        for c in thr.for_pred("l"):
-            assert c.variables() <= canonical
+        for pred in ("l", "l_body"):
+            for c in thr.for_pred(pred):
+                assert c.variables() <= canonical
         assert thr.for_pred("unknown") == ()
+
+    def test_unsatisfiable_clause_gives_no_bound(self):
+        prog = parse_program(
+            "p(X) :- 1*X =< 0, 1*X >= 1.\nq(X) :- 1*X =< 3.\n"
+            "false :- p(X), q(X).")
+        thr = compute_thresholds(prog)
+        assert thr.for_pred("p") == ()
+        assert [str(c) for c in thr.for_pred("q")] == ["1*A =< 3"]
 
     def test_thresholds_keep_the_bound_the_plain_widen_loses(self):
         text = "p(X) :- 1*X = 0.\np(Y) :- 1*X+ -1*Y = -1, 1*Y =< 5, p(X).\n" \
@@ -119,3 +141,59 @@ class TestThresholds:
         without, _ = analyze(prog)
         assert str(with_thr.value("p", 1)) == "-1*A =< 0, 1*A =< 5"
         assert str(without.value("p", 1)) == "-1*A =< 0"
+
+
+def _cs(*rows):
+    return ConstraintSet.make(LinearConstraint.make(coeffs, rel, bound)
+                              for coeffs, rel, bound in rows)
+
+
+def _clause(head, constraint, *body):
+    return Clause("c", head, constraint, tuple(body))
+
+
+class TestInstantiate:
+    def test_bottom_body_fact_gives_none(self):
+        cl = _clause(Atom("q", ("X",)), TRUE, Atom("p", ("X",)))
+        assert instantiate(cl, [None]) is None
+        assert consequence(cl, [None]) is None
+
+    def test_unsatisfiable_conjunction_gives_none(self):
+        # X =< 0 in the clause, A >= 1 placed on X by the body fact
+        cl = _clause(Atom("q", ("X",)), _cs(({"X": 1}, LE, 0)),
+                     Atom("p", ("X",)))
+        assert instantiate(cl, [_cs(({"A": -1}, LE, -1))]) is None
+        assert instantiate(cl, [TRUE]) == _cs(({"X": 1}, LE, 0))
+
+    def test_head_fact_lands_on_the_head_arguments(self):
+        cl = _clause(Atom("q", ("U", "V")), _cs(({"U": 1, "W": -1}, EQ, 0)),
+                     Atom("p", ("W",)))
+        got = instantiate(cl, [_cs(({"A": 1}, LE, 2))],
+                          head_fact=_cs(({"B": 1}, LE, 7)))
+        assert got == _cs(({"U": 1, "W": -1}, EQ, 0), ({"W": 1}, LE, 2),
+                          ({"V": 1}, LE, 7))
+        # the head fact takes part in the satisfiability check
+        assert instantiate(cl, [TRUE], head_fact=_cs(({"A": -1}, LE, -3)),
+                           ) == _cs(({"U": 1, "W": -1}, EQ, 0),
+                                    ({"U": -1}, LE, -3))
+        assert instantiate(cl, [_cs(({"A": 1}, LE, 2))],
+                           head_fact=_cs(({"A": -1}, LE, -3))) is None
+
+    def test_permuted_body_arguments(self):
+        # p(Y, X): canonical A is Y and B is X
+        cl = _clause(Atom("q", ("X", "Y")), TRUE, Atom("p", ("Y", "X")))
+        fact = _cs(({"A": 1}, EQ, 1), ({"B": 1}, EQ, 5))
+        assert instantiate(cl, [fact]) == _cs(({"Y": 1}, EQ, 1),
+                                              ({"X": 1}, EQ, 5))
+        assert consequence(cl, [fact]) == _cs(({"A": 1}, EQ, 5),
+                                              ({"B": 1}, EQ, 1))
+
+    def test_repeated_body_arguments(self):
+        # p(X, X): both canonical arguments land on X
+        cl = _clause(Atom("q", ("X",)), TRUE, Atom("p", ("X", "X")))
+        diag = _cs(({"A": 1, "B": -1}, LE, 0), ({"A": 1}, LE, 4))
+        assert instantiate(cl, [diag]) == _cs(({"X": 1}, LE, 4))
+        apart = _cs(({"A": 1, "B": -1}, LE, -1))
+        assert instantiate(cl, [apart]) is None
+        assert consequence(cl, [_cs(({"A": 1}, EQ, 2), ({"B": -1}, LE, -1))]
+                           ) == _cs(({"A": 1}, EQ, 2), ({"A": -1}, LE, -1))

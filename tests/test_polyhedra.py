@@ -43,11 +43,6 @@ class TestLattice:
         b = P(("X",), C({"X": 1}, LE, 3))
         assert a.leq(b)
 
-    def test_rename_space(self):
-        a = P(("X", "Y"), C({"X": 1, "Y": -1}, LE, 0))
-        b = a.rename_space(("U", "V"))
-        assert str(b) == "1*U+ -1*V =< 0"
-
 
 class TestHull:
     def test_two_points_make_a_segment(self):

@@ -5,8 +5,14 @@ argument names that over-approximates the predicate's least model, by chaotic
 iteration over the strongly connected components of the dependency graph in
 reverse topological order. Cyclic components are iterated to stability with
 threshold widening after a short delay; acyclic ones stabilise in one
-productive pass. The widening thresholds are the head bounds that each
-clause's own constraint implies (`compute_thresholds`).
+productive pass. The iteration is semi-naive: every predicate carries a
+version that goes up whenever its value is replaced, and a clause is
+re-evaluated only when its body predicates' versions differ from those it was
+last evaluated under. A contribution is a pure function of the body values,
+and a predicate's value only grows, so a skipped clause adds nothing; of the
+contributions that are evaluated, only those not already below the value are
+hulled in. The widening thresholds are the head bounds that each clause's own
+constraint implies (`compute_thresholds`).
 
 `instantiate` is the one place where canonical facts are put on a clause's
 atoms, conjoined with its constraint and checked for satisfiability; every
@@ -54,13 +60,6 @@ class AbstractModel:
         if got is None:
             return Polyhedron.bottom(canonical_args(arity))
         return got
-
-    def leq(self, other: "AbstractModel") -> bool:
-        return all(p.leq(other.value(name, len(p.space)))
-                   for name, p in self.facts.items())
-
-    def items(self):
-        return self.facts.items()
 
 
 @dataclass(frozen=True)
@@ -194,6 +193,10 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None,
     for cl in program.clauses:
         by_pred.setdefault(cl.head_atom.pred, []).append(cl)
 
+    # Semi-naive: per clause, the body versions it was last evaluated under.
+    version: Dict[str, int] = dict.fromkeys(values, 0)
+    evaluated: Dict[Clause, Tuple[int, ...]] = {}
+
     for scc in graph.sccs_reverse_topological():
         cyclic = graph.is_cyclic_scc(scc)
         iteration = 0
@@ -204,30 +207,35 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None,
                     f"analysis of component {scc} exceeded "
                     f"{max_iterations} iterations")
             snapshot = AbstractModel(dict(values))
-            changed = False
+            snapshot_version = dict(version)
             for pred in scc:
                 old = values[pred]
                 joined = Polyhedron.bottom(old.space)
                 grower: Optional[Clause] = None
                 for cl in by_pred.get(pred, ()):
-                    contrib = _contribution(cl, snapshot)
-                    if contrib.is_bottom:
+                    stamp = tuple(snapshot_version[b.pred] for b in cl.body)
+                    if evaluated.get(cl) == stamp:
                         continue
-                    if grower is None and not contrib.leq(old):
+                    evaluated[cl] = stamp
+                    contrib = _contribution(cl, snapshot)
+                    if contrib.leq(old):
+                        continue
+                    if grower is None:
                         grower = cl
                     joined = joined.hull(contrib)
+                if grower is None:
+                    continue
+                # The hull contains the grower's contribution, and widening
+                # contains its second operand, so `new` is strictly above old.
                 new = old.hull(joined)
                 if cyclic and iteration > widen_delay:
                     new = old.widen_upto(new, thresholds.for_pred(pred))
-                if not new.leq(old):
-                    values[pred] = new
-                    changed = True
-                    if grower is not None:
-                        children = [(b.pred, first_steps[b.pred])
-                                    for b in grower.body]
-                        ev = witness.record(pred, grower, children)
-                        first_steps.setdefault(pred, ev.step)
-            if not changed:
+                values[pred] = new
+                version[pred] += 1
+                children = [(b.pred, first_steps[b.pred]) for b in grower.body]
+                ev = witness.record(pred, grower, children)
+                first_steps.setdefault(pred, ev.step)
+            if version == snapshot_version:
                 break
     return AbstractModel(values), witness
 

@@ -139,9 +139,11 @@ class Polyhedron:
         """Halbwachs widening: drop the bounds of self that other has outgrown.
 
         Keeps (a) every constraint of self that other still entails and
-        (b) every constraint of other that is mutually redundant with self,
+        (b) every constraint c of other that is mutually redundant with self,
         i.e. can replace one of self's constraints without changing self.
-        Part (b) makes the result independent of which of several equivalent
+        Self entails c, so the swap keeps self exactly when self's other
+        constraints together with c entail the one dropped. Part (b) makes
+        the result independent of which of several equivalent
         representations self happens to carry (a point written as I=0, A=0,
         B=0 keeps an implied relation like A+B=3I if other entails it), which
         plain constraint filtering loses. Equalities are split into their
@@ -156,14 +158,13 @@ class Polyhedron:
         p_rows = _split_equalities(self.constraints)
         q_rows = _split_equalities(other.constraints)
         kept = [c for c in p_rows if entails(other.constraints, c)]
-        p_set = ConstraintSet.make(p_rows)
         for c in q_rows:
             if c in kept or not entails(self.constraints, c):
                 continue
             for drop in p_rows:
                 swapped = ConstraintSet.make(
                     [r for r in p_rows if r is not drop] + [c])
-                if entails_all(swapped, p_set) and entails_all(p_set, swapped):
+                if entails(swapped, drop):
                     kept.append(c)
                     break
         return Polyhedron.of(self.space, ConstraintSet.make(kept))

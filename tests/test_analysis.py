@@ -1,7 +1,12 @@
 """Fixpoint analysis: models, widening behavior, witness bookkeeping."""
 
+import random
+from collections import Counter
+
 import pytest
 
+from conftest import random_program
+from chcverify import analysis
 from chcverify.analysis import (
     AbstractModel,
     analyze,
@@ -12,9 +17,10 @@ from chcverify.analysis import (
     is_inductive_model,
     model_to_text,
 )
-from chcverify.chc_ast import Atom, Clause, parse_program
+from chcverify.chc_ast import FALSE, Atom, Clause, parse_program
 from chcverify.linalg import EQ, LE, TRUE, ConstraintSet, LinearConstraint
 from chcverify.polyhedra import Polyhedron
+from chcverify.qa import qa_transform
 
 T4 = open("tests/data/t4.pl").read()
 
@@ -24,11 +30,12 @@ p(Y) :- 1*X+ -1*Y = -1, p(X).
 false :- 1*X < 0, p(X).
 """
 
+ACYCLIC_CHAIN = "p(X) :- 1*X = 0.\nq(Y) :- 1*X+ -1*Y = -1, p(X).\nfalse :- q(X)."
+
 
 class TestModels:
     def test_acyclic_predicates_are_exact(self):
-        prog = parse_program(
-            "p(X) :- 1*X = 0.\nq(Y) :- 1*X+ -1*Y = -1, p(X).\nfalse :- q(X).")
+        prog = parse_program(ACYCLIC_CHAIN)
         model, _ = analyze(prog)
         assert str(model.value("p", 1)) == "1*A = 0"
         assert str(model.value("q", 1)) == "1*A = 1"
@@ -65,6 +72,43 @@ class TestModels:
         model, _ = analyze(prog)
         text = model_to_text(model, prog)
         assert "p" in text and "-1*A =< 0" in text
+
+
+class TestSemiNaive:
+    @staticmethod
+    def _evaluations(monkeypatch, prog):
+        calls = Counter()
+        contribution = analysis._contribution
+
+        def counting(cl, model):
+            calls[cl.id] += 1
+            return contribution(cl, model)
+
+        monkeypatch.setattr(analysis, "_contribution", counting)
+        analyze(prog, compute_thresholds(prog))
+        return calls
+
+    def test_acyclic_clauses_are_evaluated_once(self, monkeypatch):
+        prog = parse_program(ACYCLIC_CHAIN)
+        calls = self._evaluations(monkeypatch, prog)
+        assert calls == {cl.id: 1 for cl in prog.clauses}
+
+    def test_fact_clause_of_a_loop_is_evaluated_once(self, monkeypatch):
+        prog = parse_program(SAFE_COUNTER)
+        fact = next(cl for cl in prog.clauses if not cl.body)
+        calls = self._evaluations(monkeypatch, prog)
+        assert calls[fact.id] == 1
+        assert calls[prog.clauses[1].id] > 1
+
+    def test_every_result_is_a_post_fixpoint(self):
+        # whatever the verdict, each clause's consequence under the result
+        # lies below its head's value: a clause skipped wrongly breaks this
+        for attempt in range(1, 101):
+            rng = random.Random(606 * 1_000_000 + attempt)
+            prog = random_program(rng, max_clauses=5)
+            for p in (prog, qa_transform(prog, FALSE)):
+                model, _ = analyze(p, compute_thresholds(p))
+                assert is_inductive_model(p, model), f"attempt {attempt}"
 
 
 class TestWitness:

@@ -171,13 +171,18 @@ def compute_thresholds(program: Program) -> ThresholdSet:
     return ThresholdSet({p: tuple(cs) for p, cs in by_pred.items()})
 
 
-def analyze(program: Program, thresholds: Optional[ThresholdSet] = None,
-            widen_delay: int = 2, max_iterations: int = 1000
+# Rounds of a cyclic component before its predicates are widened.
+WIDEN_DELAY = 2
+# Hard backstop on the rounds of one component (see `analyze`).
+MAX_ITERATIONS = 1000
+
+
+def analyze(program: Program, thresholds: Optional[ThresholdSet] = None
             ) -> Tuple[AbstractModel, WitnessTable]:
     """Over-approximate the least model; record how facts first grew.
 
     Raises ResourceLimitError if an SCC fails to stabilise within
-    `max_iterations` rounds (cannot happen with widening enabled unless the
+    `MAX_ITERATIONS` rounds (cannot happen with widening enabled unless the
     delay or thresholds are made pathological; kept as a hard backstop).
     """
     if thresholds is None:
@@ -202,10 +207,10 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None,
         iteration = 0
         while True:
             iteration += 1
-            if iteration > max_iterations:
+            if iteration > MAX_ITERATIONS:
                 raise ResourceLimitError(
                     f"analysis of component {scc} exceeded "
-                    f"{max_iterations} iterations")
+                    f"{MAX_ITERATIONS} iterations")
             snapshot = AbstractModel(dict(values))
             snapshot_version = dict(version)
             for pred in scc:
@@ -228,7 +233,7 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None,
                 # The hull contains the grower's contribution, and widening
                 # contains its second operand, so `new` is strictly above old.
                 new = old.hull(joined)
-                if cyclic and iteration > widen_delay:
+                if cyclic and iteration > WIDEN_DELAY:
                     new = old.widen_upto(new, thresholds.for_pred(pred))
                 values[pred] = new
                 version[pred] += 1

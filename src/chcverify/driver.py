@@ -17,7 +17,7 @@ import sys
 import tempfile
 import time
 from dataclasses import dataclass
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 from .analysis import (
     AbstractModel,
@@ -64,9 +64,12 @@ class Verdict:
     model: Optional[AbstractModel] = None
 
 
-def _dump(cfg: Config, name: str, kind: str, text: str) -> None:
+def _dump(cfg: Config, name: str, kind: str, render: Callable[..., str],
+          *args) -> None:
+    """Write `render(*args)` when `kind` is dumped; otherwise render nothing."""
     if cfg.dump_dir is None or kind not in cfg.dump_kinds:
         return
+    text = render(*args)
     os.makedirs(cfg.dump_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cfg.dump_dir, prefix=name + ".")
     try:
@@ -101,11 +104,11 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
                 model, _ = analyze(program)
                 return _safe(rounds, events, program, model)
             qa = qa_transform(program, FALSE)
-            _dump(cfg, f"round{rounds}.qa", "qa", program_text(qa))
+            _dump(cfg, f"round{rounds}.qa", "qa", program_text, qa)
             qa_thresholds = compute_thresholds(qa) if cfg.use_thresholds else None
             qa_model, _ = analyze(qa, qa_thresholds)
             program = strengthen(program, qa_model)
-            _dump(cfg, f"round{rounds}.spec", "spec", program_text(program))
+            _dump(cfg, f"round{rounds}.spec", "spec", program_text, program)
             events.append(
                 f"round {rounds}: propagation kept {len(program.clauses)} clauses")
             if early_safe(program):
@@ -115,8 +118,8 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
                 return _safe(rounds, events, program, model)
             thresholds = compute_thresholds(program) if cfg.use_thresholds else None
             model, witness = analyze(program, thresholds)
-            _dump(cfg, f"round{rounds}.model", "model",
-                  model_to_text(model, program))
+            _dump(cfg, f"round{rounds}.model", "model", model_to_text, model,
+                  program)
             if check_safety(model):
                 events.append(f"round {rounds}: model proves false unreachable")
                 return _safe(rounds, events, program, model)
@@ -134,7 +137,7 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
             interpolant = tree_interpolants(tree)
             split = split_facts(program, model, interpolant)
             program, _ = polyvariant_specialise(program, split)
-            _dump(cfg, f"round{rounds}.ps", "ps", program_text(program))
+            _dump(cfg, f"round{rounds}.ps", "ps", program_text, program)
             events.append(
                 f"round {rounds}: split into {len(program.predicates)} "
                 f"predicates, {len(program.clauses)} clauses")

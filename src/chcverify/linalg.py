@@ -20,12 +20,15 @@ maximum of a.x - b is below 0, or is 0 and the query is not strict, and the
 maximisation stops as soon as the value passes 0. Only a strict query whose
 maximum is exactly 0 on a tableau with strict rows adds its negation, to ask
 whether the boundary is reached. So the queries on one constraint set share
-a single phase 1: `entails` maximises over a copy of the cached tableau of
-the set, and `simplify` and `_semantic_prune` relax each row of one tableau
-in turn and test it against the rest. Each caller first makes sure the set
-is strictly satisfiable (an unsatisfiable set entails everything). An
-integer row enters the tableau as is, a rational one is scaled to integers
-once, and only an LP optimum and its point are turned back into rationals.
+a single phase 1: `_tableau_of` builds the tableau of a set once, tests it
+for strict satisfiability and caches it, or None when the set is not
+strictly satisfiable. It is the only place where a set's satisfiability is
+decided. `is_satisfiable` asks whether it exists, `entails` maximises over
+a copy of it (a set without one entails everything), and `simplify`
+relaxes each row of a copy in turn and tests it against the rest, as
+`_semantic_prune` does on the tableau of its rows. An integer row enters
+the tableau as is, a rational one is scaled to integers once, and only an
+LP optimum and its point are turned back into rationals.
 
 Projection is Fourier-Motzkin elimination. Equalities are first used for
 Gaussian substitution, which keeps the combinatorial part small. Both steps
@@ -263,14 +266,6 @@ class LinearConstraint:
         return (
             LinearConstraint.make(dict(self.coeffs), LE, self.bound),
             LinearConstraint.make(neg, LE, -self.bound),
-        )
-
-    def scaled(self, factor: Rat) -> "LinearConstraint":
-        """Scale by a positive rational (used when recombining certificates)."""
-        if factor <= 0:
-            raise ValueError("scale factor must be positive")
-        return LinearConstraint.make(
-            {v: c * factor for v, c in self.coeffs}, self.rel, self.bound * factor
         )
 
     def __str__(self) -> str:
@@ -700,55 +695,9 @@ def solve_lp(rows: Sequence[Tuple[Mapping[str, Rat], str, Rat]],
 
 @lru_cache(maxsize=65536)
 def is_satisfiable(cs: ConstraintSet) -> bool:
-    """Exact satisfiability over the rationals (equivalently the reals)."""
-    if not cs.constraints:
-        return True
-    only_single = True
-    for c in cs.constraints:
-        if c.is_trivially_false():
-            return False
-        if len(c.coeffs) > 1:
-            only_single = False
-    if only_single:
-        return _interval_satisfiable(cs.constraints)
-    t = _Tableau.of(cs.constraints)
-    return t is not None and t.satisfiable()
-
-
-def _interval_satisfiable(constraints: Sequence[LinearConstraint]) -> bool:
-    # Every constraint mentions exactly one variable: intersect intervals.
-    lo: Dict[str, Tuple[Rat, bool]] = {}  # var -> (bound, strict)
-    hi: Dict[str, Tuple[Rat, bool]] = {}
-    for c in constraints:
-        (v, k) = c.coeffs[0]
-        b = Rat(c.bound, k)
-        if c.rel == EQ:
-            _tighten(lo, v, b, False)
-            _tighten_hi(hi, v, b, False)
-            continue
-        strict = c.rel == LT
-        if k > 0:
-            _tighten_hi(hi, v, b, strict)
-        else:
-            _tighten(lo, v, b, strict)
-    for v in set(lo) & set(hi):
-        l, ls = lo[v]
-        h, hs = hi[v]
-        if l > h or (l == h and (ls or hs)):
-            return False
-    return True
-
-
-def _tighten(lo, v, b, strict):
-    cur = lo.get(v)
-    if cur is None or b > cur[0] or (b == cur[0] and strict):
-        lo[v] = (b, strict)
-
-
-def _tighten_hi(hi, v, b, strict):
-    cur = hi.get(v)
-    if cur is None or b < cur[0] or (b == cur[0] and strict):
-        hi[v] = (b, strict)
+    """Exact satisfiability over the rationals (equivalently the reals),
+    decided by the cached tableau of `cs` (see `_tableau_of`)."""
+    return _tableau_of(cs) is not None
 
 
 def _syntactically_entailed(constraints: Iterable[LinearConstraint],
@@ -770,17 +719,20 @@ def _syntactically_entailed(constraints: Iterable[LinearConstraint],
 
 
 @lru_cache(maxsize=256)
-def _tableau_of(cs: ConstraintSet) -> _Tableau:
-    """The tableau of the satisfiable `cs` that its entailment queries
-    share; never changed (`implies` works on copies)."""
-    return _Tableau.of(cs.constraints)
+def _tableau_of(cs: ConstraintSet) -> Optional[_Tableau]:
+    """The tableau of `cs` that all its queries share, or None when `cs` is
+    not strictly satisfiable: the one place where a set's satisfiability is
+    decided. Never changed (`implies` and `simplify` work on copies)."""
+    t = _Tableau.of(cs.constraints)
+    return t if t is not None and t.satisfiable() else None
 
 
 @lru_cache(maxsize=65536)
 def _entails_cached(cs: ConstraintSet, c: LinearConstraint) -> bool:
     if c.is_trivially_true() or _syntactically_entailed(cs.constraints, c):
         return True
-    return not is_satisfiable(cs) or _tableau_of(cs).implies(c)
+    t = _tableau_of(cs)
+    return t is None or t.implies(c)
 
 
 def entails(cs: ConstraintSet, c: LinearConstraint) -> bool:
@@ -908,36 +860,31 @@ def _dominance_prune(rows: List[LinearConstraint]) -> List[LinearConstraint]:
 
 
 def _semantic_prune(rows: List[LinearConstraint]) -> List[LinearConstraint]:
+    """`rows` less the rows the others entail; unchanged when they are not
+    strictly satisfiable, which `project` allows for an unsatisfiable
+    input."""
     base = _Tableau.of(rows)
-    if base is not None and not base.satisfiable():
-        base = None
+    if base is None or not base.satisfiable():
+        return rows
     return _drop_redundant(rows, range(len(rows)), base)
 
 
 def _drop_redundant(rows: Sequence[LinearConstraint], order: Iterable[int],
-                    base: Optional[_Tableau]) -> List[LinearConstraint]:
+                    base: _Tableau) -> List[LinearConstraint]:
     """`rows` less each row, visited in `order`, that the rows kept entail.
 
-    `base` is the tableau of `rows`, added in order, or None when `rows`
-    are not satisfiable (`implies` needs satisfiable rows); it is changed.
-    The queries share it: row i is relaxed for its own query and stays
-    relaxed once found redundant. Without a tableau the rows are queried
-    one set at a time.
+    `base` is the tableau of the strictly satisfiable `rows`, added in
+    order; it is changed. The queries share it: row i is relaxed for its
+    own query and stays relaxed once found redundant.
     """
     kept = [True] * len(rows)
     for i in order:
         c = rows[i]
         others = [d for j, d in enumerate(rows) if kept[j] and j != i]
-        if base is None:
-            redundant = entails(ConstraintSet.make(others), c)
-        else:
-            redundant = (c.is_trivially_true()
-                         or _syntactically_entailed(others, c)
-                         or base.implies(c, relax=i))
-        if redundant:
+        if (c.is_trivially_true() or _syntactically_entailed(others, c)
+                or base.implies(c, relax=i)):
             kept[i] = False
-            if base is not None:
-                base.relax(i)
+            base.relax(i)
     return [c for c, k in zip(rows, kept) if k]
 
 
@@ -956,7 +903,8 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
     removes constraints entailed by the rest, and leaves every survivor in
     the canonical coprime-integer scaling.
     """
-    if not is_satisfiable(cs):
+    base = _tableau_of(cs)
+    if base is None:
         return FALSE_SET
     # Upgrade inequalities to equalities when the reverse direction holds.
     rows = list(cs.constraints)
@@ -976,7 +924,7 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
     # tableau of `cs`.
     order = sorted(range(len(rows)), reverse=True,
                    key=lambda i: (_REL_RANK[rows[i].rel], _constraint_key(rows[i])))
-    base = _Tableau.of(rows) if upgraded else _tableau_of(cs).copy()
+    base = _Tableau.of(rows) if upgraded else base.copy()
     return ConstraintSet.make(_drop_redundant(rows, order, base))
 
 

@@ -27,7 +27,8 @@ __all__ = [
     "canonical_args",
 ]
 
-_LETTERS = tuple(chr(ord("A") + i) for i in range(26))
+# Canonical argument names, extended on demand by `canonical_args`.
+_ARGS = tuple(chr(ord("A") + i) for i in range(26))
 
 
 def _split_equalities(cs: ConstraintSet) -> Tuple[LinearConstraint, ...]:
@@ -42,7 +43,10 @@ def _split_equalities(cs: ConstraintSet) -> Tuple[LinearConstraint, ...]:
 
 def canonical_args(n: int) -> Tuple[str, ...]:
     """Canonical argument names for an n-ary predicate: A..Z, then V27, V28, ..."""
-    return tuple(_LETTERS[i] if i < 26 else f"V{i + 1}" for i in range(n))
+    global _ARGS
+    if n > len(_ARGS):
+        _ARGS += tuple(f"V{i + 1}" for i in range(len(_ARGS), n))
+    return _ARGS[:n]
 
 
 @dataclass(frozen=True)

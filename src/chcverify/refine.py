@@ -112,9 +112,12 @@ def _version_names(program: Program, split: SplitModel) -> Dict[Tuple[str, int],
     return names
 
 
-def polyvariant_specialise(
-        program: Program, split: SplitModel,
-        max_clauses_per_source: int = 512) -> Tuple[Program, VersionMap]:
+# Versions one source clause may be specialised into before the run gives up.
+MAX_CLAUSES_PER_SOURCE = 512
+
+
+def polyvariant_specialise(program: Program, split: SplitModel
+                           ) -> Tuple[Program, VersionMap]:
     """Split predicates into reachable versions, one per demanded cell."""
     names = _version_names(program, split)
     wholes = {pred: split.whole(pred) for pred in split.parts}
@@ -166,10 +169,10 @@ def polyvariant_specialise(
             head = FALSE
         new_id = cl.id + "".join(f"_{n}" for n in suffix)
         emit_counts[cl.id] = emit_counts.get(cl.id, 0) + 1
-        if emit_counts[cl.id] > max_clauses_per_source:
+        if emit_counts[cl.id] > MAX_CLAUSES_PER_SOURCE:
             raise ResourceLimitError(
                 f"clause {cl.id} specialised into more than "
-                f"{max_clauses_per_source} versions")
+                f"{MAX_CLAUSES_PER_SOURCE} versions")
         key = (source_index[cl.id],) + tuple(suffix)
         emitted.append((key, Clause(new_id, head,
                                     simplify(ConstraintSet.make(kept)), body)))

@@ -159,6 +159,16 @@ class TestDumps:
         verify(parse_program(T4), Config(dump_dir=str(out), dump_kinds=("qa",)))
         assert sorted(os.listdir(out)) == ["round0.qa", "round1.qa"]
 
+    def test_nothing_is_rendered_without_a_dump_dir(self, monkeypatch):
+        rendered = []
+        monkeypatch.setattr(driver, "program_text",
+                            lambda *args: rendered.append("program"))
+        monkeypatch.setattr(driver, "model_to_text",
+                            lambda *args: rendered.append("model"))
+        verdict = verify(parse_program(T4))
+        assert verdict.kind == "unsafe" and verdict.refinements == 1
+        assert rendered == []
+
     def test_no_partial_files_remain(self, tmp_path):
         out = tmp_path / "dumps"
         verify(parse_program(T4), Config(dump_dir=str(out)))

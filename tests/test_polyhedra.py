@@ -19,6 +19,10 @@ def P(space, *constraints):
 def test_canonical_args_are_stable():
     assert canonical_args(4) == ("A", "B", "C", "D")
     assert canonical_args(0) == ()
+    assert canonical_args(26) == tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
+    assert canonical_args(27) == canonical_args(26) + ("V27",)
+    # Asking for more names leaves the shorter answers as they were.
+    assert canonical_args(26) == tuple("ABCDEFGHIJKLMNOPQRSTUVWXYZ")
 
 
 class TestLattice:

@@ -16,7 +16,10 @@ constraint implies (`compute_thresholds`).
 
 `instantiate` is the one place where canonical facts are put on a clause's
 atoms, conjoined with its constraint and checked for satisfiability; every
-module that instantiates a clause calls it.
+module that instantiates a clause calls it. The specialisers emit what it
+returns: `specialise.strengthen` the clause with its head's answer placed,
+`refine.polyvariant_specialise` the clause with its head cell and body
+facts placed.
 
 While iterating, a `WitnessTable` records, per predicate, the clause that
 first made the approximation non-empty (or later grew it), together with the
@@ -124,8 +127,10 @@ def instantiate(clause: Clause,
     for atom, fact in placed:
         if fact is None:
             return None
-        rows.extend(fact.rename(dict(zip(canonical_args(atom.arity),
-                                         atom.args))))
+        # Atom arguments are distinct, so the renaming is injective: every
+        # renamed row stays canonical, and `make` sorts the rows once.
+        onto = dict(zip(canonical_args(atom.arity), atom.args))
+        rows.extend(c.rename(onto) for c in fact)
     cs = ConstraintSet.make(rows)
     return cs if is_satisfiable(cs) else None
 

@@ -15,7 +15,7 @@ clauses by negating the head.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from .linalg import (EQ, ConstraintSet, LinearConstraint, Rat, rat)
@@ -118,6 +118,8 @@ class Program:
     """An immutable clause list with consistent predicate arities."""
 
     clauses: Tuple[Clause, ...]
+    # Predicate -> arity, in order of first occurrence (body atoms first).
+    predicates: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arities: Dict[str, int] = {}
@@ -142,17 +144,7 @@ class Program:
                 if seen != at.arity:
                     raise ValueError(
                         f"predicate {at.pred} used with arities {seen} and {at.arity}")
-
-    @property
-    def predicates(self) -> Dict[str, int]:
-        out: Dict[str, int] = {}
-        for cl in self.clauses:
-            atoms = list(cl.body)
-            if isinstance(cl.head, Atom):
-                atoms.append(cl.head)
-            for at in atoms:
-                out.setdefault(at.pred, at.arity)
-        return out
+        object.__setattr__(self, "predicates", arities)
 
     def clauses_for(self, pred: str) -> Tuple[Clause, ...]:
         return tuple(cl for cl in self.clauses

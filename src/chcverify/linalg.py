@@ -757,15 +757,20 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
     some values of the other variables satisfy `cs`. An unsatisfiable `cs`
     need not give FALSE_SET; callers check satisfiability first. Raises
     ResourceLimitError when the intermediate constraint count exceeds the
-    `fm_limit` cap.
+    `fm_limit` cap. Results are cached per cap, so a tighter cap never
+    reuses a projection computed under a looser one.
     """
-    keep = set(keep)
+    return _project_cached(cs, frozenset(keep), fm_limit.get())
+
+
+@lru_cache(maxsize=65536)
+def _project_cached(cs: ConstraintSet, keep: frozenset, limit: int
+                    ) -> ConstraintSet:
     drop = sorted(cs.variables() - keep)
     if not drop:
         if cs.has_trivially_false():
             return FALSE_SET
         return cs
-    limit = fm_limit.get()
     work: List[LinearConstraint] = list(cs.constraints)
 
     # Gaussian pass: use equalities to substitute eliminable variables away.
@@ -930,12 +935,13 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
 
 # The cached functions themselves, so that `reset_caches` reaches their caches
 # even when the module attributes are rebound (by a tracer, say).
-_CACHED = (is_satisfiable, _entails_cached, _tableau_of, simplify)
+_CACHED = (is_satisfiable, _entails_cached, _tableau_of, _project_cached,
+           simplify)
 
 
 def reset_caches() -> None:
     """Empty the kernel's caches and their counts: satisfiability,
-    entailment, the entailment tableaux and `simplify`.
+    entailment, the entailment tableaux, projection and `simplify`.
 
     `verify` calls this when a run starts, so that what a run costs does
     not depend on what ran before it in the process. The entries stay until

@@ -11,8 +11,10 @@ reachable cell.  Versions are created on demand, starting from the clauses
 defining `false`: a body atom is dispatched to the first cell that is
 entailed by everything known about the clause (its constraint, the head
 cell, and the abstract fact of every body atom), and to a fresh "whole
-predicate" version when no cell is forced.  Each emitted clause conjoins
-the cells chosen for its head and body, so the specialised program carries
+predicate" version when no cell is forced.  Each emitted clause's
+constraint is that knowledge, simplified.  It is the clause conjoined with
+the cells chosen for its head and body: it entails every chosen body cell,
+and every cell lies inside its fact.  So the specialised program carries
 the split facts in its constraints.
 """
 
@@ -36,16 +38,11 @@ from .polyhedra import Polyhedron, canonical_args
 
 @dataclass(frozen=True)
 class SplitModel:
-    """Ordered cells per predicate, each a polyhedron over canonical args."""
+    """Ordered cells per predicate, each a polyhedron over canonical args,
+    and the fact that each predicate's cells split (which is their hull)."""
 
     parts: Mapping[str, Tuple[Polyhedron, ...]]
-
-    def whole(self, pred: str) -> Polyhedron:
-        cells = self.parts[pred]
-        out = cells[0]
-        for cell in cells[1:]:
-            out = out.hull(cell)
-        return out
+    wholes: Mapping[str, Polyhedron]
 
 
 def split_facts(program: Program, model: AbstractModel,
@@ -64,10 +61,11 @@ def split_facts(program: Program, model: AbstractModel,
     """
     pooled = interpolant.by_predicate() if interpolant is not None else {}
     parts: Dict[str, Tuple[Polyhedron, ...]] = {}
+    wholes: Dict[str, Polyhedron] = {}
     for pred, arity in program.predicates.items():
         if pred == FALSE.pred:
             continue
-        fact = model.value(pred, arity)
+        fact = wholes[pred] = model.value(pred, arity)
         atoms = tuple(pooled.get(pred, ()))
         if fact.is_bottom or not atoms:
             parts[pred] = (fact,)
@@ -82,20 +80,7 @@ def split_facts(program: Program, model: AbstractModel,
                 cells.append(cell)
         kept = tuple(c for c in cells if not c.is_bottom)
         parts[pred] = kept if kept else (fact,)
-    return SplitModel(parts)
-
-
-@dataclass(frozen=True)
-class VersionMap:
-    """Versioned predicate name -> (source predicate, 1-based cell index).
-
-    The index one past the last cell denotes the undivided predicate.
-    """
-
-    origin: Mapping[str, Tuple[str, int]]
-
-    def source_pred(self, pred: str) -> str:
-        return self.origin[pred][0] if pred in self.origin else pred
+    return SplitModel(parts, wholes)
 
 
 def _version_names(program: Program, split: SplitModel) -> Dict[Tuple[str, int], str]:
@@ -117,14 +102,17 @@ MAX_CLAUSES_PER_SOURCE = 512
 
 
 def polyvariant_specialise(program: Program, split: SplitModel
-                           ) -> Tuple[Program, VersionMap]:
-    """Split predicates into reachable versions, one per demanded cell."""
+                           ) -> Tuple[Program, Dict[str, Tuple[str, int]]]:
+    """Split predicates into reachable versions, one per demanded cell.
+
+    Also returns, for each version, its source predicate and 1-based cell
+    index; the index one past the last cell denotes the undivided predicate.
+    """
     names = _version_names(program, split)
-    wholes = {pred: split.whole(pred) for pred in split.parts}
 
     def cell_of(pred: str, k: int) -> Polyhedron:
         cells = split.parts[pred]
-        return cells[k] if k < len(cells) else wholes[pred]
+        return cells[k] if k < len(cells) else split.wholes[pred]
 
     def renamed(poly: Polyhedron, args: Tuple[str, ...]) -> ConstraintSet:
         return poly.constraints.rename(dict(zip(poly.space, args)))
@@ -147,19 +135,13 @@ def polyvariant_specialise(program: Program, split: SplitModel
     def specialise_clause(cl: Clause, head_version: Optional[int]) -> None:
         head_cell = (None if head_version is None else
                      cell_of(cl.head_atom.pred, head_version).constraints)
-        known = instantiate(cl, [wholes[b.pred].constraints for b in cl.body],
-                            head_cell)
+        known = instantiate(
+            cl, [split.wholes[b.pred].constraints for b in cl.body], head_cell)
         if known is None:
             return
         choices = tuple(dispatch(known, b) for b in cl.body)
         body = tuple(Atom(names[(b.pred, k)], b.args)
                      for b, k in zip(cl.body, choices))
-        kept = list(cl.constraint)
-        if head_version is not None:
-            kept.extend(renamed(cell_of(cl.head_atom.pred, head_version),
-                                cl.head_atom.args))
-        for b, k in zip(cl.body, choices):
-            kept.extend(renamed(cell_of(b.pred, k), b.args))
         suffix = [k + 1 for k in choices]
         if head_version is not None:
             suffix.insert(0, head_version + 1)
@@ -174,8 +156,7 @@ def polyvariant_specialise(program: Program, split: SplitModel
                 f"clause {cl.id} specialised into more than "
                 f"{MAX_CLAUSES_PER_SOURCE} versions")
         key = (source_index[cl.id],) + tuple(suffix)
-        emitted.append((key, Clause(new_id, head,
-                                    simplify(ConstraintSet.make(kept)), body)))
+        emitted.append((key, Clause(new_id, head, simplify(known), body)))
         for b, k in zip(cl.body, choices):
             if (b.pred, k) not in defined:
                 defined.add((b.pred, k))
@@ -192,4 +173,4 @@ def polyvariant_specialise(program: Program, split: SplitModel
     emitted.sort(key=lambda pair: pair[0])
     used = {(p, k) for (p, k) in names if (p, k) in defined}
     origin = {names[(p, k)]: (p, k + 1) for p, k in sorted(used)}
-    return Program(tuple(cl for _, cl in emitted)), VersionMap(origin)
+    return Program(tuple(cl for _, cl in emitted)), origin

@@ -13,7 +13,7 @@ from typing import List
 
 from .analysis import AbstractModel, instantiate
 from .chc_ast import Clause, Program
-from .linalg import simplify
+from .linalg import TRUE, simplify
 from .qa import answer_pred
 
 __all__ = ["strengthen", "early_safe"]
@@ -22,11 +22,12 @@ __all__ = ["strengthen", "early_safe"]
 def strengthen(program: Program, qa_model: AbstractModel) -> Program:
     """Conjoin each head's answer constraint; delete clauses that cannot fire.
 
-    Only the head's answer constraint is inserted into the clause; the body
-    atoms' answer constraints participate in the deletion test only. Clause
-    ids are preserved. A predicate with a bottom answer approximation is
-    never derivable in a computation from the goal, so its clauses (and, for
-    a bottom FALSE answer, all integrity clauses) are deleted.
+    Only the head's answer constraint is inserted into the clause, placed on
+    the head's arguments by `instantiate`; the body atoms' answer
+    constraints participate in the deletion test only. Clause ids are
+    preserved. A predicate with a bottom answer approximation is never
+    derivable in a computation from the goal, so its clauses (and, for a
+    bottom FALSE answer, all integrity clauses) are deleted.
     """
     out: List[Clause] = []
     for cl in program.clauses:
@@ -34,15 +35,15 @@ def strengthen(program: Program, qa_model: AbstractModel) -> Program:
         head_answer = qa_model.value(answer_pred(head.pred), head.arity)
         if head_answer.is_bottom:
             continue
-        new_constraint = cl.constraint
-        if not head_answer.is_top:
-            new_constraint = new_constraint & head_answer.constraints.rename(
-                dict(zip(head_answer.space, head.args)))
+        strengthened = instantiate(cl, [TRUE] * len(cl.body),
+                                   head_answer.constraints)
+        if strengthened is None:
+            continue
         body_answers = [qa_model.value(answer_pred(b.pred), b.arity).constraints
                         for b in cl.body]
         if instantiate(cl, body_answers, head_answer.constraints) is None:
             continue
-        out.append(Clause(cl.id, cl.head, simplify(new_constraint), cl.body))
+        out.append(Clause(cl.id, cl.head, simplify(strengthened), cl.body))
     return Program(tuple(out))
 
 

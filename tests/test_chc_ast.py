@@ -104,6 +104,10 @@ class TestProgramValidation:
         assert prog.predicates == {"false": 0, "l": 4, "l_body": 4}
         assert [cl.id for cl in prog.clauses_for("l_body")] == ["c5", "c6"]
 
+    def test_predicates_map_is_computed_once(self):
+        prog = parse_program(T4)
+        assert prog.predicates is prog.predicates
+
 
 class TestNormalizeIntegrity:
     def test_atom_heads_pass_through(self):

@@ -170,14 +170,34 @@ class TestProjection:
         out = project(S(C({"X": 1}, LT, 0), C({"X": -1}, LT, 0)), ())
         assert not is_satisfiable(out)
 
+    # dense rows over many variables blow past a tiny step budget
+    DENSE = [C({f"V{i}": 1, f"V{i+1}": (-1) ** i, f"V{i+2}": 2}, LE, i)
+             for i in range(12)]
+
     def test_step_limit_raises(self):
-        # dense rows over many variables blow past a tiny step budget
-        rows = [C({f"V{i}": 1, f"V{i+1}": (-1) ** i, f"V{i+2}": 2}, LE, i)
-                for i in range(12)]
         token = fm_limit.set(5)
         try:
             with pytest.raises(ResourceLimitError):
-                project(S(*rows), ("V0",))
+                project(S(*self.DENSE), ("V0",))
+        finally:
+            fm_limit.reset(token)
+
+    def test_repeated_projection_is_a_cache_hit(self):
+        linalg.reset_caches()
+        cs = S(C({"X": 1, "Y": -2}, EQ, 0), C({"Y": 1}, LE, 3))
+        first = project(cs, ("X",))
+        assert project(cs, ["X"]) is first
+        info = linalg._project_cached.cache_info()
+        assert (info.misses, info.hits) == (1, 1)
+
+    def test_tighter_limit_after_a_cached_projection_still_raises(self):
+        linalg.reset_caches()
+        cs = S(*self.DENSE)
+        project(cs, ("V0",))
+        token = fm_limit.set(5)
+        try:
+            with pytest.raises(ResourceLimitError):
+                project(cs, ("V0",))
         finally:
             fm_limit.reset(token)
 

@@ -1,9 +1,12 @@
 """Fact splitting and polyvariant specialisation on the two-counter loop."""
 
+import functools
+
 from chcverify.analysis import analyze, compute_thresholds
 from chcverify.cex import build_and_tree, extract_trace, tree_interpolants
 from chcverify.chc_ast import FALSE, parse_program, program_text
 from chcverify.linalg import entails_all, is_satisfiable
+from chcverify.polyhedra import Polyhedron
 from chcverify.qa import qa_transform
 from chcverify.refine import polyvariant_specialise, split_facts
 from chcverify.specialise import strengthen
@@ -56,10 +59,17 @@ class TestSplitFacts:
     def test_whole_rejoins_the_cells(self):
         spec, model, interp = first_round()
         split = split_facts(spec, model, interp)
-        whole = split.whole("l")
+        whole = split.wholes["l"]
         for cell in split.parts["l"]:
             assert cell.leq(whole)
-        assert whole.leq(model.value("l", 4))
+        assert whole.leq(functools.reduce(Polyhedron.hull, split.parts["l"]))
+
+    def test_wholes_are_the_facts_that_were_split(self):
+        spec, model, interp = first_round()
+        split = split_facts(spec, model, interp)
+        for pred, arity in spec.predicates.items():
+            if pred != FALSE.pred:
+                assert split.wholes[pred] == model.value(pred, arity)
 
     def test_without_interpolant_each_fact_is_one_cell(self):
         spec, model, _ = first_round()
@@ -71,17 +81,26 @@ class TestPolyvariantSpecialise:
     def test_t4_output_program(self):
         spec, model, interp = first_round()
         split = split_facts(spec, model, interp)
-        out, versions = polyvariant_specialise(spec, split)
+        out, origin = polyvariant_specialise(spec, split)
         assert program_text(out) == SPECIALISED_T4
-        assert dict(versions.origin) == {
+        assert origin == {
             "l_2": ("l", 2), "l_3": ("l", 3), "l_body_1": ("l_body", 1)}
-        assert versions.source_pred("l_2") == "l"
-        assert versions.source_pred("false") == "false"
+
+    def test_specialising_hulls_nothing(self, monkeypatch):
+        spec, model, interp = first_round()
+        split = split_facts(spec, model, interp)
+
+        def no_hull(self, other):
+            raise AssertionError("polyvariant_specialise computed a hull")
+
+        monkeypatch.setattr(Polyhedron, "hull", no_hull)
+        out, _ = polyvariant_specialise(spec, split)
+        assert program_text(out) == SPECIALISED_T4
 
     def test_emitted_clauses_strengthen_their_sources(self):
         spec, model, interp = first_round()
         split = split_facts(spec, model, interp)
-        out, versions = polyvariant_specialise(spec, split)
+        out, _ = polyvariant_specialise(spec, split)
         for cl in out.clauses:
             src = spec.clause(cl.id.split("_")[0])
             assert entails_all(cl.constraint, src.constraint)
@@ -101,7 +120,7 @@ class TestPolyvariantSpecialise:
             "p(X) :- 1*X = 0.\np_1(X) :- p(X).\nfalse :- 1*X = 0, p_1(X).")
         model, _ = analyze(prog)
         split = split_facts(prog, model, None)
-        out, versions = polyvariant_specialise(prog, split)
-        assert set(versions.origin) <= {"p__1", "p_1_1"}
-        for name in versions.origin:
+        out, origin = polyvariant_specialise(prog, split)
+        assert set(origin) <= {"p__1", "p_1_1"}
+        for name in origin:
             assert name not in prog.predicates

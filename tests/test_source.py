@@ -1,11 +1,14 @@
 """Properties of the package source itself."""
 
 import ast
+import importlib
 import pathlib
+import runpy
 
 import chcverify
 
 PACKAGE = pathlib.Path(chcverify.__file__).parent
+LAYERS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "layers.py"
 
 
 def test_no_assert_statements():
@@ -17,3 +20,25 @@ def test_no_assert_statements():
                   if isinstance(node, ast.Assert)]
     assert not found, f"assert statements in {found}"
     assert len(list(PACKAGE.glob("*.py"))) > 5
+
+
+def _traceable(target: str) -> bool:
+    """Whether the span tracer can wrap "module:attr" or "module:Class.method":
+    a module-level callable, or a function, classmethod or staticmethod in
+    the class's own namespace."""
+    mod_name, _, attr = target.partition(":")
+    module = importlib.import_module(f"chcverify.{mod_name}")
+    owner_name, _, meth = attr.rpartition(".")
+    if not owner_name:
+        return callable(getattr(module, attr, None))
+    raw = getattr(getattr(module, owner_name, None), "__dict__", {}).get(meth)
+    return isinstance(raw, (classmethod, staticmethod)) or callable(raw)
+
+
+def test_every_benchmark_trace_target_resolves():
+    # The benchmark reports a traced name it cannot find as absent rather
+    # than failing, so a rename would silently empty its per-layer metrics.
+    targets = runpy.run_path(str(LAYERS))["TARGETS"]
+    missing = [t for t in targets if not _traceable(t)]
+    assert not missing, f"benchmark trace targets not found: {missing}"
+    assert len(targets) > 20

@@ -12,7 +12,9 @@ last evaluated under. A contribution is a pure function of the body values,
 and a predicate's value only grows, so a skipped clause adds nothing; of the
 contributions that are evaluated, only those not already below the value are
 hulled in. The widening thresholds are the head bounds that each clause's own
-constraint implies (`compute_thresholds`).
+constraint implies (`compute_thresholds`). Only widening reads them, so a
+predicate's bounds are mined when it is first widened, and never for a
+predicate that no cyclic component widens.
 
 `instantiate` is the one place where canonical facts are put on a clause's
 atoms, conjoined with its constraint and checked for satisfiability; every
@@ -162,18 +164,48 @@ def compute_thresholds(program: Program) -> ThresholdSet:
     For every clause, the bounds its own constraint implies on its head's
     arguments: the atoms of its simplified consequence with every body atom
     at top. Atoms are kept per head predicate, without duplicates, in clause
-    order.
+    order. Only widening reads them, so here the clauses are only grouped by
+    head predicate; a predicate's bounds are mined the first time they are
+    asked for (see `_MinedBounds`), and kept.
     """
-    by_pred: Dict[str, List[LinearConstraint]] = {}
+    by_pred: Dict[str, List[Clause]] = {}
     for cl in program.clauses:
+        by_pred.setdefault(cl.head_atom.pred, []).append(cl)
+    return ThresholdSet(_MinedBounds(by_pred))
+
+
+def _head_bounds(clauses: Sequence[Clause]) -> Tuple[LinearConstraint, ...]:
+    """The bounds that the clauses' own constraints imply on their heads."""
+    seen: List[LinearConstraint] = []
+    for cl in clauses:
         got = consequence(cl, [TRUE] * len(cl.body))
         if got is None:
             continue
-        seen = by_pred.setdefault(cl.head_atom.pred, [])
         for c in simplify(got):
             if c not in seen:
                 seen.append(c)
-    return ThresholdSet({p: tuple(cs) for p, cs in by_pred.items()})
+    return tuple(seen)
+
+
+class _MinedBounds(Mapping[str, Tuple[LinearConstraint, ...]]):
+    """Head predicate -> `_head_bounds` of its clauses, each computed on
+    first lookup and memoised."""
+
+    def __init__(self, by_pred: Dict[str, List[Clause]]) -> None:
+        self._clauses = by_pred
+        self._bounds: Dict[str, Tuple[LinearConstraint, ...]] = {}
+
+    def __getitem__(self, pred: str) -> Tuple[LinearConstraint, ...]:
+        got = self._bounds.get(pred)
+        if got is None:
+            got = self._bounds[pred] = _head_bounds(self._clauses[pred])
+        return got
+
+    def __iter__(self):
+        return iter(self._clauses)
+
+    def __len__(self) -> int:
+        return len(self._clauses)
 
 
 # Rounds of a cyclic component before its predicates are widened.
@@ -188,7 +220,9 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None
 
     Raises ResourceLimitError if an SCC fails to stabilise within
     `MAX_ITERATIONS` rounds (cannot happen with widening enabled unless the
-    delay or thresholds are made pathological; kept as a hard backstop).
+    delay or thresholds are made pathological; kept as a hard backstop), or
+    if a projection exceeds `fm_limit`, mining the thresholds of a predicate
+    that is widened included.
     """
     if thresholds is None:
         thresholds = ThresholdSet.empty()

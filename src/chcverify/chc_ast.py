@@ -194,36 +194,46 @@ _TOKEN = re.compile(r"""
   | (?P<num>\d+(?:\.\d+)?)
   | (?P<name>[a-zA-Z_][a-zA-Z0-9_]*)
   | (?P<op>:-|=<|<=|>=|[()*+,.<>=-])
-""", re.VERBOSE)
+  | (?P<bad>.)
+""", re.VERBOSE | re.DOTALL)
 
 _LABEL = re.compile(r"c\d+$")
+
+# The token after the last one. The parser looks at most two tokens past
+# the current one, so three of these end every token list it reads.
+_END = ("end", "")
 
 
 def _tokenize(text: str) -> List[Tuple[str, str]]:
     tokens = []
-    pos = 0
-    while pos < len(text):
-        m = _TOKEN.match(text, pos)
-        if not m:
-            raise ParseError(f"unexpected character {text[pos]!r} at offset {pos}")
-        pos = m.end()
-        if m.lastgroup != "ws":
-            tokens.append((m.lastgroup, m.group()))
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        if kind == "ws":
+            continue
+        if kind == "bad":
+            raise ParseError(
+                f"unexpected character {m.group()!r} at offset {m.start()}")
+        tokens.append((kind, m.group()))
     return tokens
+
+
+# A linear term: variable -> coefficient, and the constant. Integer literals
+# stay `int`; only a decimal literal is a rational.
+_Num = Union[int, Rat]
+_Term = Tuple[Dict[str, _Num], _Num]
 
 
 class _Parser:
     def __init__(self, tokens: List[Tuple[str, str]]) -> None:
-        self.tokens = tokens
+        self.tokens = tokens + [_END] * 3
         self.pos = 0
 
-    def peek(self, offset: int = 0) -> Optional[Tuple[str, str]]:
-        i = self.pos + offset
-        return self.tokens[i] if i < len(self.tokens) else None
+    def peek(self, offset: int = 0) -> Tuple[str, str]:
+        return self.tokens[self.pos + offset]
 
     def next(self) -> Tuple[str, str]:
-        tok = self.peek()
-        if tok is None:
+        tok = self.tokens[self.pos]
+        if tok is _END:
             raise ParseError("unexpected end of input")
         self.pos += 1
         return tok
@@ -234,25 +244,25 @@ class _Parser:
             raise ParseError(f"expected {value!r}, found {tok[1]!r}")
 
     def at_end(self) -> bool:
-        return self.pos >= len(self.tokens)
+        return self.tokens[self.pos] is _END
 
-    # Linear terms are parsed into (coeffs, constant) pairs.
-
-    def parse_term(self) -> Tuple[Dict[str, Rat], Rat]:
+    def parse_term(self) -> _Term:
         coeffs, const = self.parse_factor()
-        while (tok := self.peek()) and tok[1] in ("+", "-"):
-            self.next()
+        tokens = self.tokens
+        while (op := tokens[self.pos][1]) == "+" or op == "-":
+            self.pos += 1
             c2, k2 = self.parse_factor()
-            sign = 1 if tok[1] == "+" else -1
+            sign = 1 if op == "+" else -1
             for v, c in c2.items():
-                coeffs[v] = coeffs.get(v, rat(0)) + sign * c
+                coeffs[v] = coeffs.get(v, 0) + sign * c
             const += sign * k2
         return coeffs, const
 
-    def parse_factor(self) -> Tuple[Dict[str, Rat], Rat]:
+    def parse_factor(self) -> _Term:
         coeffs, const = self.parse_primary()
-        while (tok := self.peek()) and tok[1] == "*":
-            self.next()
+        tokens = self.tokens
+        while tokens[self.pos][1] == "*":
+            self.pos += 1
             c2, k2 = self.parse_primary()
             if coeffs and c2:
                 raise ParseError("non-linear term (product of two variables)")
@@ -262,31 +272,31 @@ class _Parser:
             const = const * k2
         return coeffs, const
 
-    def parse_primary(self) -> Tuple[Dict[str, Rat], Rat]:
-        tok = self.next()
-        if tok[1] == "-":
+    def parse_primary(self) -> _Term:
+        kind, text = self.next()
+        if kind == "num":
+            return {}, rat(text) if "." in text else int(text)
+        if kind == "name":
+            if not _is_variable(text):
+                raise ParseError(f"expected a variable or number, found {text!r}")
+            return {text: 1}, 0
+        if text == "-":
             coeffs, const = self.parse_primary()
             return {v: -c for v, c in coeffs.items()}, -const
-        if tok[1] == "+":
+        if text == "+":
             return self.parse_primary()
-        if tok[1] == "(":
+        if text == "(":
             coeffs, const = self.parse_term()
             self.expect(")")
             return coeffs, const
-        if tok[0] == "num":
-            return {}, rat(tok[1])
-        if tok[0] == "name":
-            if not _is_variable(tok[1]):
-                raise ParseError(f"expected a variable or number, found {tok[1]!r}")
-            return {tok[1]: rat(1)}, rat(0)
-        raise ParseError(f"unexpected token {tok[1]!r} in term")
+        raise ParseError(f"unexpected token {text!r} in term")
 
     def parse_body_item(self, fresh: FreshNames, extra: List[LinearConstraint]
                         ) -> Union[Atom, LinearConstraint, None]:
         tok = self.peek()
-        if tok and tok[0] == "name" and not _is_variable(tok[1]):
+        if tok[0] == "name" and not _is_variable(tok[1]):
             nxt = self.peek(1)
-            if nxt is None or nxt[1] in (",", ".", ")"):
+            if nxt is _END or nxt[1] in (",", ".", ")"):
                 if tok[1] == "true":
                     self.next()
                     return None
@@ -304,7 +314,7 @@ class _Parser:
         rhs_c, rhs_k = self.parse_term()
         coeffs = dict(lhs_c)
         for v, c in rhs_c.items():
-            coeffs[v] = coeffs.get(v, rat(0)) - c
+            coeffs[v] = coeffs.get(v, 0) - c
         return LinearConstraint.make(coeffs, rel, rhs_k - lhs_k)
 
     def parse_atom(self, fresh: FreshNames, extra: List[LinearConstraint]) -> Atom:
@@ -315,7 +325,7 @@ class _Parser:
                 raise ParseError(
                     f"predicate {name!r} uses the reserved suffix {suffix!r}")
         args: List[Var] = []
-        if self.peek() and self.peek()[1] == "(":
+        if self.peek()[1] == "(":
             self.next()
             while True:
                 coeffs, const = self.parse_term()
@@ -333,7 +343,7 @@ def _is_variable(name: str) -> bool:
     return name[0].isupper() or name[0] == "_"
 
 
-def _arg_to_var(coeffs: Dict[str, Rat], const: Rat, seen: List[Var],
+def _arg_to_var(coeffs: Dict[str, _Num], const: _Num, seen: List[Var],
                 fresh: FreshNames, extra: List[LinearConstraint]) -> Var:
     if len(coeffs) == 1 and const == 0:
         (v, c), = coeffs.items()
@@ -341,7 +351,7 @@ def _arg_to_var(coeffs: Dict[str, Rat], const: Rat, seen: List[Var],
             return v
     v = fresh.fresh()
     eq = dict(coeffs)
-    eq[v] = eq.get(v, rat(0)) - 1
+    eq[v] = eq.get(v, 0) - 1
     extra.append(LinearConstraint.make(eq, EQ, -const))
     return v
 
@@ -362,14 +372,14 @@ def _parse_clause(parser: _Parser, clause_id: str, var_pool: Set[str]) -> Clause
     extra: List[LinearConstraint] = []
     head: Union[Atom, LinearConstraint]
     tok = parser.peek()
-    if tok is None:
+    if tok is _END:
         raise ParseError("expected a clause")
     if tok[0] == "name" and tok[1] == "false":
         parser.next()
         head = FALSE
     elif tok[0] == "name" and not _is_variable(tok[1]):
         nxt = parser.peek(1)
-        if nxt and nxt[1] in ("(", ".", ":-"):
+        if nxt[1] in ("(", ".", ":-"):
             head = parser.parse_atom(fresh, extra)
         else:
             head = parser.parse_constraint()
@@ -415,8 +425,7 @@ def parse_program(text: str) -> Program:
         nxt = parser.peek(1)
         label = None
         if (tok[0] == "name" and _LABEL.match(tok[1])
-                and nxt is not None and nxt[1] == "."
-                and parser.peek(2) is not None):
+                and nxt[1] == "." and parser.peek(2) is not _END):
             label = tok[1]
             parser.next()
             parser.next()

@@ -65,6 +65,7 @@ __all__ = [
     "is_satisfiable",
     "entails",
     "entails_all",
+    "replaces_a_row",
     "project",
     "simplify",
     "farkas_refutation",
@@ -744,6 +745,23 @@ def entails_all(cs: ConstraintSet, other: ConstraintSet) -> bool:
     return all(_entails_cached(cs, c) for c in other.constraints)
 
 
+@lru_cache(maxsize=65536)
+def replaces_a_row(rows: Tuple[LinearConstraint, ...], c: LinearConstraint
+                   ) -> bool:
+    """Can `c` take the place of one of `rows`: is there a row r that the
+    other rows together with c entail?
+
+    Precondition: `rows` are strictly satisfiable and entail `c`, so each
+    row relaxed leaves a strictly satisfiable set; ValueError when the rows
+    contradict `c`. One tableau, of the rows and c, answers for every row,
+    asked with that row relaxed.
+    """
+    t = _Tableau.of(rows + (c,))
+    if t is None or not t.satisfiable():
+        raise ValueError(f"replaces_a_row: the rows contradict {c}")
+    return any(t.implies(r, relax=k) for k, r in enumerate(rows))
+
+
 # ---------------------------------------------------------------------------
 # Projection: Gaussian substitution for equalities, then Fourier-Motzkin.
 # ---------------------------------------------------------------------------
@@ -936,12 +954,13 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
 # The cached functions themselves, so that `reset_caches` reaches their caches
 # even when the module attributes are rebound (by a tracer, say).
 _CACHED = (is_satisfiable, _entails_cached, _tableau_of, _project_cached,
-           simplify)
+           simplify, replaces_a_row)
 
 
 def reset_caches() -> None:
     """Empty the kernel's caches and their counts: satisfiability,
-    entailment, the entailment tableaux, projection and `simplify`.
+    entailment, the entailment tableaux, projection, `simplify` and the
+    widening's row replacements.
 
     `verify` calls this when a run starts, so that what a run costs does
     not depend on what ran before it in the process. The entries stay until

@@ -16,10 +16,11 @@ exact on closed operands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Mapping, Optional, Sequence, Tuple
 
 from .linalg import (EQ, LE, ConstraintSet, FALSE_SET, LinearConstraint,
-                     Rat, entails, entails_all, project, rat, simplify)
+                     entails, entails_all, project, replaces_a_row,
+                     simplify)
 
 __all__ = [
     "Polyhedron",
@@ -113,6 +114,11 @@ class Polyhedron:
             return other
         if other.leq(self):
             return self
+        # The mixing rows, built canonical: each operand row a.x rel b
+        # becomes a.h - b*lam rel 0 over its copy h of the space, whose
+        # integers are those of the coprime row, in the same name order
+        # ("$h1", "$h2" sort before "$lam"); `$` sorts before every name of
+        # the space, so each linking row reads  h1 + h2 - v = 0.
         space = self.space
         rows = []
         lams = ("$lam1", "$lam2")
@@ -120,15 +126,16 @@ class Polyhedron:
         for cs, lam, copy in ((self.constraints, lams[0], copies[0]),
                               (other.constraints, lams[1], copies[1])):
             for c in cs.closure():
-                coeffs: Dict[str, Rat] = {copy[v]: k for v, k in c.coeffs}
-                coeffs[lam] = coeffs.get(lam, rat(0)) - c.bound
-                rows.append(LinearConstraint.make(coeffs, c.rel, 0))
-        rows.append(LinearConstraint.make({lams[0]: rat(1), lams[1]: rat(1)}, EQ, 1))
-        rows.append(LinearConstraint.make({lams[0]: rat(-1)}, LE, 0))
-        rows.append(LinearConstraint.make({lams[1]: rat(-1)}, LE, 0))
+                coeffs = tuple((copy[v], k) for v, k in c.coeffs)
+                if c.bound:
+                    coeffs += ((lam, -c.bound),)
+                rows.append(LinearConstraint(coeffs, c.rel, 0))
+        rows.append(LinearConstraint(((lams[0], 1), (lams[1], 1)), EQ, 1))
+        rows.append(LinearConstraint(((lams[0], -1),), LE, 0))
+        rows.append(LinearConstraint(((lams[1], -1),), LE, 0))
         for v in space:
-            rows.append(LinearConstraint.make(
-                {v: rat(1), copies[0][v]: rat(-1), copies[1][v]: rat(-1)}, EQ, 0))
+            rows.append(LinearConstraint(
+                ((copies[0][v], 1), (copies[1][v], 1), (v, -1)), EQ, 0))
         projected = project(ConstraintSet.make(rows), space)
         out = []
         for c in projected:
@@ -146,11 +153,12 @@ class Polyhedron:
         (b) every constraint c of other that is mutually redundant with self,
         i.e. can replace one of self's constraints without changing self.
         Self entails c, so the swap keeps self exactly when self's other
-        constraints together with c entail the one dropped. Part (b) makes
-        the result independent of which of several equivalent
-        representations self happens to carry (a point written as I=0, A=0,
-        B=0 keeps an implied relation like A+B=3I if other entails it), which
-        plain constraint filtering loses. Equalities are split into their
+        constraints together with c entail the one dropped
+        (`linalg.replaces_a_row`, one tableau per c). Part (b) makes the
+        result independent of which of several equivalent representations
+        self happens to carry (a point written as I=0, A=0, B=0 keeps an
+        implied relation like A+B=3I if other entails it), which plain
+        constraint filtering loses. Equalities are split into their
         inequality halves first so one-sided bounds survive.
         """
         if self.space != other.space:
@@ -162,15 +170,8 @@ class Polyhedron:
         p_rows = _split_equalities(self.constraints)
         q_rows = _split_equalities(other.constraints)
         kept = [c for c in p_rows if entails(other.constraints, c)]
-        for c in q_rows:
-            if c in kept or not entails(self.constraints, c):
-                continue
-            for drop in p_rows:
-                swapped = ConstraintSet.make(
-                    [r for r in p_rows if r is not drop] + [c])
-                if entails(swapped, drop):
-                    kept.append(c)
-                    break
+        kept += [c for c in q_rows if c not in kept
+                 and entails(self.constraints, c) and replaces_a_row(p_rows, c)]
         return Polyhedron.of(self.space, ConstraintSet.make(kept))
 
     def widen_upto(self, other: "Polyhedron",
@@ -193,7 +194,11 @@ class Polyhedron:
 
 @dataclass(frozen=True)
 class ThresholdSet:
-    """Per-predicate candidate bounds (over canonical argument names)."""
+    """Per-predicate candidate bounds (over canonical argument names).
+
+    `by_pred` may compute a predicate's bounds when it is first looked up
+    (see `analysis.compute_thresholds`); `len` looks them all up.
+    """
 
     by_pred: Mapping[str, Tuple[LinearConstraint, ...]]
 

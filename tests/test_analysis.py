@@ -187,6 +187,36 @@ class TestThresholds:
         assert str(without.value("p", 1)) == "-1*A =< 0"
 
 
+class TestLazyThresholds:
+    def test_acyclic_program_mines_nothing(self, monkeypatch):
+        # no predicate of an acyclic program is widened, so none is mined
+        def no_mining(clauses):
+            raise AssertionError("thresholds mined without a widening")
+
+        monkeypatch.setattr(analysis, "_head_bounds", no_mining)
+        prog = parse_program(ACYCLIC_CHAIN)
+        model, _ = analyze(prog, compute_thresholds(prog))
+        assert str(model.value("q", 1)) == "1*A = 1"
+
+    def test_each_predicate_is_mined_at_most_once(self, monkeypatch):
+        calls = Counter()
+        head_bounds = analysis._head_bounds
+
+        def counting(clauses):
+            calls[clauses[0].head_atom.pred] += 1
+            return head_bounds(clauses)
+
+        monkeypatch.setattr(analysis, "_head_bounds", counting)
+        prog = parse_program(T4)
+        thr = compute_thresholds(prog)
+        analyze(prog, thr)
+        assert calls == {"l": 1}
+        assert len(thr) == 8
+        for pred in ("l", "l_body", "false"):
+            thr.for_pred(pred)
+        assert calls == {"l": 1, "l_body": 1, "false": 1}
+
+
 def _cs(*rows):
     return ConstraintSet.make(LinearConstraint.make(coeffs, rel, bound)
                               for coeffs, rel, bound in rows)

@@ -1,7 +1,11 @@
 """Clause syntax: parsing, validation, renaming, dependencies."""
 
+import random
+
 import pytest
 
+from conftest import random_program
+from chcverify import chc_ast
 from chcverify.chc_ast import (
     FALSE,
     Atom,
@@ -11,6 +15,7 @@ from chcverify.chc_ast import (
     Program,
     dependency_graph,
     normalize_integrity,
+    parse_clause,
     parse_program,
     program_text,
     rename_apart,
@@ -71,6 +76,52 @@ class TestParser:
     def test_comments_and_blank_lines_ignored(self):
         prog = parse_program("% a comment\n\nc7. p(X) :- 1*X = 0.\n")
         assert [cl.id for cl in prog.clauses] == ["c7"]
+
+
+# (parser entry point, text, message) for every ParseError the parser raises.
+PARSE_ERRORS = [
+    (parse_program, "p(X) :- 1*X = 0 # .", "unexpected character '#' at offset 16"),
+    (parse_program, "p(X) :- 1*X =", "unexpected end of input"),
+    (parse_program, "p(X) :- (1*X = 0.", "expected ')', found '='"),
+    (parse_program, "p(X, Y) :- X*Y = 0.", "non-linear term (product of two variables)"),
+    (parse_program, "p(X) :- 1*foo = 0.", "expected a variable or number, found 'foo'"),
+    (parse_program, "p(X) :- 1*X = ,.", "unexpected token ',' in term"),
+    (parse_program, "p(X) :- 1*X, q(X).", "expected a relation, found ','"),
+    (parse_program, "p__a(X) :- 1*X = 0.", "predicate 'p__a' uses the reserved suffix '__a'"),
+    (parse_program, "p(X Y) :- 1*X = 0.", "expected ',' or ')' in atom, found 'Y'"),
+    (parse_clause, "p(X) :- 1*X = 0. q(X).", "trailing input after clause"),
+    (parse_clause, "", "expected a clause"),
+    (parse_program, "p(X) :- 1*X = 0 q(X).", "expected ',' or '.', found 'q'"),
+    (parse_program, "p(X) q(X).", "expected ':-' or '.', found 'q'"),
+]
+
+
+class TestLiterals:
+    def test_integer_literals_need_no_rationals(self, monkeypatch):
+        expected = program_text(parse_program(T4))
+
+        def no_rationals(*args):
+            raise AssertionError("an integer literal went through rat")
+
+        monkeypatch.setattr(chc_ast, "rat", no_rationals)
+        assert program_text(parse_program(T4)) == expected
+
+    def test_decimal_literal_stays_exact(self):
+        (c,) = parse_program("p(X) :- 0.25*X =< 1.").clause("c1").constraint
+        assert str(c) == "1*X =< 4"
+
+    def test_generator_programs_round_trip(self):
+        # the programs of suite f's stream
+        for attempt in range(1, 206):
+            rng = random.Random(606 * 1_000_000 + attempt)
+            text = program_text(random_program(rng, max_clauses=5))
+            assert program_text(parse_program(text)) == text, f"attempt {attempt}"
+
+    def test_parse_error_messages(self):
+        for parse, text, message in PARSE_ERRORS:
+            with pytest.raises(ParseError) as err:
+                parse(text)
+            assert str(err.value) == message, text
 
 
 class TestProgramValidation:

@@ -639,6 +639,42 @@ class TestOneTableauPerSet:
         assert builds == [cs.constraints]
 
 
+class TestReplacesARow:
+    """The widening's swap test: one tableau per candidate answers for
+    every row."""
+
+    # the point A = B = 0
+    ROWS = (C({"A": 1}, LE, 0), C({"A": -1}, LE, 0),
+            C({"B": 1}, LE, 0), C({"B": -1}, LE, 0))
+
+    def test_a_candidate_replaces_a_row_the_others_restore(self):
+        diagonal, loose = C({"A": 1, "B": 1}, LE, 0), C({"A": 1}, LE, 5)
+        assert linalg.replaces_a_row(self.ROWS, diagonal)
+        assert not linalg.replaces_a_row(self.ROWS, loose)
+
+    def test_one_tableau_per_candidate(self, monkeypatch):
+        linalg.reset_caches()
+        built = []
+        real = linalg._Tableau.of
+
+        def of(constraints):
+            constraints = tuple(constraints)
+            built.append(constraints)
+            return real(constraints)
+
+        monkeypatch.setattr(linalg._Tableau, "of", staticmethod(of))
+        candidates = [C({"A": 1, "B": 1}, LE, 0), C({"A": 1}, LE, 5),
+                      C({"A": 1, "B": -1}, LT, 1)]
+        for c in candidates:
+            linalg.replaces_a_row(self.ROWS, c)
+        assert built == [self.ROWS + (c,) for c in candidates]
+        linalg.reset_caches()
+
+    def test_a_candidate_the_rows_do_not_entail_is_refused(self):
+        with pytest.raises(ValueError):
+            linalg.replaces_a_row(self.ROWS, C({"A": 1}, LE, -1))
+
+
 class TestImplies:
     """Entailment as a bounded maximisation on a strictly satisfiable
     tableau, with the negation added only for a strict query at a tie."""

@@ -23,11 +23,12 @@ returns: `specialise.strengthen` the clause with its head's answer placed,
 `refine.polyvariant_specialise` the clause with its head cell and body
 facts placed.
 
-While iterating, a `WitnessTable` records, per predicate, the clause that
-first made the approximation non-empty (or later grew it), together with the
-step numbers of the body predicates' first facts. Chasing first facts from
-any event therefore terminates, which is what lets a derivation skeleton for
-FALSE be rebuilt from the table.
+While iterating, `analyze` keeps, per predicate, the clause that first made
+its approximation non-empty. That clause contributed only because each of
+its body predicates was already non-empty, so the body predicates' first
+clauses were kept earlier, and chasing first clauses from any predicate
+terminates: this is the derivation skeleton for FALSE that `extract_trace`
+rebuilds.
 """
 
 from __future__ import annotations
@@ -42,8 +43,6 @@ from .polyhedra import Polyhedron, ThresholdSet, canonical_args
 
 __all__ = [
     "AbstractModel",
-    "WitnessEvent",
-    "WitnessTable",
     "instantiate",
     "consequence",
     "compute_thresholds",
@@ -67,50 +66,6 @@ class AbstractModel:
         return got
 
 
-@dataclass(frozen=True)
-class WitnessEvent:
-    """One growth step: `pred` grew via `clause_id` at global step `step`.
-
-    `children` pairs each body atom (in body order) with the step number of
-    that predicate's first event; child steps are strictly below `step`.
-    """
-
-    step: int
-    pred: str
-    clause_id: str
-    children: Tuple[Tuple[str, int], ...]
-
-
-class WitnessTable:
-    """Growth events per predicate, in global step order."""
-
-    def __init__(self) -> None:
-        self._events: Dict[str, List[WitnessEvent]] = {}
-        self._steps = 0
-
-    def record(self, pred: str, clause: Clause,
-               children: Sequence[Tuple[str, int]]) -> WitnessEvent:
-        self._steps += 1
-        ev = WitnessEvent(self._steps, pred, clause.id, tuple(children))
-        self._events.setdefault(pred, []).append(ev)
-        return ev
-
-    def first(self, pred: str) -> Optional[WitnessEvent]:
-        evs = self._events.get(pred)
-        return evs[0] if evs else None
-
-    def at_step(self, pred: str, step: int) -> WitnessEvent:
-        for ev in self._events.get(pred, ()):
-            if ev.step == step:
-                return ev
-        raise KeyError((pred, step))
-
-    def all_events(self) -> List[WitnessEvent]:
-        out = [ev for evs in self._events.values() for ev in evs]
-        out.sort(key=lambda e: e.step)
-        return out
-
-
 def instantiate(clause: Clause,
                 body_facts: Sequence[Optional[ConstraintSet]],
                 head_fact: Optional[ConstraintSet] = None
@@ -125,7 +80,7 @@ def instantiate(clause: Clause,
     rows = list(clause.constraint)
     placed = list(zip(clause.body, body_facts))
     if head_fact is not None:
-        placed.append((clause.head_atom, head_fact))
+        placed.append((clause.head, head_fact))
     for atom, fact in placed:
         if fact is None:
             return None
@@ -145,7 +100,7 @@ def consequence(clause: Clause,
     cs = instantiate(clause, body_facts)
     if cs is None:
         return None
-    head = clause.head_atom
+    head = clause.head
     return project(cs, head.args).rename(
         dict(zip(head.args, canonical_args(head.arity))))
 
@@ -154,7 +109,7 @@ def _contribution(clause: Clause, model: AbstractModel) -> Polyhedron:
     """Abstract consequence of one clause under `model`, in canonical space."""
     got = consequence(clause, [model.value(b.pred, b.arity).constraints
                                for b in clause.body])
-    space = canonical_args(clause.head_atom.arity)
+    space = canonical_args(clause.head.arity)
     return Polyhedron.bottom(space) if got is None else Polyhedron.of(space, got)
 
 
@@ -164,14 +119,11 @@ def compute_thresholds(program: Program) -> ThresholdSet:
     For every clause, the bounds its own constraint implies on its head's
     arguments: the atoms of its simplified consequence with every body atom
     at top. Atoms are kept per head predicate, without duplicates, in clause
-    order. Only widening reads them, so here the clauses are only grouped by
-    head predicate; a predicate's bounds are mined the first time they are
-    asked for (see `_MinedBounds`), and kept.
+    order. Only widening reads them, so a predicate's bounds are mined from
+    its clauses in `program.by_head` the first time they are asked for (see
+    `_MinedBounds`), and kept.
     """
-    by_pred: Dict[str, List[Clause]] = {}
-    for cl in program.clauses:
-        by_pred.setdefault(cl.head_atom.pred, []).append(cl)
-    return ThresholdSet(_MinedBounds(by_pred))
+    return ThresholdSet(_MinedBounds(program.by_head))
 
 
 def _head_bounds(clauses: Sequence[Clause]) -> Tuple[LinearConstraint, ...]:
@@ -191,8 +143,8 @@ class _MinedBounds(Mapping[str, Tuple[LinearConstraint, ...]]):
     """Head predicate -> `_head_bounds` of its clauses, each computed on
     first lookup and memoised."""
 
-    def __init__(self, by_pred: Dict[str, List[Clause]]) -> None:
-        self._clauses = by_pred
+    def __init__(self, by_head: Mapping[str, Sequence[Clause]]) -> None:
+        self._clauses = by_head
         self._bounds: Dict[str, Tuple[LinearConstraint, ...]] = {}
 
     def __getitem__(self, pred: str) -> Tuple[LinearConstraint, ...]:
@@ -215,8 +167,11 @@ MAX_ITERATIONS = 1000
 
 
 def analyze(program: Program, thresholds: Optional[ThresholdSet] = None
-            ) -> Tuple[AbstractModel, WitnessTable]:
-    """Over-approximate the least model; record how facts first grew.
+            ) -> Tuple[AbstractModel, Dict[str, Clause]]:
+    """Over-approximate the least model; keep each predicate's first clause.
+
+    Returns the model and, for every predicate that became non-empty, the
+    clause whose contribution first made it so.
 
     Raises ResourceLimitError if an SCC fails to stabilise within
     `MAX_ITERATIONS` rounds (cannot happen with widening enabled unless the
@@ -230,12 +185,7 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None
     values: Dict[str, Polyhedron] = {
         p: Polyhedron.bottom(canonical_args(a))
         for p, a in program.predicates.items()}
-    witness = WitnessTable()
-    first_steps: Dict[str, int] = {}
-
-    by_pred: Dict[str, List[Clause]] = {}
-    for cl in program.clauses:
-        by_pred.setdefault(cl.head_atom.pred, []).append(cl)
+    first: Dict[str, Clause] = {}
 
     # Semi-naive: per clause, the body versions it was last evaluated under.
     version: Dict[str, int] = dict.fromkeys(values, 0)
@@ -256,7 +206,7 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None
                 old = values[pred]
                 joined = Polyhedron.bottom(old.space)
                 grower: Optional[Clause] = None
-                for cl in by_pred.get(pred, ()):
+                for cl in program.clauses_for(pred):
                     stamp = tuple(snapshot_version[b.pred] for b in cl.body)
                     if evaluated.get(cl) == stamp:
                         continue
@@ -276,12 +226,10 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None
                     new = old.widen_upto(new, thresholds.for_pred(pred))
                 values[pred] = new
                 version[pred] += 1
-                children = [(b.pred, first_steps[b.pred]) for b in grower.body]
-                ev = witness.record(pred, grower, children)
-                first_steps.setdefault(pred, ev.step)
+                first.setdefault(pred, grower)
             if version == snapshot_version:
                 break
-    return AbstractModel(values), witness
+    return AbstractModel(values), first
 
 
 def check_safety(model: AbstractModel) -> bool:
@@ -296,20 +244,15 @@ def is_inductive_model(program: Program, model: AbstractModel) -> bool:
     produced.
     """
     for cl in program.clauses:
-        head = cl.head_atom
         contrib = _contribution(cl, model)
-        if not contrib.leq(model.value(head.pred, head.arity)):
+        if not contrib.leq(model.value(cl.head.pred, cl.head.arity)):
             return False
     return True
 
 
 def model_to_text(model: AbstractModel, program: Program) -> str:
     """Non-bottom facts as numbered clauses, in head-appearance order."""
-    order: List[str] = []
-    for cl in program.clauses:
-        pred = cl.head_atom.pred
-        if pred not in order:
-            order.append(pred)
+    order = list(program.by_head)
     for pred in sorted(model.facts):
         if pred not in order:
             order.append(pred)

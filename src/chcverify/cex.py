@@ -15,10 +15,9 @@ subtree below it while remaining inconsistent with the rest of the tree.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .chc_ast import Atom, Clause, FreshNames, Program, Var
-from .analysis import WitnessTable
 from .linalg import (
     FALSE_CONSTRAINT,
     ConstraintSet,
@@ -46,23 +45,22 @@ class TraceTerm:
         return 1 + sum(c.size() for c in self.children)
 
 
-def extract_trace(witness: WitnessTable, pred: str = "false") -> TraceTerm:
-    """The earliest recorded derivation of `pred` as a trace term.
+def extract_trace(first: Mapping[str, Clause], pred: str = "false"
+                  ) -> TraceTerm:
+    """The first derivation of `pred` that `analyze` found, as a trace term.
 
-    Follows each event's children to that predicate's first growth event,
-    which happened strictly earlier, so the recursion terminates.
+    `first` maps each predicate to the clause that first made it non-empty
+    (the second result of `analyze`). Each body atom is expanded with its
+    own predicate's first clause. That clause was kept before the one
+    whose body names it, so the recursion terminates.
     """
-    first = witness.first(pred)
-    if first is None:
+    if pred not in first:
         raise ValueError(f"no derivation of {pred} was recorded")
 
-    def expand(ev) -> TraceTerm:
-        return TraceTerm(
-            ev.clause_id,
-            tuple(expand(witness.at_step(p, s)) for p, s in ev.children),
-        )
+    def expand(cl: Clause) -> TraceTerm:
+        return TraceTerm(cl.id, tuple(expand(first[b.pred]) for b in cl.body))
 
-    return expand(first)
+    return expand(first[pred])
 
 
 @dataclass(frozen=True)
@@ -91,13 +89,13 @@ def build_and_tree(program: Program, trace: TraceTerm) -> AndNode:
                 f"{cl.id} with {len(cl.body)} body atoms")
         mapping = {v: fresh.fresh() for v in sorted(cl.variables())}
         if target is not None:
-            if cl.is_false_head() or cl.head_atom.pred != target.pred:
+            if cl.head.pred != target.pred:
                 raise ValueError(
                     f"clause {cl.id} does not define {target.pred}")
-            for formal, actual in zip(cl.head_atom.args, target.args):
+            for formal, actual in zip(cl.head.args, target.args):
                 mapping[formal] = actual
         renamed = cl.rename(mapping)
-        atom = target if target is not None else renamed.head_atom
+        atom = target if target is not None else renamed.head
         children = tuple(
             build(sub, renamed.body[i])
             for i, sub in enumerate(term.children))

@@ -7,9 +7,9 @@ surface syntax (see `parse_program`); atom arguments are normalised so that
 every atom carries distinct variables, with constants and repeats compiled
 into fresh variables plus equality constraints.
 
-The extended input form additionally allows a constraint as clause head
-("X = Y :- p(X, Y)"); `normalize_integrity` rewrites such clauses into FALSE
-clauses by negating the head.
+The surface syntax also allows a constraint as clause head
+("X = Y :- p(X, Y)"). The parser rewrites such an integrity constraint into
+`false` clauses by negating the head, so every parsed head is an atom.
 """
 
 from __future__ import annotations
@@ -31,7 +31,6 @@ __all__ = [
     "FreshNames",
     "parse_program",
     "parse_clause",
-    "normalize_integrity",
     "rename_apart",
     "dependency_graph",
     "program_text",
@@ -72,42 +71,30 @@ FALSE = Atom("false", ())
 class Clause:
     """One constrained Horn clause.
 
-    `head` is an Atom (FALSE for integrity constraints) or, transiently in
-    the extended input form, a LinearConstraint that `normalize_integrity`
-    removes. Atom heads always carry pairwise distinct variables.
+    `head` is an Atom, FALSE for an integrity constraint. Every atom, head
+    and body alike, carries pairwise distinct variables.
     """
 
     id: str
-    head: Union[Atom, LinearConstraint]
+    head: Atom
     constraint: ConstraintSet
     body: Tuple[Atom, ...]
 
-    @property
-    def head_atom(self) -> Atom:
-        if not isinstance(self.head, Atom):
-            raise TypeError(f"clause {self.id} has a constraint head")
-        return self.head
-
     def is_false_head(self) -> bool:
-        return isinstance(self.head, Atom) and self.head == FALSE
+        return self.head == FALSE
 
     def variables(self) -> Set[Var]:
         out: Set[Var] = set(self.constraint.variables())
-        if isinstance(self.head, Atom):
-            out.update(self.head.args)
-        else:
-            out.update(self.head.variables())
+        out.update(self.head.args)
         for b in self.body:
             out.update(b.args)
         return out
 
     def rename(self, mapping: Mapping[Var, Var], new_id: Optional[str] = None
                ) -> "Clause":
-        head = (self.head.rename(mapping) if isinstance(self.head, Atom)
-                else self.head.rename(dict(mapping)))
         return Clause(
             new_id if new_id is not None else self.id,
-            head,
+            self.head.rename(mapping),
             self.constraint.rename(dict(mapping)),
             tuple(b.rename(mapping) for b in self.body),
         )
@@ -115,23 +102,29 @@ class Clause:
 
 @dataclass(frozen=True)
 class Program:
-    """An immutable clause list with consistent predicate arities."""
+    """An immutable clause list with atom heads and consistent predicate
+    arities."""
 
     clauses: Tuple[Clause, ...]
     # Predicate -> arity, in order of first occurrence (body atoms first).
     predicates: Dict[str, int] = field(init=False, repr=False, compare=False)
+    # Head predicate -> its clauses in clause order, and id -> clause.
+    by_head: Dict[str, Tuple[Clause, ...]] = field(
+        init=False, repr=False, compare=False)
+    by_id: Dict[str, Clause] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         arities: Dict[str, int] = {}
-        ids: Set[str] = set()
+        by_head: Dict[str, List[Clause]] = {}
+        by_id: Dict[str, Clause] = {}
         for cl in self.clauses:
-            if cl.id in ids:
+            if cl.id in by_id:
                 raise ValueError(f"duplicate clause id {cl.id!r}")
-            ids.add(cl.id)
-            atoms = list(cl.body)
-            if isinstance(cl.head, Atom):
-                atoms.append(cl.head)
-            for at in atoms:
+            by_id[cl.id] = cl
+            if not isinstance(cl.head, Atom):
+                raise ValueError(f"clause {cl.id}: the head must be an atom")
+            by_head.setdefault(cl.head.pred, []).append(cl)
+            for at in cl.body + (cl.head,):
                 if at.pred == FALSE.pred and at is not cl.head:
                     raise ValueError(f"clause {cl.id}: false cannot occur in a body")
                 if len(set(at.args)) != len(at.args):
@@ -145,16 +138,15 @@ class Program:
                     raise ValueError(
                         f"predicate {at.pred} used with arities {seen} and {at.arity}")
         object.__setattr__(self, "predicates", arities)
+        object.__setattr__(
+            self, "by_head", {p: tuple(cls) for p, cls in by_head.items()})
+        object.__setattr__(self, "by_id", by_id)
 
     def clauses_for(self, pred: str) -> Tuple[Clause, ...]:
-        return tuple(cl for cl in self.clauses
-                     if isinstance(cl.head, Atom) and cl.head.pred == pred)
+        return self.by_head.get(pred, ())
 
     def clause(self, clause_id: str) -> Clause:
-        for cl in self.clauses:
-            if cl.id == clause_id:
-                return cl
-        raise KeyError(clause_id)
+        return self.by_id[clause_id]
 
 
 class FreshNames:
@@ -165,7 +157,7 @@ class FreshNames:
         self._prefix = prefix
         self._next = 1
 
-    def fresh(self, hint: str = "") -> Var:
+    def fresh(self) -> Var:
         while True:
             name = f"{self._prefix}{self._next}"
             self._next += 1
@@ -357,34 +349,41 @@ def _arg_to_var(coeffs: Dict[str, _Num], const: _Num, seen: List[Var],
 
 
 def parse_clause(text: str, clause_id: str = "c1") -> Clause:
-    """Parse a single clause given as text (label not allowed here)."""
+    """Parse a single clause given as text (label not allowed here).
+
+    Raises ParseError when the text is an integrity constraint with an
+    equality head, which stands for two clauses.
+    """
     tokens = _tokenize(text)
     var_pool = {t[1] for t in tokens if t[0] == "name"}
     parser = _Parser(tokens)
-    cl = _parse_clause(parser, clause_id, var_pool)
+    clauses = _parse_clause(parser, clause_id, var_pool)
     if not parser.at_end():
         raise ParseError("trailing input after clause")
-    return cl
+    if len(clauses) != 1:
+        raise ParseError("an equality head gives two clauses")
+    return clauses[0]
 
 
-def _parse_clause(parser: _Parser, clause_id: str, var_pool: Set[str]) -> Clause:
+def _parse_clause(parser: _Parser, clause_id: str, var_pool: Set[str]
+                  ) -> List[Clause]:
+    """One clause, or for a constraint head `phi :- C, B` one clause
+    `false :- not_i(phi), C, B` per disjunct of the negation of phi: the
+    same id for an inequality head, suffixes .1 and .2 for an equality."""
     fresh = FreshNames(avoid=var_pool)
     extra: List[LinearConstraint] = []
-    head: Union[Atom, LinearConstraint]
+    head = FALSE
+    phi: Optional[LinearConstraint] = None
     tok = parser.peek()
     if tok is _END:
         raise ParseError("expected a clause")
     if tok[0] == "name" and tok[1] == "false":
         parser.next()
-        head = FALSE
-    elif tok[0] == "name" and not _is_variable(tok[1]):
-        nxt = parser.peek(1)
-        if nxt[1] in ("(", ".", ":-"):
-            head = parser.parse_atom(fresh, extra)
-        else:
-            head = parser.parse_constraint()
+    elif (tok[0] == "name" and not _is_variable(tok[1])
+          and parser.peek(1)[1] in ("(", ".", ":-")):
+        head = parser.parse_atom(fresh, extra)
     else:
-        head = parser.parse_constraint()
+        phi = parser.parse_constraint()
     constraints: List[LinearConstraint] = []
     body: List[Atom] = []
     tok = parser.next()
@@ -402,8 +401,13 @@ def _parse_clause(parser: _Parser, clause_id: str, var_pool: Set[str]) -> Clause
                 raise ParseError(f"expected ',' or '.', found {tok[1]!r}")
     elif tok[1] != ".":
         raise ParseError(f"expected ':-' or '.', found {tok[1]!r}")
-    return Clause(clause_id, head, ConstraintSet.make(constraints + extra),
-                  tuple(body))
+    cs = ConstraintSet.make(constraints + extra)
+    if phi is None:
+        return [Clause(clause_id, head, cs, tuple(body))]
+    negs = phi.negations()
+    return [Clause(clause_id if len(negs) == 1 else f"{clause_id}.{i}",
+                   FALSE, cs.add(neg), tuple(body))
+            for i, neg in enumerate(negs, 1)]
 
 
 def parse_program(text: str) -> Program:
@@ -411,7 +415,8 @@ def parse_program(text: str) -> Program:
 
     Clause ids come from an optional leading label of the form "cN."; clauses
     without one are numbered c1, c2, ... in file order (a numbering conflict
-    with explicit labels is an error, caught as a duplicate id).
+    with explicit labels is an error, caught as a duplicate id). A constraint
+    head is rewritten into `false` clauses (see `_parse_clause`).
     """
     tokens = _tokenize(text)
     # The variable pool must avoid every name in the file so generated
@@ -431,34 +436,9 @@ def parse_program(text: str) -> Program:
             parser.next()
         if label is None:
             label = f"c{auto}"
-        clauses.append(_parse_clause(parser, label, var_pool))
+        clauses.extend(_parse_clause(parser, label, var_pool))
         auto += 1
     return Program(tuple(clauses))
-
-
-# ---------------------------------------------------------------------------
-# Integrity constraint normalisation.
-# ---------------------------------------------------------------------------
-
-
-def normalize_integrity(program: Program) -> Program:
-    """Rewrite constraint-headed clauses  phi :- C, B  into FALSE clauses.
-
-    Each disjunct of the negation of phi yields one clause
-    `false :- not_i(phi), C, B`; an equality head therefore produces two
-    clauses (suffixes .1, .2 on the clause id). Atom-headed clauses pass
-    through unchanged.
-    """
-    out: List[Clause] = []
-    for cl in program.clauses:
-        if isinstance(cl.head, Atom):
-            out.append(cl)
-            continue
-        negs = cl.head.negations()
-        for i, neg in enumerate(negs, 1):
-            new_id = cl.id if len(negs) == 1 else f"{cl.id}.{i}"
-            out.append(Clause(new_id, FALSE, cl.constraint.add(neg), cl.body))
-    return Program(tuple(out))
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +520,6 @@ def dependency_graph(program: Program) -> DependencyGraph:
     nodes = sorted(program.predicates)
     edges = set()
     for cl in program.clauses:
-        if not isinstance(cl.head, Atom):
-            raise ValueError("dependency graph requires a normalised program")
         for b in cl.body:
             edges.add((cl.head.pred, b.pred))
     return DependencyGraph(tuple(nodes), frozenset(edges))

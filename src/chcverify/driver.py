@@ -2,10 +2,10 @@
 
 Each round first specialises the program with the answer constraints of its
 query-answer transform (constraint propagation), then runs the polyhedral
-analysis.  A safe model ends the run; otherwise the earliest derivation of
-`false` is replayed as an AND-tree.  Feasible trees are real counterexamples;
-spurious ones drive one round of interpolant-guided predicate splitting, and
-the loop starts over on the specialised program.
+analysis.  A safe model ends the run; otherwise the first derivation of
+`false` that the analysis found is replayed as an AND-tree.  Feasible trees
+are real counterexamples; spurious ones drive one round of interpolant-guided
+predicate splitting, and the loop starts over on the specialised program.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .analysis import (
     model_to_text,
 )
 from .cex import TraceTerm, build_and_tree, extract_trace, feasible, tree_interpolants
-from .chc_ast import FALSE, ParseError, Program, normalize_integrity, parse_program, program_text
+from .chc_ast import FALSE, ParseError, Program, parse_program, program_text
 from .linalg import ResourceLimitError, fm_limit, reset_caches
 from .qa import qa_transform
 from .refine import polyvariant_specialise, split_facts
@@ -94,7 +94,6 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     cfg = config or Config()
     reset_caches()
     events: List[str] = []
-    program = normalize_integrity(program)
     rounds = 0
     token = fm_limit.set(cfg.fm_step_limit)
     try:
@@ -117,13 +116,13 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
                 model, _ = analyze(program)
                 return _safe(rounds, events, program, model)
             thresholds = compute_thresholds(program) if cfg.use_thresholds else None
-            model, witness = analyze(program, thresholds)
+            model, first = analyze(program, thresholds)
             _dump(cfg, f"round{rounds}.model", "model", model_to_text, model,
                   program)
             if check_safety(model):
                 events.append(f"round {rounds}: model proves false unreachable")
                 return _safe(rounds, events, program, model)
-            trace = extract_trace(witness)
+            trace = extract_trace(first)
             tree = build_and_tree(program, trace)
             if feasible(tree):
                 events.append(f"round {rounds}: counterexample {trace} is feasible")

@@ -55,7 +55,7 @@ def bounded_derive(program: Program, goal: Atom, depth: int
                 full = instantiate(cl, [answer for _, answer in combo])
                 if full is None:
                     continue
-                head_args = cl.head_atom.args
+                head_args = cl.head.args
                 answer = simplify(project(full, head_args)).rename(
                     dict(zip(head_args, canonical_args(len(head_args)))))
                 produced += 1

@@ -62,7 +62,7 @@ def qa_transform(program: Program, goal: Atom) -> Program:
     out: List[Clause] = [
         Clause("goal", q(goal), ConstraintSet.make(()), ())]
     for cl in program.clauses:
-        head = cl.head_atom
+        head = cl.head
         answers = tuple(a(b) for b in cl.body)
         out.append(Clause(f"{cl.id}_ans", a(head), cl.constraint,
                           (q(head),) + answers))

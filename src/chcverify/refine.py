@@ -134,7 +134,7 @@ def polyvariant_specialise(program: Program, split: SplitModel
 
     def specialise_clause(cl: Clause, head_version: Optional[int]) -> None:
         head_cell = (None if head_version is None else
-                     cell_of(cl.head_atom.pred, head_version).constraints)
+                     cell_of(cl.head.pred, head_version).constraints)
         known = instantiate(
             cl, [split.wholes[b.pred].constraints for b in cl.body], head_cell)
         if known is None:
@@ -145,8 +145,8 @@ def polyvariant_specialise(program: Program, split: SplitModel
         suffix = [k + 1 for k in choices]
         if head_version is not None:
             suffix.insert(0, head_version + 1)
-            head: Atom = Atom(names[(cl.head_atom.pred, head_version)],
-                              cl.head_atom.args)
+            head: Atom = Atom(names[(cl.head.pred, head_version)],
+                              cl.head.args)
         else:
             head = FALSE
         new_id = cl.id + "".join(f"_{n}" for n in suffix)
@@ -162,9 +162,8 @@ def polyvariant_specialise(program: Program, split: SplitModel
                 defined.add((b.pred, k))
                 work.append((b.pred, k))
 
-    for cl in program.clauses:
-        if cl.is_false_head():
-            specialise_clause(cl, None)
+    for cl in program.clauses_for(FALSE.pred):
+        specialise_clause(cl, None)
     while work:
         pred, k = work.popleft()
         for cl in program.clauses_for(pred):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import List
 
 from .analysis import AbstractModel, instantiate
-from .chc_ast import Clause, Program
+from .chc_ast import FALSE, Clause, Program
 from .linalg import TRUE, simplify
 from .qa import answer_pred
 
@@ -31,7 +31,7 @@ def strengthen(program: Program, qa_model: AbstractModel) -> Program:
     """
     out: List[Clause] = []
     for cl in program.clauses:
-        head = cl.head_atom
+        head = cl.head
         head_answer = qa_model.value(answer_pred(head.pred), head.arity)
         if head_answer.is_bottom:
             continue
@@ -49,4 +49,4 @@ def strengthen(program: Program, qa_model: AbstractModel) -> Program:
 
 def early_safe(program: Program) -> bool:
     """True iff no integrity clause remains, which proves safety outright."""
-    return not any(cl.is_false_head() for cl in program.clauses)
+    return not program.clauses_for(FALSE.pred)

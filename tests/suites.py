@@ -271,9 +271,9 @@ def run_suite_c(n_cases=210, seed=303):
                 and not goal.body and len(goal.constraint) == 0, f"{tag}: goal clause"
             for cl in prog.clauses:
                 ans = qa.clause(f"{cl.id}_ans")
-                assert ans.head.pred == cl.head_atom.pred + "__a", f"{tag}: answer head"
+                assert ans.head.pred == cl.head.pred + "__a", f"{tag}: answer head"
                 assert [b.pred for b in ans.body] == \
-                    [cl.head_atom.pred + "__q"] + \
+                    [cl.head.pred + "__q"] + \
                     [b.pred + "__a" for b in cl.body], f"{tag}: answer body"
                 for i in range(len(cl.body)):
                     qcl = qa.clause(f"{cl.id}_q{i + 1}")
@@ -365,10 +365,10 @@ def _check_pipeline_interpolants(rng, tag):
     spec = strengthen(prog, qa_model)
     if not any(cl.is_false_head() for cl in spec.clauses):
         return 0
-    model, witness = analyze(spec, compute_thresholds(spec))
+    model, first = analyze(spec, compute_thresholds(spec))
     if check_safety(model):
         return 0
-    trace = extract_trace(witness)
+    trace = extract_trace(first)
     tree = build_and_tree(spec, trace)
     if feasible(tree):
         return 0
@@ -402,9 +402,9 @@ def _check_constructed_spurious(rng, tag):
     qa = qa_transform(prog, FALSE)
     qa_model, _ = analyze(qa, compute_thresholds(qa))
     spec = strengthen(prog, qa_model)
-    model, witness = analyze(spec, compute_thresholds(spec))
+    model, first = analyze(spec, compute_thresholds(spec))
     assert not check_safety(model), f"{tag}: hull unexpectedly avoids the gap"
-    tree = build_and_tree(spec, extract_trace(witness))
+    tree = build_and_tree(spec, extract_trace(first))
     assert not feasible(tree), f"{tag}: off-grid point claimed reachable"
     interp = tree_interpolants(tree)
     return check_tree_interpolant_conditions(tree, interp, tag)

@@ -34,8 +34,8 @@ def first_round():
     qa = qa_transform(prog, FALSE)
     qa_model, _ = analyze(qa, compute_thresholds(qa))
     spec = strengthen(prog, qa_model)
-    model, witness = analyze(spec, compute_thresholds(spec))
-    return prog, spec, model, witness
+    model, first = analyze(spec, compute_thresholds(spec))
+    return prog, spec, model, first
 
 
 def test_two_counter_loop_unsafe_in_exactly_one_refinement():
@@ -50,16 +50,16 @@ def test_two_counter_loop_unsafe_in_exactly_one_refinement():
 
 
 def test_first_round_counterexample_is_c1_c3_and_spurious():
-    _, spec, model, witness = first_round()
+    _, spec, model, first = first_round()
     assert not check_safety(model)
-    trace = extract_trace(witness)
+    trace = extract_trace(first)
     assert str(trace) == "c1(c3)"
     assert not feasible(build_and_tree(spec, trace))
 
 
 def test_loop_interpolant_satisfies_the_three_conditions():
-    _, spec, model, witness = first_round()
-    tree = build_and_tree(spec, extract_trace(witness))
+    _, spec, model, first = first_round()
+    tree = build_and_tree(spec, extract_trace(first))
     interp = tree_interpolants(tree)
     assert len(interp.facts) == 1
     (atom, _), = interp.facts

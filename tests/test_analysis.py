@@ -1,9 +1,7 @@
-"""Fixpoint analysis: models, widening behavior, witness bookkeeping."""
+"""Fixpoint analysis: models, widening behavior, first derivations."""
 
 import random
 from collections import Counter
-
-import pytest
 
 from conftest import random_program
 from chcverify import analysis
@@ -113,40 +111,40 @@ class TestSemiNaive:
 
 class TestWitness:
     def test_t4_growth_events(self):
-        # step 4 widens l from D - A =< 1 towards D - A =< 2; no threshold
-        # of l holds there, so l goes to top at once
+        # the clause that first made each predicate non-empty; l's later
+        # growth through c2 (and its widening to top) is not kept
         prog = parse_program(T4)
-        _, witness = analyze(prog, compute_thresholds(prog))
-        rows = [(ev.step, ev.pred, ev.clause_id, ev.children)
-                for ev in witness.all_events()]
-        assert rows == [
-            (1, "l_body", "c5", ()),
-            (2, "l", "c3", ()),
-            (3, "l", "c2", (("l_body", 1), ("l", 2))),
-            (4, "l", "c2", (("l_body", 1), ("l", 2))),
-            (5, "false", "c1", (("l", 2),)),
-        ]
+        _, first = analyze(prog, compute_thresholds(prog))
+        assert {p: cl.id for p, cl in first.items()} == {
+            "l_body": "c5", "l": "c3", "false": "c1"}
 
-    def test_children_point_strictly_backwards(self):
-        prog = parse_program(T4)
-        _, witness = analyze(prog, compute_thresholds(prog))
-        for ev in witness.all_events():
-            for _, step in ev.children:
-                assert step < ev.step
+    def test_body_predicates_are_recorded_first(self):
+        # what makes `extract_trace` terminate: a first clause's body
+        # predicates all have first clauses, kept before it
+        progs = [parse_program(T4)]
+        for attempt in range(1, 51):
+            rng = random.Random(606 * 1_000_000 + attempt)
+            prog = random_program(rng, max_clauses=5)
+            progs += [prog, qa_transform(prog, FALSE)]
+        for prog in progs:
+            _, first = analyze(prog, compute_thresholds(prog))
+            order = list(first)
+            for pred, cl in first.items():
+                assert cl.head.pred == pred
+                for b in cl.body:
+                    assert order.index(b.pred) < order.index(pred)
 
     def test_lookup(self):
         prog = parse_program(T4)
-        _, witness = analyze(prog, compute_thresholds(prog))
-        assert witness.first("false").clause_id == "c1"
-        assert witness.first("nothing") is None
-        assert witness.at_step("l", 2).clause_id == "c3"
-        with pytest.raises(KeyError):
-            witness.at_step("l", 99)
+        _, first = analyze(prog, compute_thresholds(prog))
+        assert first["false"] is prog.clause("c1")
+        assert first["l"] is prog.clause("c3")
+        assert "nothing" not in first
 
     def test_safe_program_never_grows_false(self):
         prog = parse_program(SAFE_COUNTER)
-        _, witness = analyze(prog, compute_thresholds(prog))
-        assert witness.first("false") is None
+        _, first = analyze(prog, compute_thresholds(prog))
+        assert "false" not in first
 
 
 class TestThresholds:
@@ -203,7 +201,7 @@ class TestLazyThresholds:
         head_bounds = analysis._head_bounds
 
         def counting(clauses):
-            calls[clauses[0].head_atom.pred] += 1
+            calls[clauses[0].head.pred] += 1
             return head_bounds(clauses)
 
         monkeypatch.setattr(analysis, "_head_bounds", counting)

@@ -41,8 +41,8 @@ def t4_spurious():
     qa = qa_transform(prog, FALSE)
     qa_model, _ = analyze(qa, compute_thresholds(qa))
     spec = strengthen(prog, qa_model)
-    _, witness = analyze(spec, compute_thresholds(spec))
-    return spec, witness
+    _, first = analyze(spec, compute_thresholds(spec))
+    return spec, first
 
 
 class TestTraces:
@@ -51,27 +51,27 @@ class TestTraces:
         assert str(t) == "c1(c2(c5,c3))"
 
     def test_t4_trace_replays_the_earliest_events(self):
-        _, witness = t4_spurious()
-        assert str(extract_trace(witness)) == "c1(c3)"
+        _, first = t4_spurious()
+        assert str(extract_trace(first)) == "c1(c3)"
 
     def test_missing_derivation_is_an_error(self):
         prog = parse_program(
             "p(X) :- 1*X = 0.\nfalse :- 1*X < 0, p(X).")
-        _, witness = analyze(prog)
+        _, first = analyze(prog)
         with pytest.raises(ValueError, match="no derivation of false"):
-            extract_trace(witness)
-        assert str(extract_trace(witness, pred="p")) == "c1"
+            extract_trace(first)
+        assert str(extract_trace(first, pred="p")) == "c1"
 
 
 class TestAndTrees:
     def test_nodes_carry_renamed_clauses_with_shared_interfaces(self):
-        spec, witness = t4_spurious()
-        tree = build_and_tree(spec, extract_trace(witness))
+        spec, first = t4_spurious()
+        tree = build_and_tree(spec, extract_trace(first))
         assert tree.atom == FALSE
         (leaf,) = tree.children
         assert leaf.atom.pred == "l"
         # the child's head arguments are exactly the parent's call arguments
-        assert leaf.clause.head_atom.args == leaf.atom.args
+        assert leaf.clause.head.args == leaf.atom.args
         body_atom = tree.clause.body[0]
         assert body_atom.args == leaf.atom.args
 
@@ -117,8 +117,8 @@ class TestAndTrees:
         assert feasible(tree)
 
     def test_t4_first_counterexample_is_spurious(self):
-        spec, witness = t4_spurious()
-        tree = build_and_tree(spec, extract_trace(witness))
+        spec, first = t4_spurious()
+        tree = build_and_tree(spec, extract_trace(first))
         assert not feasible(tree)
 
 
@@ -145,8 +145,8 @@ class TestInterpolation:
 
 class TestTreeInterpolants:
     def test_t4_interpolant_bounds_the_loop_counter(self):
-        spec, witness = t4_spurious()
-        tree = build_and_tree(spec, extract_trace(witness))
+        spec, first = t4_spurious()
+        tree = build_and_tree(spec, extract_trace(first))
         interp = tree_interpolants(tree)
         assert len(interp.facts) == 1
         (atom, cs), = interp.facts

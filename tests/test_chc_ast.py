@@ -14,7 +14,6 @@ from chcverify.chc_ast import (
     ParseError,
     Program,
     dependency_graph,
-    normalize_integrity,
     parse_clause,
     parse_program,
     program_text,
@@ -38,7 +37,7 @@ class TestParser:
     def test_clause_labels_and_order(self):
         prog = parse_program(T4)
         assert [cl.id for cl in prog.clauses] == ["c1", "c2", "c3", "c4", "c5", "c6"]
-        assert prog.clause("c5").head_atom.pred == "l_body"
+        assert prog.clause("c5").head.pred == "l_body"
         with pytest.raises(KeyError):
             prog.clause("c99")
 
@@ -93,6 +92,7 @@ PARSE_ERRORS = [
     (parse_clause, "", "expected a clause"),
     (parse_program, "p(X) :- 1*X = 0 q(X).", "expected ',' or '.', found 'q'"),
     (parse_program, "p(X) q(X).", "expected ':-' or '.', found 'q'"),
+    (parse_clause, "1*X = 0 :- p(X).", "an equality head gives two clauses"),
 ]
 
 
@@ -145,6 +145,13 @@ class TestProgramValidation:
         with pytest.raises(ValueError):
             Program((a, b))
 
+    def test_constraint_head_rejected(self):
+        # only the parser rewrites integrity constraints
+        cl = Clause("c1", C({"X": 1}, LE, 5), ConstraintSet.make([]),
+                    (Atom("p", ("X",)),))
+        with pytest.raises(ValueError, match="head must be an atom"):
+            Program((cl,))
+
     def test_duplicate_clause_ids_rejected(self):
         a = Clause("c1", Atom("p", ("X",)), ConstraintSet.make([]), ())
         with pytest.raises(ValueError):
@@ -161,25 +168,29 @@ class TestProgramValidation:
 
 
 class TestNormalizeIntegrity:
+    """The parser turns `phi :- C, B` into `false :- not_i(phi), C, B`."""
+
     def test_atom_heads_pass_through(self):
         prog = parse_program(T4)
-        assert normalize_integrity(prog) == prog
+        assert all(isinstance(cl.head, Atom) for cl in prog.clauses)
+        mixed = parse_program("c1. 1*X =< 5 :- p(X).\nc2. p(X) :- 1*X = 0.")
+        assert mixed.clause("c2") == parse_clause("p(X) :- 1*X = 0.", "c2")
 
     def test_inequality_head_negates_into_one_goal(self):
-        head = C({"X": 1}, LE, 5)
-        cl = Clause("c1", head, ConstraintSet.make([]), (Atom("p", ("X",)),))
-        defn = Clause("c2", Atom("p", ("X",)), ConstraintSet.make([]), ())
-        out = normalize_integrity(Program((cl, defn)))
-        goals = [c for c in out.clauses if c.is_false_head()]
+        prog = parse_program("c1. 1*X =< 5 :- p(X).\nc2. p(X).")
+        goals = [c for c in prog.clauses if c.is_false_head()]
         assert len(goals) == 1 and goals[0].id == "c1"
         assert tuple(goals[0].constraint) == (C({"X": -1}, LT, -5),)
+        assert goals[0].body == (Atom("p", ("X",)),)
+        assert parse_clause("1*X =< 5 :- p(X).") == goals[0]
 
     def test_equality_head_splits_into_two_goals(self):
-        head = C({"X": 1}, EQ, 0)
-        cl = Clause("c1", head, ConstraintSet.make([]), (Atom("p", ("X",)),))
-        defn = Clause("c2", Atom("p", ("X",)), ConstraintSet.make([]), ())
-        out = normalize_integrity(Program((cl, defn)))
-        assert [c.id for c in out.clauses if c.is_false_head()] == ["c1.1", "c1.2"]
+        prog = parse_program("c1. 1*X = 0 :- p(X).\nc2. p(X).")
+        goals = [c for c in prog.clauses if c.is_false_head()]
+        assert [c.id for c in goals] == ["c1.1", "c1.2"]
+        assert [tuple(c.constraint) for c in goals] == [
+            (C({"X": 1}, LT, 0),), (C({"X": -1}, LT, 0),)]
+        assert [c.id for c in prog.clauses] == ["c1.1", "c1.2", "c2"]
 
 
 class TestRenaming:

@@ -28,7 +28,7 @@ def test_goal_clause_comes_first_and_is_a_fact():
     qa = qa_transform(parse_program(T4), FALSE)
     goal = qa.clauses[0]
     assert goal.id == "goal"
-    assert goal.head_atom.pred == "false__q"
+    assert goal.head.pred == "false__q"
     assert goal.body == () and len(goal.constraint) == 0
 
 
@@ -44,23 +44,23 @@ def test_answer_clause_keeps_body_order_behind_the_head_query():
     ans = qa.clause("c2_ans")
     assert [a.pred for a in ans.body] == ["l__q", "l_body__a", "l__a"]
     # the head query uses the head's own argument tuple
-    assert ans.body[0].args == ans.head_atom.args
+    assert ans.body[0].args == ans.head.args
 
 
 def test_query_clause_for_atom_k_sees_answers_of_atoms_before_it():
     qa = qa_transform(parse_program(T4), FALSE)
     q1 = qa.clause("c2_q1")
-    assert q1.head_atom.pred == "l_body__q"
+    assert q1.head.pred == "l_body__q"
     assert [a.pred for a in q1.body] == ["l__q"]
     q2 = qa.clause("c2_q2")
-    assert q2.head_atom.pred == "l__q"
+    assert q2.head.pred == "l__q"
     assert [a.pred for a in q2.body] == ["l__q", "l_body__a"]
 
 
 def test_queries_start_from_the_requested_predicate():
     prog = parse_program("p(X) :- 1*X = 0.\nq(X) :- p(X).\nfalse :- q(X).")
     qa = qa_transform(prog, Atom("q", ("X",)))
-    assert qa.clauses[0].head_atom.pred == "q__q"
+    assert qa.clauses[0].head.pred == "q__q"
     # only the goal is seeded: every other query variant needs a derivation
     seeds = [cl for cl in qa.clauses if not cl.body and not cl.constraint]
     assert [cl.id for cl in seeds] == ["goal"]

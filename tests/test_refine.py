@@ -28,8 +28,8 @@ def first_round():
     qa = qa_transform(prog, FALSE)
     qa_model, _ = analyze(qa, compute_thresholds(qa))
     spec = strengthen(prog, qa_model)
-    model, witness = analyze(spec, compute_thresholds(spec))
-    tree = build_and_tree(spec, extract_trace(witness))
+    model, first = analyze(spec, compute_thresholds(spec))
+    tree = build_and_tree(spec, extract_trace(first))
     return spec, model, tree_interpolants(tree)
 
 

@@ -42,3 +42,15 @@ def test_every_benchmark_trace_target_resolves():
     missing = [t for t in targets if not _traceable(t)]
     assert not missing, f"benchmark trace targets not found: {missing}"
     assert len(targets) > 20
+
+
+def test_every_exported_name_resolves():
+    # `from chcverify.<module> import *` fails on a name left in `__all__`
+    # after its definition is gone.
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "chcverify" if path.stem == "__init__" else f"chcverify.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
+                    if not hasattr(module, attr)]
+    assert not missing, f"names in __all__ but not defined: {missing}"

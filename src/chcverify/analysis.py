@@ -12,9 +12,10 @@ last evaluated under. A contribution is a pure function of the body values,
 and a predicate's value only grows, so a skipped clause adds nothing; of the
 contributions that are evaluated, only those not already below the value are
 hulled in. The widening thresholds are the head bounds that each clause's own
-constraint implies (`compute_thresholds`). Only widening reads them, so a
-predicate's bounds are mined when it is first widened, and never for a
-predicate that no cyclic component widens.
+constraint implies. They live in a `ThresholdSet` over the program's clauses
+(`compute_thresholds`), which mines a predicate's bounds the first time they
+are asked for. Only widening asks, so a predicate's bounds are mined when it
+is first widened, and never for a predicate that no cyclic component widens.
 
 `instantiate` is the one place where canonical facts are put on a clause's
 atoms, conjoined with its constraint and checked for satisfiability; every
@@ -39,10 +40,11 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 from .chc_ast import Atom, Clause, FALSE, Program, dependency_graph
 from .linalg import (TRUE, ConstraintSet, LinearConstraint, ResourceLimitError,
                      is_satisfiable, project, simplify)
-from .polyhedra import Polyhedron, ThresholdSet, canonical_args
+from .polyhedra import Polyhedron, canonical_args
 
 __all__ = [
     "AbstractModel",
+    "ThresholdSet",
     "instantiate",
     "consequence",
     "compute_thresholds",
@@ -113,17 +115,41 @@ def _contribution(clause: Clause, model: AbstractModel) -> Polyhedron:
     return Polyhedron.bottom(space) if got is None else Polyhedron.of(space, got)
 
 
+class ThresholdSet:
+    """Per-predicate widening thresholds, over canonical argument names.
+
+    `for_pred` mines a predicate's bounds from its clauses (`_head_bounds`)
+    the first time they are asked for, and keeps them; `len` counts them
+    all, mining every predicate not yet mined.
+    """
+
+    def __init__(self, by_head: Mapping[str, Sequence[Clause]]) -> None:
+        self._clauses = by_head
+        self._bounds: Dict[str, Tuple[LinearConstraint, ...]] = {}
+
+    def for_pred(self, pred: str) -> Tuple[LinearConstraint, ...]:
+        got = self._bounds.get(pred)
+        if got is None:
+            clauses = self._clauses.get(pred)
+            if clauses is None:
+                return ()
+            got = self._bounds[pred] = _head_bounds(clauses)
+        return got
+
+    def __len__(self) -> int:
+        return sum(len(self.for_pred(p)) for p in self._clauses)
+
+
 def compute_thresholds(program: Program) -> ThresholdSet:
     """Candidate widening bounds read off the clause constraints.
 
     For every clause, the bounds its own constraint implies on its head's
     arguments: the atoms of its simplified consequence with every body atom
     at top. Atoms are kept per head predicate, without duplicates, in clause
-    order. Only widening reads them, so a predicate's bounds are mined from
-    its clauses in `program.by_head` the first time they are asked for (see
-    `_MinedBounds`), and kept.
+    order. The set is built from `program.by_head` and mines nothing yet:
+    a predicate's bounds are mined when `analyze` first widens it.
     """
-    return ThresholdSet(_MinedBounds(program.by_head))
+    return ThresholdSet(program.by_head)
 
 
 def _head_bounds(clauses: Sequence[Clause]) -> Tuple[LinearConstraint, ...]:
@@ -137,27 +163,6 @@ def _head_bounds(clauses: Sequence[Clause]) -> Tuple[LinearConstraint, ...]:
             if c not in seen:
                 seen.append(c)
     return tuple(seen)
-
-
-class _MinedBounds(Mapping[str, Tuple[LinearConstraint, ...]]):
-    """Head predicate -> `_head_bounds` of its clauses, each computed on
-    first lookup and memoised."""
-
-    def __init__(self, by_head: Mapping[str, Sequence[Clause]]) -> None:
-        self._clauses = by_head
-        self._bounds: Dict[str, Tuple[LinearConstraint, ...]] = {}
-
-    def __getitem__(self, pred: str) -> Tuple[LinearConstraint, ...]:
-        got = self._bounds.get(pred)
-        if got is None:
-            got = self._bounds[pred] = _head_bounds(self._clauses[pred])
-        return got
-
-    def __iter__(self):
-        return iter(self._clauses)
-
-    def __len__(self) -> int:
-        return len(self._clauses)
 
 
 # Rounds of a cyclic component before its predicates are widened.
@@ -180,7 +185,7 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None
     that is widened included.
     """
     if thresholds is None:
-        thresholds = ThresholdSet.empty()
+        thresholds = ThresholdSet({})
     graph = dependency_graph(program)
     values: Dict[str, Polyhedron] = {
         p: Polyhedron.bottom(canonical_args(a))

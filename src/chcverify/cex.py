@@ -104,11 +104,6 @@ def build_and_tree(program: Program, trace: TraceTerm) -> AndNode:
     return build(trace, None)
 
 
-def tr(node: AndNode) -> TraceTerm:
-    """The trace term an AND-tree was built from."""
-    return TraceTerm(node.clause.id, tuple(tr(c) for c in node.children))
-
-
 def tree_constraints(node: AndNode) -> ConstraintSet:
     """Conjunction of every instantiated clause constraint in the tree."""
     rows: List[LinearConstraint] = []

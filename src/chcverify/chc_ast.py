@@ -31,7 +31,6 @@ __all__ = [
     "FreshNames",
     "parse_program",
     "parse_clause",
-    "rename_apart",
     "dependency_graph",
     "program_text",
     "clause_text",
@@ -90,10 +89,9 @@ class Clause:
             out.update(b.args)
         return out
 
-    def rename(self, mapping: Mapping[Var, Var], new_id: Optional[str] = None
-               ) -> "Clause":
+    def rename(self, mapping: Mapping[Var, Var]) -> "Clause":
         return Clause(
-            new_id if new_id is not None else self.id,
+            self.id,
             self.head.rename(mapping),
             self.constraint.rename(dict(mapping)),
             tuple(b.rename(mapping) for b in self.body),
@@ -166,12 +164,6 @@ class FreshNames:
                 return name
 
 
-def rename_apart(clause: Clause, fresh: FreshNames) -> Tuple[Clause, Dict[Var, Var]]:
-    """A variant of `clause` whose variables are all fresh."""
-    mapping = {v: fresh.fresh() for v in sorted(clause.variables())}
-    return clause.rename(mapping), mapping
-
-
 # ---------------------------------------------------------------------------
 # Parsing.
 # ---------------------------------------------------------------------------
@@ -192,7 +184,7 @@ _TOKEN = re.compile(r"""
 _LABEL = re.compile(r"c\d+$")
 
 # The token after the last one. The parser looks at most two tokens past
-# the current one, so three of these end every token list it reads.
+# a real one, so three of these end every token list it reads.
 _END = ("end", "")
 
 
@@ -413,10 +405,12 @@ def _parse_clause(parser: _Parser, clause_id: str, var_pool: Set[str]
 def parse_program(text: str) -> Program:
     """Parse a clause list. Raises ParseError on malformed input.
 
-    Clause ids come from an optional leading label of the form "cN."; clauses
-    without one are numbered c1, c2, ... in file order (a numbering conflict
-    with explicit labels is an error, caught as a duplicate id). A constraint
-    head is rewritten into `false` clauses (see `_parse_clause`).
+    Clause ids come from an optional leading label of the form "cN." or
+    "cN.K." (the ids of a split constraint head, as `program_text` prints
+    them); clauses without one are numbered c1, c2, ... in file order (a
+    numbering conflict with explicit labels is an error, caught as a
+    duplicate id). A constraint head is rewritten into `false` clauses (see
+    `_parse_clause`).
     """
     tokens = _tokenize(text)
     # The variable pool must avoid every name in the file so generated
@@ -426,16 +420,18 @@ def parse_program(text: str) -> Program:
     clauses: List[Clause] = []
     auto = 1
     while not parser.at_end():
+        label = f"c{auto}"
         tok = parser.peek()
-        nxt = parser.peek(1)
-        label = None
-        if (tok[0] == "name" and _LABEL.match(tok[1])
-                and nxt[1] == "." and parser.peek(2) is not _END):
-            label = tok[1]
-            parser.next()
-            parser.next()
-        if label is None:
-            label = f"c{auto}"
+        if tok[0] == "name" and _LABEL.match(tok[1]):
+            # "cN.K." reads as the tokens cN . K . ; n counts those of the
+            # id, and the label ends at the "." after them.
+            n = 1
+            while (parser.peek(n)[1] == "." and parser.peek(n + 1)[0] == "num"
+                   and parser.peek(n + 2)[1] == "."):
+                n += 2
+            if parser.peek(n)[1] == "." and parser.peek(n + 1) is not _END:
+                label = "".join(parser.next()[1] for _ in range(n))
+                parser.next()
         clauses.extend(_parse_clause(parser, label, var_pool))
         auto += 1
     return Program(tuple(clauses))
@@ -530,14 +526,13 @@ def dependency_graph(program: Program) -> DependencyGraph:
 # ---------------------------------------------------------------------------
 
 
-def clause_text(cl: Clause, with_label: bool = True) -> str:
+def clause_text(cl: Clause) -> str:
     head = str(cl.head)
     items = [str(c) for c in cl.constraint] + [str(b) for b in cl.body]
-    label = f"{cl.id}. " if with_label else ""
     if not items:
-        return f"{label}{head}."
-    return f"{label}{head} :- {', '.join(items)}."
+        return f"{cl.id}. {head}."
+    return f"{cl.id}. {head} :- {', '.join(items)}."
 
 
-def program_text(program: Program, with_labels: bool = True) -> str:
-    return "\n".join(clause_text(cl, with_labels) for cl in program.clauses) + "\n"
+def program_text(program: Program) -> str:
+    return "\n".join(clause_text(cl) for cl in program.clauses) + "\n"

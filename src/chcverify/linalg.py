@@ -19,16 +19,18 @@ tableau of a strictly satisfiable set, `a.x rel b` is entailed iff the
 maximum of a.x - b is below 0, or is 0 and the query is not strict, and the
 maximisation stops as soon as the value passes 0. Only a strict query whose
 maximum is exactly 0 on a tableau with strict rows adds its negation, to ask
-whether the boundary is reached. So the queries on one constraint set share
-a single phase 1: `_tableau_of` builds the tableau of a set once, tests it
-for strict satisfiability and caches it, or None when the set is not
-strictly satisfiable. It is the only place where a set's satisfiability is
-decided. `is_satisfiable` asks whether it exists, `entails` maximises over
-a copy of it (a set without one entails everything), and `simplify`
-relaxes each row of a copy in turn and tests it against the rest, as
-`_semantic_prune` does on the tableau of its rows. An integer row enters
-the tableau as is, a rational one is scaled to integers once, and only an
-LP optimum and its point are turned back into rationals.
+whether the boundary is reached. `_Tableau.of` returns a tableau only for
+strictly satisfiable rows, so every tableau the kernel holds meets that
+precondition. The queries on one constraint set share a single phase 1:
+`_tableau_of` caches the tableau of a set, or None, and is the only place
+where a set's satisfiability is decided. `is_satisfiable` asks whether it
+exists, `entails` maximises over a copy of it (a set without one entails
+everything), and `simplify` relaxes each row of a copy in turn and tests
+it against the rest, as `_semantic_prune` does on the tableau of its rows.
+The tableau is the only entailment procedure: no syntactic test answers
+first. An integer row enters the tableau as is, a rational one is scaled
+to integers once, and only an LP optimum and its point are turned back
+into rationals.
 
 Projection is Fourier-Motzkin elimination. Equalities are first used for
 Gaussian substitution, which keeps the combinatorial part small. Both steps
@@ -263,11 +265,10 @@ class LinearConstraint:
         """An equality as its two inequality halves; inequalities unchanged."""
         if self.rel != EQ:
             return (self,)
-        neg = {v: -c for v, c in self.coeffs}
-        return (
-            LinearConstraint.make(dict(self.coeffs), LE, self.bound),
-            LinearConstraint.make(neg, LE, -self.bound),
-        )
+        # As in `negations`: both halves are already canonical.
+        neg = tuple((v, -c) for v, c in self.coeffs)
+        return (LinearConstraint(self.coeffs, LE, self.bound),
+                LinearConstraint(neg, LE, -self.bound))
 
     def __str__(self) -> str:
         lhs = "+ ".join(f"{c}*{v}" for v, c in self.coeffs) if self.coeffs else "0"
@@ -441,13 +442,14 @@ class _Tableau:
 
     @staticmethod
     def of(constraints: Iterable[LinearConstraint]) -> "Optional[_Tableau]":
-        """The tableau of the constraints, or None when their closure is
-        empty."""
+        """The tableau of the constraints, or None when they are not
+        strictly satisfiable: so every tableau built here meets the
+        precondition of `implies`."""
         t = _Tableau()
         for c in constraints:
             if not t.add(c):
                 return None
-        return t
+        return t if t.satisfiable() else None
 
     def copy(self) -> "_Tableau":
         t = _Tableau.__new__(_Tableau)
@@ -555,14 +557,12 @@ class _Tableau:
         """Do the rows, less the `relax`-th one, entail `c`? Leaves the
         tableau as it is.
 
-        Precondition: the rows hold, the strict ones strictly, at some point.
-        The tableau then describes the closure of the set the rows define,
-        so `c` (a.x rel b) is entailed iff the maximum of a.x - b over the
-        tableau is below 0, or is 0 and `c` is not strict. Each direction of
-        `c` is one maximisation, which stops as soon as the value passes 0.
-        Only a strict `c` whose maximum is exactly 0 on a tableau with strict
-        rows needs its negation added, to ask whether the boundary is
-        reached; without strict rows the maximum is attained.
+        Precondition: the rows are strictly satisfiable, as those of any
+        tableau from `of` are. So `c` (a.x rel b) is entailed iff the maximum
+        of a.x - b is below 0, or is 0 and `c` is not strict. Each direction
+        of `c` is one maximisation, which stops once the value passes 0. Only
+        a strict `c` at a tie, on a tableau with strict rows, adds its
+        negation, to ask whether the boundary is reached.
         """
         if not c.coeffs:
             return c.is_trivially_true()
@@ -701,37 +701,16 @@ def is_satisfiable(cs: ConstraintSet) -> bool:
     return _tableau_of(cs) is not None
 
 
-def _syntactically_entailed(constraints: Iterable[LinearConstraint],
-                            c: LinearConstraint) -> bool:
-    """A constraint with c's linear part and an equal or tighter bound
-    implies c."""
-    for d in constraints:
-        if d.coeffs == c.coeffs:
-            if c.rel == EQ:
-                if d.rel == EQ and d.bound == c.bound:
-                    return True
-            elif d.rel == EQ:
-                if d.bound < c.bound or (d.bound == c.bound and c.rel == LE):
-                    return True
-            elif d.bound < c.bound or (
-                    d.bound == c.bound and (d.rel == c.rel or c.rel == LE)):
-                return True
-    return False
-
-
 @lru_cache(maxsize=256)
 def _tableau_of(cs: ConstraintSet) -> Optional[_Tableau]:
     """The tableau of `cs` that all its queries share, or None when `cs` is
     not strictly satisfiable: the one place where a set's satisfiability is
     decided. Never changed (`implies` and `simplify` work on copies)."""
-    t = _Tableau.of(cs.constraints)
-    return t if t is not None and t.satisfiable() else None
+    return _Tableau.of(cs.constraints)
 
 
 @lru_cache(maxsize=65536)
 def _entails_cached(cs: ConstraintSet, c: LinearConstraint) -> bool:
-    if c.is_trivially_true() or _syntactically_entailed(cs.constraints, c):
-        return True
     t = _tableau_of(cs)
     return t is None or t.implies(c)
 
@@ -752,12 +731,12 @@ def replaces_a_row(rows: Tuple[LinearConstraint, ...], c: LinearConstraint
     other rows together with c entail?
 
     Precondition: `rows` are strictly satisfiable and entail `c`, so each
-    row relaxed leaves a strictly satisfiable set; ValueError when the rows
-    contradict `c`. One tableau, of the rows and c, answers for every row,
-    asked with that row relaxed.
+    row relaxed leaves a strictly satisfiable set; ValueError when `rows`
+    and `c` together are not strictly satisfiable. One tableau, of the rows
+    and c, answers for every row, asked with that row relaxed.
     """
     t = _Tableau.of(rows + (c,))
-    if t is None or not t.satisfiable():
+    if t is None:
         raise ValueError(f"replaces_a_row: the rows contradict {c}")
     return any(t.implies(r, relax=k) for k, r in enumerate(rows))
 
@@ -887,7 +866,7 @@ def _semantic_prune(rows: List[LinearConstraint]) -> List[LinearConstraint]:
     strictly satisfiable, which `project` allows for an unsatisfiable
     input."""
     base = _Tableau.of(rows)
-    if base is None or not base.satisfiable():
+    if base is None:
         return rows
     return _drop_redundant(rows, range(len(rows)), base)
 
@@ -896,16 +875,14 @@ def _drop_redundant(rows: Sequence[LinearConstraint], order: Iterable[int],
                     base: _Tableau) -> List[LinearConstraint]:
     """`rows` less each row, visited in `order`, that the rows kept entail.
 
-    `base` is the tableau of the strictly satisfiable `rows`, added in
-    order; it is changed. The queries share it: row i is relaxed for its
-    own query and stays relaxed once found redundant.
+    `base` is the tableau of `rows`, added in order, from `_Tableau.of`; it
+    is changed. Every query is one `implies` on it: row i is relaxed for
+    its own query and stays relaxed once found redundant, so a parallel
+    twin or a duplicate goes the same way as any other entailed row.
     """
     kept = [True] * len(rows)
     for i in order:
-        c = rows[i]
-        others = [d for j, d in enumerate(rows) if kept[j] and j != i]
-        if (c.is_trivially_true() or _syntactically_entailed(others, c)
-                or base.implies(c, relax=i)):
+        if base.implies(rows[i], relax=i):
             kept[i] = False
             base.relax(i)
     return [c for c, k in zip(rows, kept) if k]
@@ -936,7 +913,7 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
         if c.rel == LE:
             reverse = LinearConstraint(
                 tuple((v, -k) for v, k in c.coeffs), LE, -c.bound)
-            if entails(cs, reverse):
+            if base.implies(reverse):
                 rows[i] = LinearConstraint.make(dict(c.coeffs), EQ, c.bound)
                 upgraded = True
     # Drop anything the remaining constraints already imply, last first in

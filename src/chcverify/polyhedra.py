@@ -16,7 +16,7 @@ exact on closed operands.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence, Tuple
+from typing import Iterable, Optional, Sequence, Tuple
 
 from .linalg import (EQ, LE, ConstraintSet, FALSE_SET, LinearConstraint,
                      entails, entails_all, project, replaces_a_row,
@@ -24,7 +24,6 @@ from .linalg import (EQ, LE, ConstraintSet, FALSE_SET, LinearConstraint,
 
 __all__ = [
     "Polyhedron",
-    "ThresholdSet",
     "canonical_args",
 ]
 
@@ -33,13 +32,7 @@ _ARGS = tuple(chr(ord("A") + i) for i in range(26))
 
 
 def _split_equalities(cs: ConstraintSet) -> Tuple[LinearConstraint, ...]:
-    rows = []
-    for c in cs:
-        if c.rel == EQ:
-            rows.extend(c.split_equality())
-        else:
-            rows.append(c)
-    return tuple(rows)
+    return tuple(half for c in cs for half in c.split_equality())
 
 
 def canonical_args(n: int) -> Tuple[str, ...]:
@@ -191,23 +184,3 @@ class Polyhedron:
             return "false"
         return str(self.constraints)
 
-
-@dataclass(frozen=True)
-class ThresholdSet:
-    """Per-predicate candidate bounds (over canonical argument names).
-
-    `by_pred` may compute a predicate's bounds when it is first looked up
-    (see `analysis.compute_thresholds`); `len` looks them all up.
-    """
-
-    by_pred: Mapping[str, Tuple[LinearConstraint, ...]]
-
-    @classmethod
-    def empty(cls) -> "ThresholdSet":
-        return cls({})
-
-    def for_pred(self, pred: str) -> Tuple[LinearConstraint, ...]:
-        return self.by_pred.get(pred, ())
-
-    def __len__(self) -> int:
-        return sum(len(v) for v in self.by_pred.values())

@@ -120,8 +120,6 @@ def polyvariant_specialise(program: Program, split: SplitModel
     def dispatch(known: ConstraintSet, atom: Atom) -> int:
         cells = split.parts[atom.pred]
         for k, cell in enumerate(cells):
-            if cell.is_bottom:
-                continue
             if all(entails(known, c) for c in renamed(cell, atom.args)):
                 return k
         return len(cells)

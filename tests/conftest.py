@@ -1,4 +1,5 @@
-"""Shared test fixtures: random program generation and the property suites.
+"""Shared test fixtures: random program generation, the trace of an
+AND-tree, and the property suites.
 
 The six property suites are session-scoped fixtures so that the per-module
 tests and the acceptance tests share one run.  Each suite raises on the
@@ -10,11 +11,17 @@ from typing import Dict, List, Sequence
 
 import pytest
 
+from chcverify.cex import AndNode, TraceTerm
 from chcverify.chc_ast import FALSE, Atom, Clause, Program
 from chcverify.linalg import EQ, LE, LT, ConstraintSet, LinearConstraint, rat
 
 CLAUSE_VARS = ("X", "Y", "Z")
 PRED_NAMES = ("p", "q", "r")
+
+
+def tr(node: AndNode) -> TraceTerm:
+    """The trace term an AND-tree was built from."""
+    return TraceTerm(node.clause.id, tuple(tr(c) for c in node.children))
 
 
 def random_constraint(rng: random.Random, pool: Sequence[str],

@@ -25,7 +25,7 @@ from oracles import (
     vertices,
 )
 
-from conftest import random_constraint, random_constraint_set, random_program
+from conftest import random_constraint, random_constraint_set, random_program, tr
 from chcverify.analysis import analyze, compute_thresholds, check_safety, is_inductive_model
 from chcverify.cex import (
     TraceTerm,
@@ -34,7 +34,6 @@ from chcverify.cex import (
     extract_trace,
     feasible,
     interpolate,
-    tr,
     tree_interpolants,
 )
 from chcverify.chc_ast import FALSE, Atom, Clause, Program, program_text

@@ -7,6 +7,7 @@ from conftest import random_program
 from chcverify import analysis
 from chcverify.analysis import (
     AbstractModel,
+    ThresholdSet,
     analyze,
     check_safety,
     compute_thresholds,
@@ -183,6 +184,18 @@ class TestThresholds:
         without, _ = analyze(prog)
         assert str(with_thr.value("p", 1)) == "-1*A =< 0, 1*A =< 5"
         assert str(without.value("p", 1)) == "-1*A =< 0"
+
+
+class TestThresholdSet:
+    def test_lookup_by_predicate(self):
+        prog = parse_program("p(X) :- 1*X =< 3.\nfalse :- p(X).")
+        ts = ThresholdSet(prog.by_head)
+        assert ts.for_pred("p") == (LinearConstraint.make({"A": 1}, LE, 3),)
+        assert ts.for_pred("q") == ()
+        assert len(ts) == 1
+
+    def test_empty(self):
+        assert len(ThresholdSet(parse_program("").by_head)) == 0
 
 
 class TestLazyThresholds:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from conftest import tr
 from chcverify.analysis import analyze, compute_thresholds
 from chcverify.cex import (
     TraceTerm,
@@ -9,7 +10,6 @@ from chcverify.cex import (
     extract_trace,
     feasible,
     interpolate,
-    tr,
     tree_constraints,
     tree_interpolants,
 )

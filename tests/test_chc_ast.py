@@ -17,7 +17,6 @@ from chcverify.chc_ast import (
     parse_clause,
     parse_program,
     program_text,
-    rename_apart,
 )
 from chcverify.linalg import EQ, LE, LT, ConstraintSet, LinearConstraint, rat
 
@@ -32,6 +31,14 @@ class TestParser:
     def test_round_trip_is_stable(self):
         prog = parse_program(T4)
         text = program_text(prog)
+        assert program_text(parse_program(text)) == text
+
+    def test_split_integrity_constraint_round_trips(self):
+        # the equality head prints as the labels c1.1 and c1.2
+        prog = parse_program("c1. 1*X = 0 :- p(X).\nc2. p(X) :- 1*X = 0.")
+        text = program_text(prog)
+        assert text.startswith("c1.1. false :- ")
+        assert parse_program(text) == prog
         assert program_text(parse_program(text)) == text
 
     def test_clause_labels_and_order(self):
@@ -194,13 +201,6 @@ class TestNormalizeIntegrity:
 
 
 class TestRenaming:
-    def test_rename_apart_leaves_no_shared_variables(self):
-        prog = parse_program(T4)
-        fresh = FreshNames()
-        got, mapping = rename_apart(prog.clause("c2"), fresh)
-        assert not got.variables() & prog.clause("c2").variables()
-        assert set(mapping) == prog.clause("c2").variables()
-
     def test_fresh_names_avoid_collisions(self):
         fresh = FreshNames(avoid=("V1", "V2"))
         assert fresh.fresh() not in {"V1", "V2"}

@@ -128,10 +128,20 @@ class TestEntailment:
     def test_weakening_a_bound(self):
         assert entails(S(C({"X": 1}, LE, 1)), C({"X": 1}, LE, 2))
         assert not entails(S(C({"X": 1}, LE, 2)), C({"X": 1}, LE, 1))
+        # a parallel twin with a tighter bound, next to an unrelated row
+        x = {"X": 1, "Y": -2}
+        for row, query in ((C(x, LE, 1), C(x, LE, 2)), (C(x, LT, 1), C(x, LT, 2)),
+                           (C(x, LE, 1), C(x, LT, 2))):
+            assert entails(S(row, C({"Y": 1}, LE, 7)), query)
+        assert not entails(S(C(x, LE, 2), C({"Y": 1}, LE, 7)), C(x, LE, 1))
 
     def test_strict_from_nonstrict_fails(self):
         assert not entails(S(C({"X": 1}, LE, 1)), C({"X": 1}, LT, 1))
         assert entails(S(C({"X": 1}, LT, 1)), C({"X": 1}, LE, 1))
+        x = {"X": 1, "Y": -2}
+        assert not entails(S(C(x, LE, 1), C({"Y": 1}, LE, 7)), C(x, LT, 1))
+        assert entails(S(C(x, LT, 1), C({"Y": 1}, LE, 7)), C(x, LE, 1))
+        assert entails(S(C(x, LT, 1), C({"Y": 1}, LE, 7)), C(x, LT, 1))
 
     def test_combination_of_rows(self):
         cs = S(C({"X": 1, "Y": -1}, LE, 0), C({"Y": 1, "Z": -1}, LE, 0))
@@ -145,6 +155,11 @@ class TestEntailment:
         cs = S(C({"X": 1}, EQ, 3))
         assert entails_all(cs, S(C({"X": 1}, LE, 3), C({"X": -1}, LE, -3)))
         assert not entails_all(cs, S(C({"X": 1}, LT, 3)))
+        # an equality against each of its halves, and against its twins
+        assert entails_all(cs, S(C({"X": 1}, LT, 4), C({"X": 1}, EQ, 3)))
+        assert not entails(cs, C({"X": -1}, LT, -3))
+        assert not entails(cs, C({"X": 1}, EQ, 4))
+        assert not entails(S(C({"X": 1}, LE, 3)), C({"X": 1}, EQ, 3))
 
 
 class TestProjection:
@@ -588,9 +603,12 @@ class TestIncrementalTableau:
         assert entails_all(out, cs) and entails_all(cs, out)
 
     def test_relaxed_strict_row_no_longer_needs_a_positive_slack(self):
-        # X < 0 and X > 0: the closure is X = 0, so eps is 0 at best.
+        # X < 0 and X > 0: the closure is X = 0, so eps is 0 at best, and
+        # `of` gives no tableau; one built row by row still has both rows.
         rows = [C({"X": 1}, LT, 0), C({"X": -1}, LT, 0)]
-        t = linalg._Tableau.of(rows)
+        assert linalg._Tableau.of(rows) is None
+        t = linalg._Tableau()
+        assert all(t.add(c) for c in rows)
         assert not t.copy().satisfiable()
         t.relax(0)
         assert t.copy().satisfiable()
@@ -719,11 +737,13 @@ class TestImplies:
     def test_strictly_unsatisfiable_set_with_a_non_empty_closure(self):
         rows = [C({"X": 1}, LT, 0), C({"X": 1}, ">=", 0), C({"Y": 1}, LE, 1),
                 C({"Y": 1}, LE, 2)]
-        assert linalg._Tableau.of(rows) is not None
+        assert linalg._Tableau.of(rows) is None
         assert not is_satisfiable(S(*rows))
         assert entails(S(*rows[:2]), C({"X": 1}, LE, -5))
         # Not strictly satisfiable: no row is dropped.
         assert linalg._semantic_prune(rows) == rows
+        with pytest.raises(ValueError):
+            linalg.replaces_a_row(tuple(rows[:-1]), rows[-1])
 
     def test_relaxed_queries(self):
         rows = [C({"X": 1, "Y": 1}, LE, 2), C({"X": 1}, LE, 1), C({"Y": 1}, LE, 1)]

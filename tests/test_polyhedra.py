@@ -1,9 +1,9 @@
-"""Convex polyhedra: lattice operations, hull, widening, thresholds."""
+"""Convex polyhedra: lattice operations, hull, widening."""
 
 from fractions import Fraction
 
 from chcverify.linalg import EQ, LE, LT, ConstraintSet, LinearConstraint, rat
-from chcverify.polyhedra import Polyhedron, ThresholdSet, canonical_args
+from chcverify.polyhedra import Polyhedron, canonical_args
 
 from oracles import convex_hull_2d, in_hull_2d, vertices
 
@@ -140,15 +140,3 @@ class TestWidening:
         b = P(("X",), C({"X": -1}, LE, 0), C({"X": 1}, LE, 4))
         thr = ConstraintSet.make([C({"X": 1}, LE, 3)])
         assert str(a.widen_upto(b, thr)) == "-1*X =< 0"
-
-
-class TestThresholdSet:
-    def test_lookup_by_predicate(self):
-        rows = (C({"A": 1}, LE, 3),)
-        ts = ThresholdSet({"p": rows})
-        assert ts.for_pred("p") == rows
-        assert ts.for_pred("q") == ()
-        assert len(ts) == 1
-
-    def test_empty(self):
-        assert len(ThresholdSet.empty()) == 0

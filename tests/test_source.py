@@ -3,12 +3,14 @@
 import ast
 import importlib
 import pathlib
+import re
 import runpy
 
 import chcverify
 
 PACKAGE = pathlib.Path(chcverify.__file__).parent
-LAYERS = pathlib.Path(__file__).resolve().parent.parent / "bench" / "layers.py"
+BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
+LAYERS = BENCH / "layers.py"
 
 
 def test_no_assert_statements():
@@ -54,3 +56,46 @@ def test_every_exported_name_resolves():
         missing += [f"{name}.{attr}" for attr in getattr(module, "__all__", ())
                     if not hasattr(module, attr)]
     assert not missing, f"names in __all__ but not defined: {missing}"
+
+
+def _references(stmt: ast.AST) -> set:
+    """The identifiers one top-level statement uses: names, attributes,
+    imported names, and the words of its strings (the benchmark names its
+    trace targets as "module:attr" strings)."""
+    out = set()
+    for node in ast.walk(stmt):
+        if isinstance(node, ast.Name):
+            out.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            out.add(node.attr)
+        elif isinstance(node, ast.alias):
+            out.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            out.update(re.findall(r"\w+", node.value))
+    return out
+
+
+def _is_all(stmt: ast.AST) -> bool:
+    return isinstance(stmt, ast.Assign) and any(
+        isinstance(t, ast.Name) and t.id == "__all__" for t in stmt.targets)
+
+
+def test_every_module_level_definition_is_used():
+    # A function or class that only its own body or the tests refer to is
+    # dead code; the public API is the package `__all__`.
+    defined = []  # (module, name, defining statement)
+    used_by = {}  # identifier -> statements that refer to it
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            if path.parent == PACKAGE and isinstance(
+                    stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((path.stem, stmt.name, stmt))
+            if not _is_all(stmt):
+                for name in _references(stmt):
+                    used_by.setdefault(name, []).append(stmt)
+    unused = [f"{module}.{name}" for module, name, stmt in defined
+              if name not in chcverify.__all__
+              and not any(s is not stmt for s in used_by.get(name, ()))]
+    assert not unused, f"defined but not used outside their own body: {unused}"
+    assert len(defined) > 50

@@ -17,12 +17,14 @@ constraint implies. They live in a `ThresholdSet` over the program's clauses
 are asked for. Only widening asks, so a predicate's bounds are mined when it
 is first widened, and never for a predicate that no cyclic component widens.
 
-`instantiate` is the one place where canonical facts are put on a clause's
-atoms, conjoined with its constraint and checked for satisfiability; every
-module that instantiates a clause calls it. The specialisers emit what it
-returns: `specialise.strengthen` the clause with its head's answer placed,
+`_place` is the one place where canonical facts are put on a clause's atoms
+and conjoined with its constraint. `instantiate` also checks the conjunction
+for satisfiability, and the specialisers emit what it returns:
+`specialise.strengthen` the clause with its head's answer placed,
 `refine.polyvariant_specialise` the clause with its head cell and body
-facts placed.
+facts placed. `consequence` projects the unchecked conjunction onto the
+head instead: projection keeps emptiness, so `simplify` of that small set
+is the one decision.
 
 While iterating, `analyze` keeps, per predicate, the clause that first made
 its approximation non-empty. That clause contributed only because each of
@@ -38,8 +40,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
 from .chc_ast import Atom, Clause, FALSE, Program, dependency_graph
-from .linalg import (TRUE, ConstraintSet, LinearConstraint, ResourceLimitError,
-                     is_satisfiable, project, simplify)
+from .linalg import (FALSE_SET, TRUE, ConstraintSet, LinearConstraint,
+                     ResourceLimitError, is_satisfiable, project, simplify)
 from .polyhedra import Polyhedron, canonical_args
 
 __all__ = [
@@ -68,17 +70,13 @@ class AbstractModel:
         return got
 
 
-def instantiate(clause: Clause,
-                body_facts: Sequence[Optional[ConstraintSet]],
-                head_fact: Optional[ConstraintSet] = None
-                ) -> Optional[ConstraintSet]:
-    """The clause's constraint with each fact placed on its atom's arguments.
-
-    Facts are over canonical argument names, one per body atom in body
-    order, with `None` for bottom; `head_fact`, when given, is placed on the
-    head's arguments. Returns None when a body fact is bottom or the
-    conjunction is unsatisfiable.
-    """
+def _place(clause: Clause,
+           body_facts: Sequence[Optional[ConstraintSet]],
+           head_fact: Optional[ConstraintSet] = None
+           ) -> Optional[ConstraintSet]:
+    """The clause's constraint with each fact placed on its atom's
+    arguments, as `instantiate` describes, unchecked; None when a fact is
+    bottom."""
     rows = list(clause.constraint)
     placed = list(zip(clause.body, body_facts))
     if head_fact is not None:
@@ -90,21 +88,37 @@ def instantiate(clause: Clause,
         # renamed row stays canonical, and `make` sorts the rows once.
         onto = dict(zip(canonical_args(atom.arity), atom.args))
         rows.extend(c.rename(onto) for c in fact)
-    cs = ConstraintSet.make(rows)
-    return cs if is_satisfiable(cs) else None
+    return ConstraintSet.make(rows)
+
+
+def instantiate(clause: Clause,
+                body_facts: Sequence[Optional[ConstraintSet]],
+                head_fact: Optional[ConstraintSet] = None
+                ) -> Optional[ConstraintSet]:
+    """The clause's constraint with each fact placed on its atom's arguments.
+
+    Facts are over canonical argument names, one per body atom in body
+    order, with `None` for bottom; `head_fact`, when given, is placed on the
+    head's arguments. Returns None when a body fact is bottom or the
+    conjunction is unsatisfiable.
+    """
+    cs = _place(clause, body_facts, head_fact)
+    return cs if cs is not None and is_satisfiable(cs) else None
 
 
 def consequence(clause: Clause,
                 body_facts: Sequence[Optional[ConstraintSet]]
                 ) -> Optional[ConstraintSet]:
-    """What the clause derives for its head under `body_facts`, over
-    canonical names; None when it derives nothing."""
-    cs = instantiate(clause, body_facts)
+    """What the clause derives for its head under `body_facts`: the
+    simplified projection onto the head, over canonical names; None when it
+    derives nothing, which `simplify` of the projection decides."""
+    cs = _place(clause, body_facts)
     if cs is None:
         return None
     head = clause.head
-    return project(cs, head.args).rename(
-        dict(zip(head.args, canonical_args(head.arity))))
+    got = simplify(project(cs, head.args).rename(
+        dict(zip(head.args, canonical_args(head.arity)))))
+    return None if got is FALSE_SET else got
 
 
 def _contribution(clause: Clause, model: AbstractModel) -> Polyhedron:
@@ -112,7 +126,7 @@ def _contribution(clause: Clause, model: AbstractModel) -> Polyhedron:
     got = consequence(clause, [model.value(b.pred, b.arity).constraints
                                for b in clause.body])
     space = canonical_args(clause.head.arity)
-    return Polyhedron.bottom(space) if got is None else Polyhedron.of(space, got)
+    return Polyhedron.bottom(space) if got is None else Polyhedron(space, got)
 
 
 class ThresholdSet:
@@ -159,7 +173,7 @@ def _head_bounds(clauses: Sequence[Clause]) -> Tuple[LinearConstraint, ...]:
         got = consequence(cl, [TRUE] * len(cl.body))
         if got is None:
             continue
-        for c in simplify(got):
+        for c in got:
             if c not in seen:
                 seen.append(c)
     return tuple(seen)
@@ -228,7 +242,7 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None
                 # contains its second operand, so `new` is strictly above old.
                 new = old.hull(joined)
                 if cyclic and iteration > WIDEN_DELAY:
-                    new = old.widen_upto(new, thresholds.for_pred(pred))
+                    new = old.widen(new, thresholds.for_pred(pred))
                 values[pred] = new
                 version[pred] += 1
                 first.setdefault(pred, grower)

@@ -181,7 +181,11 @@ _TOKEN = re.compile(r"""
   | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
-_LABEL = re.compile(r"c\d+$")
+# A clause id: cN, with the "_M" suffixes that `refine` appends. After a
+# split constraint head's "cN.K" (tokens cN . K), the suffixes are one more
+# name token.
+_LABEL = re.compile(r"c\d+(?:_\d+)*$")
+_LABEL_SUFFIX = re.compile(r"(?:_\d+)+$")
 
 # The token after the last one. The parser looks at most two tokens past
 # a real one, so three of these end every token list it reads.
@@ -407,10 +411,13 @@ def parse_program(text: str) -> Program:
 
     Clause ids come from an optional leading label of the form "cN." or
     "cN.K." (the ids of a split constraint head, as `program_text` prints
-    them); clauses without one are numbered c1, c2, ... in file order (a
-    numbering conflict with explicit labels is an error, caught as a
-    duplicate id). A constraint head is rewritten into `false` clauses (see
-    `_parse_clause`).
+    them), either of them followed by "_M" suffixes as in "c2_2_1_3." or
+    "c1.1_2." (the ids `refine.polyvariant_specialise` makes); clauses
+    without one are numbered c1, c2, ... in file order (a numbering
+    conflict with explicit labels is an error, caught as a duplicate id).
+    So a 0-ary fact spelled like such an id, such as "c1_2.", reads as the
+    label of the clause after it, unless it ends the input. A constraint
+    head is rewritten into `false` clauses (see `_parse_clause`).
     """
     tokens = _tokenize(text)
     # The variable pool must avoid every name in the file so generated
@@ -423,12 +430,13 @@ def parse_program(text: str) -> Program:
         label = f"c{auto}"
         tok = parser.peek()
         if tok[0] == "name" and _LABEL.match(tok[1]):
-            # "cN.K." reads as the tokens cN . K . ; n counts those of the
-            # id, and the label ends at the "." after them.
+            # "cN.K_M." reads as the tokens cN . K _M . ; n counts those of
+            # the id, and the label ends at the "." after them.
             n = 1
-            while (parser.peek(n)[1] == "." and parser.peek(n + 1)[0] == "num"
-                   and parser.peek(n + 2)[1] == "."):
-                n += 2
+            if parser.peek(1)[1] == "." and parser.peek(2)[0] == "num":
+                k = 4 if _LABEL_SUFFIX.match(parser.peek(3)[1]) else 3
+                if parser.peek(k)[1] == ".":
+                    n = k
             if parser.peek(n)[1] == "." and parser.peek(n + 1) is not _END:
                 label = "".join(parser.next()[1] for _ in range(n))
                 parser.next()

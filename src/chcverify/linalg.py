@@ -24,9 +24,12 @@ strictly satisfiable rows, so every tableau the kernel holds meets that
 precondition. The queries on one constraint set share a single phase 1:
 `_tableau_of` caches the tableau of a set, or None, and is the only place
 where a set's satisfiability is decided. `is_satisfiable` asks whether it
-exists, `entails` maximises over a copy of it (a set without one entails
+exists, `entails` maximises on it in place (a set without one entails
 everything), and `simplify` relaxes each row of a copy in turn and tests
 it against the rest, as `_semantic_prune` does on the tableau of its rows.
+A maximisation only pivots, which keeps the tableau feasible and its rows
+the same, so a query copies the tableau only when it relaxes a row or adds
+the negation at a strict tie.
 The tableau is the only entailment procedure: no syntactic test answers
 first. An integer row enters the tableau as is, a rational one is scaled
 to integers once, and only an LP optimum and its point are turned back
@@ -368,14 +371,14 @@ FALSE_SET = ConstraintSet((FALSE_CONSTRAINT,))
 # added one at a time and relaxed again: incremental simplex in the style of
 # Dutertre and de Moura (CAV 2006), so that the queries on one constraint set
 # share a single phase 1; an entailment query is one bounded maximisation
-# over a copy, with no row added. Every row, an objective row included, is
-# held as a positive integer multiple of the true rational row, right-hand
-# side first; positive scaling preserves every sign and every ratio order, so
-# the pivots are the ones a rational tableau would take, and only an optimum
-# and its point are read back as rationals. Bland's rule (lowest eligible
-# column, lowest basic column on ties) ensures termination. Small systems
-# only; this is the single hot spot of the whole verifier, so the inner loops
-# stay primitive.
+# on the tableau itself, with no row added. Every row, an objective row
+# included, is held as a positive integer multiple of the true rational row,
+# right-hand side first; positive scaling preserves every sign and every
+# ratio order, so the pivots are the ones a rational tableau would take, and
+# only an optimum and its point are read back as rationals. Bland's rule
+# (lowest eligible column, lowest basic column on ties) ensures termination.
+# Small systems only; this is the single hot spot of the whole verifier, so
+# the inner loops stay primitive.
 # ---------------------------------------------------------------------------
 
 _OPTIMAL = "optimal"
@@ -425,8 +428,10 @@ class _Tableau:
     `$eps`, and the rows hold with the strict ones strict iff eps can be
     made positive. A variable seen for the first time gets a free column.
 
-    Adding rows and optimising change the tableau; a shared one is copied
-    first.
+    Adding or relaxing a row changes the rows, so a shared tableau is
+    copied first. Optimising only pivots: the tableau stays feasible and
+    holds the same rows, so `implies` without `relax` runs on a shared
+    tableau in place.
     """
 
     __slots__ = ("rows", "basis", "kind", "col", "slacks", "strict")
@@ -554,30 +559,41 @@ class _Tableau:
         return zrow is None or zrow[0] < 0
 
     def implies(self, c: LinearConstraint, relax: Optional[int] = None) -> bool:
-        """Do the rows, less the `relax`-th one, entail `c`? Leaves the
-        tableau as it is.
+        """Do the rows, less the `relax`-th one, entail `c`? Leaves the rows
+        and their slacks as they are, though not the basis.
 
         Precondition: the rows are strictly satisfiable, as those of any
         tableau from `of` are. So `c` (a.x rel b) is entailed iff the maximum
         of a.x - b is below 0, or is 0 and `c` is not strict. Each direction
-        of `c` is one maximisation, which stops once the value passes 0. Only
-        a strict `c` at a tie, on a tableau with strict rows, adds its
-        negation, to ask whether the boundary is reached.
+        of `c` is one maximisation, which stops once the value passes 0.
+        Primal pivots keep the tableau feasible and its rows the same, so
+        the maximisation runs on the tableau itself; a copy is taken only to
+        relax a row, or when a strict `c` at a tie, on a tableau with strict
+        rows, adds its negation to ask whether the boundary is reached. A
+        variable of `c` that no row mentions is free, so its maximum is
+        unbounded.
         """
         if not c.coeffs:
             return c.is_trivially_true()
-        t = self.copy()
+        col = self.col
+        if any(v not in col for v, _ in c.coeffs):
+            return False
+        t = self
         if relax is not None:
+            t = self.copy()
             t.relax(relax)
         for s in ((1, -1) if c.rel == EQ else (1,)):
             # zrow[0] is -(a.x - b) at the basic point, times a positive factor.
             zrow = t._optimise(t._reduced(
-                [(t.column(v), s * a) for v, a in c.coeffs], s * c.bound), 0)
+                [(col[v], s * a) for v, a in c.coeffs], s * c.bound), 0)
             if zrow is None or zrow[0] < 0:
                 return False
             if zrow[0] == 0 and c.rel == LT:
-                return bool(t.strict) and not (
-                    t.add(c.negations()[0]) and t.satisfiable())
+                if not t.strict:
+                    return False
+                if t is self:
+                    t = self.copy()
+                return not (t.add(c.negations()[0]) and t.satisfiable())
         return True
 
     def _reduced(self, entries: Sequence[Tuple[int, int]], rhs: int = 0
@@ -705,7 +721,8 @@ def is_satisfiable(cs: ConstraintSet) -> bool:
 def _tableau_of(cs: ConstraintSet) -> Optional[_Tableau]:
     """The tableau of `cs` that all its queries share, or None when `cs` is
     not strictly satisfiable: the one place where a set's satisfiability is
-    decided. Never changed (`implies` and `simplify` work on copies)."""
+    decided. Its rows never change: `implies` only pivots it, and
+    `simplify` relaxes rows of a copy."""
     return _Tableau.of(cs.constraints)
 
 

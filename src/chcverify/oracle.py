@@ -11,11 +11,11 @@ failure instead of an endless enumeration.
 from __future__ import annotations
 
 import itertools
-from typing import Dict, List, Set, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .analysis import instantiate
 from .cex import TraceTerm
-from .chc_ast import Atom, Program
+from .chc_ast import Atom, Clause, Program
 from .linalg import ConstraintSet, project, simplify
 from .polyhedra import canonical_args
 
@@ -36,10 +36,24 @@ def bounded_derive(program: Program, goal: Atom, depth: int
     Only the instantiation of a clause under its children's answers is
     shared with the analysis (`analysis.instantiate`); the enumeration of
     trees, the projection and the canonical renaming are this function's
-    own.
+    own. That step is pure, so its answer is computed once per clause and
+    children's answers; the trees are still enumerated one by one.
     """
     memo: Dict[Tuple[str, int], Tuple[Tuple[TraceTerm, ConstraintSet], ...]] = {}
+    steps: Dict[Tuple[Clause, Tuple[ConstraintSet, ...]],
+                Optional[ConstraintSet]] = {}
     produced = 0
+
+    def step(cl: Clause, answers: Tuple[ConstraintSet, ...]
+             ) -> Optional[ConstraintSet]:
+        key = (cl, answers)
+        if key not in steps:
+            full = instantiate(cl, answers)
+            head_args = cl.head.args
+            steps[key] = None if full is None else simplify(
+                project(full, head_args)).rename(
+                    dict(zip(head_args, canonical_args(len(head_args)))))
+        return steps[key]
 
     def derive(pred: str, d: int) -> Tuple[Tuple[TraceTerm, ConstraintSet], ...]:
         nonlocal produced
@@ -52,12 +66,9 @@ def bounded_derive(program: Program, goal: Atom, depth: int
         for cl in program.clauses_for(pred):
             options = [derive(b.pred, d - 1) for b in cl.body]
             for combo in itertools.product(*options):
-                full = instantiate(cl, [answer for _, answer in combo])
-                if full is None:
+                answer = step(cl, tuple(a for _, a in combo))
+                if answer is None:
                     continue
-                head_args = cl.head.args
-                answer = simplify(project(full, head_args)).rename(
-                    dict(zip(head_args, canonical_args(len(head_args)))))
                 produced += 1
                 if produced > FAN_OUT_LIMIT:
                     raise RuntimeError(

@@ -139,20 +139,24 @@ class Polyhedron:
             out.append(c)
         return Polyhedron.of(space, ConstraintSet.make(out))
 
-    def widen(self, other: "Polyhedron") -> "Polyhedron":
-        """Halbwachs widening: drop the bounds of self that other has outgrown.
+    def widen(self, other: "Polyhedron",
+              thresholds: Iterable[LinearConstraint] = ()) -> "Polyhedron":
+        """Halbwachs widening, bounded by the thresholds both operands
+        satisfy: drop the bounds of self that other has outgrown.
 
-        Keeps (a) every constraint of self that other still entails and
+        Keeps (a) every constraint of self that other still entails,
         (b) every constraint c of other that is mutually redundant with self,
-        i.e. can replace one of self's constraints without changing self.
-        Self entails c, so the swap keeps self exactly when self's other
+        i.e. can replace one of self's constraints without changing self,
+        and (c) every threshold that both self and other entail. Self
+        entails c in (b), so the swap keeps self exactly when self's other
         constraints together with c entail the one dropped
         (`linalg.replaces_a_row`, one tableau per c). Part (b) makes the
         result independent of which of several equivalent representations
         self happens to carry (a point written as I=0, A=0, B=0 keeps an
         implied relation like A+B=3I if other entails it), which plain
         constraint filtering loses. Equalities are split into their
-        inequality halves first so one-sided bounds survive.
+        inequality halves first so one-sided bounds survive. The kept rows
+        are simplified once, together.
         """
         if self.space != other.space:
             raise ValueError("widen of polyhedra over different spaces")
@@ -165,19 +169,9 @@ class Polyhedron:
         kept = [c for c in p_rows if entails(other.constraints, c)]
         kept += [c for c in q_rows if c not in kept
                  and entails(self.constraints, c) and replaces_a_row(p_rows, c)]
+        kept += [t for t in thresholds if entails(self.constraints, t)
+                 and entails(other.constraints, t)]
         return Polyhedron.of(self.space, ConstraintSet.make(kept))
-
-    def widen_upto(self, other: "Polyhedron",
-                   thresholds: Iterable[LinearConstraint]) -> "Polyhedron":
-        """Widening bounded by the thresholds both operands satisfy."""
-        base = self.widen(other)
-        if self.is_bottom or other.is_bottom:
-            return base
-        extra = [t for t in thresholds
-                 if entails(self.constraints, t) and entails(other.constraints, t)]
-        if not extra:
-            return base
-        return base.meet(Polyhedron.of(self.space, ConstraintSet.make(extra)))
 
     def __str__(self) -> str:
         if self.is_bottom:

@@ -17,8 +17,9 @@ from chcverify.analysis import (
     model_to_text,
 )
 from chcverify.chc_ast import FALSE, Atom, Clause, parse_program
-from chcverify.linalg import EQ, LE, TRUE, ConstraintSet, LinearConstraint
-from chcverify.polyhedra import Polyhedron
+from chcverify.linalg import (EQ, LE, TRUE, ConstraintSet, LinearConstraint,
+                              entails_all, project, simplify)
+from chcverify.polyhedra import Polyhedron, canonical_args
 from chcverify.qa import qa_transform
 
 T4 = open("tests/data/t4.pl").read()
@@ -280,5 +281,29 @@ class TestInstantiate:
         assert instantiate(cl, [diag]) == _cs(({"X": 1}, LE, 4))
         apart = _cs(({"A": 1, "B": -1}, LE, -1))
         assert instantiate(cl, [apart]) is None
+        # the consequence is simplified: X = 2 entails -X =< -1
         assert consequence(cl, [_cs(({"A": 1}, EQ, 2), ({"B": -1}, LE, -1))]
-                           ) == _cs(({"A": 1}, EQ, 2), ({"A": -1}, LE, -1))
+                           ) == _cs(({"A": 1}, EQ, 2))
+
+    def test_consequence_agrees_with_the_checked_instantiation(self):
+        # consequence decides emptiness on the projection only; on the
+        # analysis' own facts it agrees with instantiating, checking,
+        # projecting and simplifying
+        for attempt in range(1, 101):
+            rng = random.Random(606 * 1_000_000 + attempt)
+            prog = random_program(rng, max_clauses=5)
+            for p in (prog, qa_transform(prog, FALSE)):
+                model, _ = analyze(p, compute_thresholds(p))
+                for cl in p.clauses:
+                    tag = f"attempt {attempt}: {cl}"
+                    facts = [model.value(b.pred, b.arity).constraints
+                             for b in cl.body]
+                    got = consequence(cl, facts)
+                    full = instantiate(cl, facts)
+                    assert (got is None) == (full is None), tag
+                    if got is None:
+                        continue
+                    head = cl.head
+                    want = simplify(project(full, head.args)).rename(
+                        dict(zip(head.args, canonical_args(head.arity))))
+                    assert entails_all(got, want) and entails_all(want, got), tag

@@ -7,11 +7,12 @@ import pytest
 
 from chcverify import driver
 from chcverify.analysis import AbstractModel, is_inductive_model
-from chcverify.chc_ast import parse_program
+from chcverify.chc_ast import parse_program, program_text
 from chcverify.driver import Config, Verdict, main, verify
 from chcverify.linalg import _entails_cached, _tableau_of, is_satisfiable, simplify
 
 T4 = open("tests/data/t4.pl").read()
+UPDOWN = open("bench/corpus/updown.pl").read()
 
 SAFE_COUNTER = """\
 p(X) :- 1*X = 0.
@@ -168,6 +169,19 @@ class TestDumps:
         verdict = verify(parse_program(T4))
         assert verdict.kind == "unsafe" and verdict.refinements == 1
         assert rendered == []
+
+    def test_partition_dumps_parse_back(self, tmp_path):
+        # the ids that specialisation makes (c1_2, c2_2_1_3, c1.1_2) read
+        # back as labels, so each roundN.ps file is the program it prints
+        for name, text in (("t4", T4), ("updown", UPDOWN)):
+            out = tmp_path / name
+            verify(parse_program(text), Config(dump_dir=str(out),
+                                               dump_kinds=("ps",)))
+            dumps = sorted(out.iterdir())
+            assert dumps, name
+            for path in dumps:
+                ps = path.read_text()
+                assert program_text(parse_program(ps)) == ps, path.name
 
     def test_no_partial_files_remain(self, tmp_path):
         out = tmp_path / "dumps"

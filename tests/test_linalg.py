@@ -864,6 +864,52 @@ class TestKernelAgainstOracles:
         assert unsat >= 30 and leftovers >= 10
 
 
+class TestInPlaceQueries:
+    """`implies` without `relax` pivots the tableau it is asked on, the
+    cached one of a set included: every later query must still get the
+    answer of a fresh tableau, and no row may be added or relaxed."""
+
+    def test_random_query_streams(self, monkeypatch):
+        ties = []
+        add = linalg._Tableau.add
+
+        def counting_add(t, c):
+            ties.append(c)
+            return add(t, c)
+
+        rng = random.Random(1414)
+        sets = relaxed = strict_sets = 0
+        while sets < 150:
+            variables = ("W", "X", "Y", "Z")[:rng.randint(3, 4)]
+            rows = [random_row(rng, variables) for _ in range(rng.randint(1, 4))]
+            t = linalg._Tableau.of(rows)
+            if t is None:
+                continue
+            sets += 1
+            # Each row, its closure and strict forms and its halves give
+            # queries at a tie; the random ones mostly do not.
+            queries = [q for c in rows for q in
+                       (c, c.closure(), c.strict(), *c.split_equality())]
+            queries += [random_row(rng, variables) for _ in range(4)]
+            shape = (t.slacks[:], len(t.rows), t.kind[:], t.strict)
+            for _ in range(12):
+                q = rng.choice(queries)
+                k = rng.randrange(len(rows)) if rng.random() < 0.3 else None
+                want = linalg._Tableau.of(rows).implies(q, k)
+                if k is None:
+                    # a negation row added here is a strict query at a tie
+                    monkeypatch.setattr(linalg._Tableau, "add", counting_add)
+                got = t.implies(q, k)
+                monkeypatch.setattr(linalg._Tableau, "add", add)
+                assert got == want, f"{rows} |= {q} less row {k}"
+                assert (t.slacks, len(t.rows), t.kind, t.strict) == shape
+                relaxed += k is not None
+            strict_sets += bool(t.strict)
+            for q in queries:
+                assert t.implies(q) == linalg._Tableau.of(rows).implies(q)
+        assert len(ties) >= 50 and relaxed >= 300 and strict_sets >= 40
+
+
 def test_reset_caches_reaches_every_kernel_cache():
     cached = {fn for fn in vars(linalg).values() if hasattr(fn, "cache_info")}
     assert cached and cached <= set(linalg._CACHED)

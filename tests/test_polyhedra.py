@@ -133,10 +133,10 @@ class TestWidening:
         a = P(("X",), C({"X": -1}, LE, 0), C({"X": 1}, LE, 1))
         b = P(("X",), C({"X": -1}, LE, 0), C({"X": 1}, LE, 2))
         thr = ConstraintSet.make([C({"X": 1}, LE, 2), C({"X": 1}, LE, 5)])
-        assert str(a.widen_upto(b, thr)) == "-1*X =< 0, 1*X =< 2"
+        assert str(a.widen(b, thr)) == "-1*X =< 0, 1*X =< 2"
 
     def test_thresholds_not_entailed_by_both_are_ignored(self):
         a = P(("X",), C({"X": -1}, LE, 0), C({"X": 1}, LE, 1))
         b = P(("X",), C({"X": -1}, LE, 0), C({"X": 1}, LE, 4))
         thr = ConstraintSet.make([C({"X": 1}, LE, 3)])
-        assert str(a.widen_upto(b, thr)) == "-1*X =< 0"
+        assert str(a.widen(b, thr)) == "-1*X =< 0"

@@ -40,7 +40,11 @@ __all__ = [
 # syntax; internally generated names may be arbitrary).
 Var = str
 
-RESERVED_SUFFIXES = ("__q", "__a")
+# The name suffixes of the query and answer versions of a predicate (see
+# `qa`); parsed programs may not use them.
+QUERY_SUFFIX = "__q"
+ANSWER_SUFFIX = "__a"
+RESERVED_SUFFIXES = (QUERY_SUFFIX, ANSWER_SUFFIX)
 
 
 @dataclass(frozen=True)
@@ -181,11 +185,11 @@ _TOKEN = re.compile(r"""
   | (?P<bad>.)
 """, re.VERBOSE | re.DOTALL)
 
-# A clause id: cN, with the "_M" suffixes that `refine` appends. After a
-# split constraint head's "cN.K" (tokens cN . K), the suffixes are one more
-# name token.
-_LABEL = re.compile(r"c\d+(?:_\d+)*$")
-_LABEL_SUFFIX = re.compile(r"(?:_\d+)+$")
+# A clause id: cN, with the "_M" (or "__M", ...) suffixes that `refine`
+# appends. After a split constraint head's "cN.K" (tokens cN . K), the
+# suffixes are one more name token.
+_LABEL = re.compile(r"c\d+(?:_+\d+)*$")
+_LABEL_SUFFIX = re.compile(r"(?:_+\d+)+$")
 
 # The token after the last one. The parser looks at most two tokens past
 # a real one, so three of these end every token list it reads.
@@ -412,7 +416,8 @@ def parse_program(text: str) -> Program:
     Clause ids come from an optional leading label of the form "cN." or
     "cN.K." (the ids of a split constraint head, as `program_text` prints
     them), either of them followed by "_M" suffixes as in "c2_2_1_3." or
-    "c1.1_2." (the ids `refine.polyvariant_specialise` makes); clauses
+    "c1.1_2." (the ids `refine.polyvariant_specialise` makes, which write
+    "__M" for "_M" where that avoids a duplicate, as in "c1_1__1"); clauses
     without one are numbered c1, c2, ... in file order (a numbering
     conflict with explicit labels is an error, caught as a duplicate id).
     So a 0-ary fact spelled like such an id, such as "c1_2.", reads as the

@@ -186,7 +186,13 @@ def main(argv: Optional[List[str]] = None) -> int:
         dump_kinds=tuple(args.dump) if args.dump else DUMP_KINDS,
     )
     start = time.monotonic()
-    verdict = verify(program, cfg)
+    try:
+        verdict = verify(program, cfg)
+    except Exception as exc:
+        # Exit 1 would read as "unsafe".
+        print(f"error: {args.file}: internal error: {type(exc).__name__}: {exc}",
+              file=sys.stderr)
+        return 4
     elapsed_ms = int((time.monotonic() - start) * 1000)
 
     if args.format == "json":

@@ -3,9 +3,9 @@ entailment, simplification and Farkas certificates.
 
 Everything in this module is exact. A constraint with variables is stored in
 its canonical form: coprime Python `int` coefficients and bound. Rationals
-(gmpy2.mpq when available, fractions.Fraction otherwise) appear only where a
-value is not an integer: inputs to `LinearConstraint.make`, the bound of a
-constant constraint, LP optima and points, and Farkas multipliers.
+(`Rat`, which is `fractions.Fraction`) appear only where a value is not an
+integer: inputs to `LinearConstraint.make`, the bound of a constant
+constraint, LP optima and points, and Farkas multipliers.
 
 Satisfiability, entailment and redundancy are decided by one incremental
 simplex with Bland's rule on a fraction-free integer tableau (`_Tableau`).
@@ -31,13 +31,15 @@ A maximisation only pivots, which keeps the tableau feasible and its rows
 the same, so a query copies the tableau only when it relaxes a row or adds
 the negation at a strict tie.
 The tableau is the only entailment procedure: no syntactic test answers
-first. An integer row enters the tableau as is, a rational one is scaled
-to integers once, and only an LP optimum and its point are turned back
-into rationals.
+first. Every row enters the tableau as a canonical `LinearConstraint`, the
+rows of an LP included, so a rational input is scaled to integers once, by
+`LinearConstraint.make`, and only an LP optimum and its point are turned
+back into rationals.
 
 Projection is Fourier-Motzkin elimination. Equalities are first used for
 Gaussian substitution, which keeps the combinatorial part small. Both steps
-build each new row as one integer combination of two rows (`_combine`). The
+build each new row as one integer combination of two rows (`_combine`),
+made canonical as `LinearConstraint.make` makes its rows (`_canonical`). The
 number of intermediate constraints is capped (see `fm_limit`) and exceeding
 the cap raises ResourceLimitError so callers can degrade to an "unknown"
 verdict instead of diverging.
@@ -49,13 +51,9 @@ import itertools
 import math
 from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
+from fractions import Fraction as Rat
 from functools import lru_cache
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
-
-try:  # pragma: no cover - exercised implicitly by whichever backend is present
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
 
 __all__ = [
     "Rat",
@@ -88,16 +86,9 @@ _ZERO = Rat(0)
 
 
 def rat(num, den=1) -> Rat:
-    """Build a rational from ints, strings ("3", "1/2", "0.25") or rationals."""
-    if den != 1:
-        return Rat(num) / Rat(den)
-    if isinstance(num, str) and "." in num:
-        whole, frac = num.split(".", 1)
-        sign = -1 if whole.strip().startswith("-") else 1
-        whole = whole.strip().lstrip("+-") or "0"
-        scale = 10 ** len(frac)
-        return Rat(sign * (int(whole) * scale + int(frac or "0")), scale)
-    return Rat(num)
+    """num / den as a `Fraction`; num may be an int, a rational or a string
+    that `Fraction` reads, such as "3", "-7/2", "0.25" or ".5"."""
+    return Rat(num) / den
 
 
 class ResourceLimitError(Exception):
@@ -119,9 +110,9 @@ class LinearConstraint:
     coefficients and bound are coprime integers, stored as `int`. Equalities
     are additionally sign-normalised (first coefficient positive).
     Inequalities keep their sign since scaling by a negative factor would
-    flip them. A constant constraint (no variables) keeps its exact rational
-    bound. The hash is computed once, at construction, so cache lookups keyed
-    on constraints do not re-hash their coefficients.
+    flip them. A constant constraint (no variables) keeps its exact bound, a
+    `Fraction`. The hash is computed once, at construction, so cache lookups
+    keyed on constraints do not re-hash their coefficients.
     """
 
     coeffs: Tuple[Tuple[str, int], ...]
@@ -172,22 +163,11 @@ class LinearConstraint:
         if not items:
             return LinearConstraint((), rel, Rat(-bound if sign < 0 else bound))
         items.sort()
-        return LinearConstraint._canonical(items, rel, sign, bound)
-
-    @staticmethod
-    def _canonical(items: List[Tuple[str, Rat]], rel: str, sign: int, bound: Rat
-                   ) -> "LinearConstraint":
-        # The integer row of  sign * (items  rel  bound), straight from each
-        # value's numerator and denominator, divided by its gcd.
-        den = math.lcm(int(bound.denominator),
-                       *(int(c.denominator) for _, c in items))
-        nums = [int(c.numerator) * (den // int(c.denominator)) for _, c in items]
-        b = int(bound.numerator) * (den // int(bound.denominator))
-        g = math.gcd(b, *nums)
-        if sign < 0 or (rel == EQ and nums[0] < 0):
-            g = -g
-        coeffs = tuple((v, n // g) for (v, _), n in zip(items, nums))
-        return LinearConstraint(coeffs, rel, b // g)
+        # Scale by the common denominator: an int's is 1.
+        den = math.lcm(bound.denominator, *(c.denominator for _, c in items))
+        return _canonical(
+            [(v, c.numerator * (den // c.denominator)) for v, c in items],
+            rel, bound.numerator * (den // bound.denominator), sign)
 
     # -- simple queries ----------------------------------------------------
 
@@ -277,6 +257,17 @@ class LinearConstraint:
         lhs = "+ ".join(f"{c}*{v}" for v, c in self.coeffs) if self.coeffs else "0"
         rel = {LE: "=<", LT: "<", EQ: "="}[self.rel]
         return f"{lhs} {rel} {self.bound}"
+
+
+def _canonical(items: List[Tuple[str, int]], rel: str, bound: int,
+               sign: int = 1) -> LinearConstraint:
+    """The constraint  sign * (items . x  rel  bound)  from a non-empty
+    integer row sorted by name: divided by its gcd, and negated to make an
+    equality's first coefficient positive."""
+    g = math.gcd(bound, *(a for _, a in items))
+    if sign < 0 or (rel == EQ and items[0][1] < 0):
+        g = -g
+    return LinearConstraint(tuple((v, a // g) for v, a in items), rel, bound // g)
 
 
 FALSE_CONSTRAINT = LinearConstraint.make({}, LE, -1)
@@ -484,22 +475,16 @@ class _Tableau:
         if not c.coeffs:
             self.slacks.append((0, False))
             return c.is_trivially_true()
+        rows, basis, kind = self.rows, self.basis, self.kind
         entries = [(self.column(v), a) for v, a in c.coeffs]
         strict = c.rel == LT
         if strict:
             entries.append((self.column(_EPS, _NONNEG), 1))
-        return self.add_row(entries, c.rel == EQ, c.bound, strict)
-
-    def add_row(self, entries: Sequence[Tuple[int, int]], equality: bool,
-                rhs: int, strict: bool = False) -> bool:
-        """Add  sum(a * x_j for j, a in entries) <= rhs  (= rhs for an
-        equality) over existing columns with integer entries; as `add`."""
-        rows, basis, kind = self.rows, self.basis, self.kind
-        s = self._new_column(_FIXED if equality else _NONNEG)
+        s = self._new_column(_FIXED if c.rel == EQ else _NONNEG)
         self.slacks.append((s, strict))
         self.strict += strict
-        row = self._reduced([*entries, (s, 1)], rhs)
-        if not equality and row[0] >= 0:
+        row = self._reduced([*entries, (s, 1)], c.bound)
+        if c.rel != EQ and row[0] >= 0:
             rows.append(row)
             basis.append(s)
             return True
@@ -669,16 +654,6 @@ class _Tableau:
         return zrow
 
 
-def _integral(coeffs: Mapping[str, Rat], bound) -> Tuple[List[Tuple[str, int]], int]:
-    """The row  coeffs . x = bound  times a positive factor, in integers."""
-    items = [(v, c) for v, c in coeffs.items() if c]
-    den = math.lcm(int(bound.denominator),
-                   *(int(c.denominator) for _, c in items))
-    return ([(v, int(c.numerator) * (den // int(c.denominator)))
-             for v, c in items],
-            int(bound.numerator) * (den // int(bound.denominator)))
-
-
 def solve_lp(rows: Sequence[Tuple[Mapping[str, Rat], str, Rat]],
              objective: Mapping[str, Rat],
              nonneg: frozenset,
@@ -689,7 +664,9 @@ def solve_lp(rows: Sequence[Tuple[Mapping[str, Rat], str, Rat]],
     `nonneg` are constrained to be >= 0, all others are free. Returns
     (status, value, point) where status is one of "optimal", "unbounded",
     "infeasible"; point is None unless requested and status is "optimal".
-    Value and point are exact rationals.
+    Value and point are exact rationals. Each row enters the tableau as its
+    canonical constraint, and the objective is read off the canonical form
+    of  objective <= 0: positive scaling changes no pivot.
     """
     for _, rel, _ in rows:
         if rel not in (LE, EQ):
@@ -698,11 +675,10 @@ def solve_lp(rows: Sequence[Tuple[Mapping[str, Rat], str, Rat]],
     for v in sorted({v for coeffs, _, _ in rows for v in coeffs} | set(objective)):
         t.column(v, _NONNEG if v in nonneg else _FREE)
     for coeffs, rel, bound in rows:
-        entries, rhs = _integral(coeffs, bound)
-        if not t.add_row([(t.col[v], a) for v, a in entries], rel == EQ, rhs):
+        if not t.add(LinearConstraint.make(coeffs, rel, bound)):
             return _INFEASIBLE, None, None
-    entries, _ = _integral(objective, 0)
-    if t._optimise(t._reduced([(t.col[v], a) for v, a in entries])) is None:
+    goal = LinearConstraint.make(objective, LE, 0)
+    if t._optimise(t._reduced([(t.col[v], a) for v, a in goal.coeffs])) is None:
         return _UNBOUNDED, None, None
     values = {b: Rat(row[0], row[b]) for row, b in zip(t.rows, t.basis)}
     point = {v: values.get(j, _ZERO) for v, j in t.col.items()}
@@ -856,10 +832,7 @@ def _combine(p: int, c: LinearConstraint, q: int, d: LinearConstraint,
     bound = p * c.bound + q * d.bound
     if not items:
         return LinearConstraint((), rel, Rat(bound))
-    g = math.gcd(bound, *(a for _, a in items))
-    if rel == EQ and items[0][1] < 0:
-        g = -g
-    return LinearConstraint(tuple((v, a // g) for v, a in items), rel, bound // g)
+    return _canonical(items, rel, bound)
 
 
 def _dominance_prune(rows: List[LinearConstraint]) -> List[LinearConstraint]:

@@ -18,14 +18,11 @@ from __future__ import annotations
 
 from typing import List
 
-from .chc_ast import Atom, Clause, Program
+from .chc_ast import ANSWER_SUFFIX, QUERY_SUFFIX, Atom, Clause, Program
 from .linalg import ConstraintSet
 
 __all__ = ["QUERY_SUFFIX", "ANSWER_SUFFIX", "query_pred", "answer_pred",
            "qa_transform"]
-
-QUERY_SUFFIX = "__q"
-ANSWER_SUFFIX = "__a"
 
 
 def query_pred(pred: str) -> str:

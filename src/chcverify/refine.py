@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Set, Tuple
+from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from .analysis import AbstractModel, instantiate
 from .cex import TreeInterpolant
@@ -83,18 +83,21 @@ def split_facts(program: Program, model: AbstractModel,
     return SplitModel(parts, wholes)
 
 
+def _fresh_name(base: str, numbers: Sequence[int], taken: Set[str]) -> str:
+    """`base` followed by "_n" for each of the `numbers`, with "__", "___",
+    ... as the separator until the name is not `taken`; it is then taken."""
+    sep = "_"
+    while (name := base + "".join(f"{sep}{n}" for n in numbers)) in taken:
+        sep += "_"
+    taken.add(name)
+    return name
+
+
 def _version_names(program: Program, split: SplitModel) -> Dict[Tuple[str, int], str]:
     taken = set(program.predicates)
-    names: Dict[Tuple[str, int], str] = {}
-    for pred in sorted(split.parts):
-        for k in range(len(split.parts[pred]) + 1):
-            sep = "_"
-            while f"{pred}{sep}{k + 1}" in taken:
-                sep += "_"
-            name = f"{pred}{sep}{k + 1}"
-            taken.add(name)
-            names[(pred, k)] = name
-    return names
+    return {(pred, k): _fresh_name(pred, (k + 1,), taken)
+            for pred in sorted(split.parts)
+            for k in range(len(split.parts[pred]) + 1)}
 
 
 # Versions one source clause may be specialised into before the run gives up.
@@ -126,6 +129,9 @@ def polyvariant_specialise(program: Program, split: SplitModel
 
     emitted: List[Tuple[Tuple[int, ...], Clause]] = []
     emit_counts: Dict[str, int] = {}
+    # A clause id is its source's with a "_n" per version it uses; only a
+    # body-less false clause, specialised once, keeps its source's id.
+    ids = {cl.id for cl in program.clauses_for(FALSE.pred) if not cl.body}
     source_index = {cl.id: i for i, cl in enumerate(program.clauses)}
     defined: Set[Tuple[str, int]] = set()
     work: deque = deque()
@@ -147,7 +153,7 @@ def polyvariant_specialise(program: Program, split: SplitModel
                               cl.head.args)
         else:
             head = FALSE
-        new_id = cl.id + "".join(f"_{n}" for n in suffix)
+        new_id = _fresh_name(cl.id, suffix, ids) if suffix else cl.id
         emit_counts[cl.id] = emit_counts.get(cl.id, 0) + 1
         if emit_counts[cl.id] > MAX_CLAUSES_PER_SOURCE:
             raise ResourceLimitError(

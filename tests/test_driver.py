@@ -7,6 +7,7 @@ import pytest
 
 from chcverify import driver
 from chcverify.analysis import AbstractModel, is_inductive_model
+from chcverify.cex import build_and_tree, feasible
 from chcverify.chc_ast import parse_program, program_text
 from chcverify.driver import Config, Verdict, main, verify
 from chcverify.linalg import _entails_cached, _tableau_of, is_satisfiable, simplify
@@ -32,6 +33,14 @@ p(Y) :- 1*X+ -1*Y = -1, p(X).
 false :- 1*X = 2, p(X).
 """
 
+# A source label that a specialised id also spells: c1 with versions 1, 1
+# and c1_1 with version 1 both extend to "c1_1_1".
+LABELLED_COUNTER = """\
+c1. p(Y) :- 1*X+ -1*Y = -1, p(X).
+c1_1. p(X) :- 1*X >= 0, 1*X =< 1.
+c3. false :- 1*X = 2, p(X).
+"""
+
 
 class TestVerify:
     def test_two_counter_loop_is_unsafe_after_one_split(self):
@@ -39,6 +48,13 @@ class TestVerify:
         assert verdict.kind == "unsafe"
         assert verdict.refinements == 1
         assert str(verdict.trace) == "c1_2(c2_2_1_3(c5_1,c3_3))"
+
+    def test_specialised_clause_ids_never_collide(self):
+        verdict = verify(parse_program(LABELLED_COUNTER))
+        assert verdict.kind == "unsafe"
+        assert verdict.refinements == 1
+        assert str(verdict.trace) == "c3_2(c1_2_1(c1_1__1))"
+        assert feasible(build_and_tree(verdict.program, verdict.trace))
 
     def test_safe_counter_needs_no_refinement(self):
         verdict = verify(parse_program(SAFE_COUNTER))
@@ -173,7 +189,8 @@ class TestDumps:
     def test_partition_dumps_parse_back(self, tmp_path):
         # the ids that specialisation makes (c1_2, c2_2_1_3, c1.1_2) read
         # back as labels, so each roundN.ps file is the program it prints
-        for name, text in (("t4", T4), ("updown", UPDOWN)):
+        for name, text in (("t4", T4), ("updown", UPDOWN),
+                           ("labelled", LABELLED_COUNTER)):
             out = tmp_path / name
             verify(parse_program(text), Config(dump_dir=str(out),
                                                dump_kinds=("ps",)))
@@ -219,6 +236,20 @@ class TestCli:
 
         assert main([str(unsafe), "--max-refinements", "0"]) == 2
         assert "reason:      refinement limit reached" in capsys.readouterr().out
+
+    def test_an_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
+        # not 1, which means unsafe
+        def fail(program, config=None):
+            raise RuntimeError("no certificate")
+
+        monkeypatch.setattr(driver, "verify", fail)
+        f = tmp_path / "safe.pl"
+        f.write_text(SAFE_COUNTER)
+        assert main([str(f)]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (f"error: {f}: internal error: "
+                                "RuntimeError: no certificate\n")
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.pl")]) == 3

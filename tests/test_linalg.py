@@ -402,6 +402,13 @@ def test_false_constraint_is_constant_and_false():
 def test_rat_accepts_pairs_and_strings():
     assert rat(1, 3) + rat(2, 3) == rat(1)
     assert rat("7/2") == rat(7, 2)
+    assert rat(2, 3) == Fraction(2, 3)
+    for text, value in (("3", Fraction(3)), ("-3", Fraction(-3)),
+                        ("+3", Fraction(3)), ("-7/2", Fraction(-7, 2)),
+                        ("0.25", Fraction(1, 4)), ("-0.25", Fraction(-1, 4)),
+                        ("10.125", Fraction(81, 8)), (".5", Fraction(1, 2)),
+                        ("-.5", Fraction(-1, 2)), ("1.", Fraction(1))):
+        assert rat(text) == value, text
 
 
 def assert_int_form(c):

@@ -124,3 +124,14 @@ class TestPolyvariantSpecialise:
         assert set(origin) <= {"p__1", "p_1_1"}
         for name in origin:
             assert name not in prog.predicates
+
+    def test_clause_ids_dodge_each_other(self):
+        # c1 with version 1 of p spells "c1_1", the id that the body-less
+        # false clause keeps
+        prog = parse_program("c1. false :- 1*X = 2, p(X).\n"
+                             "c1_1. false :- 1*X = 5.\n"
+                             "c2. p(X) :- -1*X =< 0.\n")
+        model, _ = analyze(prog)
+        out, _ = polyvariant_specialise(prog, split_facts(prog, model, None))
+        assert [cl.id for cl in out.clauses] == ["c1__1", "c1_1", "c2_1"]
+        assert program_text(parse_program(program_text(out))) == program_text(out)

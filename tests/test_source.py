@@ -5,6 +5,7 @@ import importlib
 import pathlib
 import re
 import runpy
+import sys
 
 import chcverify
 
@@ -99,3 +100,20 @@ def test_every_module_level_definition_is_used():
               and not any(s is not stmt for s in used_by.get(name, ()))]
     assert not unused, f"defined but not used outside their own body: {unused}"
     assert len(defined) > 50
+
+
+def test_package_imports_only_the_standard_library():
+    # The package declares no dependencies, so every absolute import must
+    # resolve without installing anything.
+    imported = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module)
+    roots = {name.partition(".")[0] for name in imported}
+    outside = sorted(roots - set(sys.stdlib_module_names))
+    assert not outside, f"imports outside the standard library: {outside}"
+    assert {"fractions", "math"} <= roots

@@ -1,10 +1,11 @@
 """Convex polyhedral analysis of CHC programs.
 
-`analyze` computes, for every predicate, one polyhedron over its canonical
-argument names that over-approximates the predicate's least model, by chaotic
-iteration over the strongly connected components of the dependency graph in
-reverse topological order. Cyclic components are iterated to stability with
-threshold widening after a short delay; acyclic ones stabilise in one
+`analyze` takes only the program. It computes, for every predicate, one
+polyhedron over its canonical argument names that over-approximates the
+predicate's least model, by chaotic iteration over the strongly connected
+components of the dependency graph in reverse topological order, which it
+takes from `chc_ast.components`. Cyclic components are iterated to stability
+with threshold widening after a short delay; acyclic ones stabilise in one
 productive pass. The iteration is semi-naive: every predicate carries a
 version that goes up whenever its value is replaced, and a clause is
 re-evaluated only when its body predicates' versions differ from those it was
@@ -12,10 +13,11 @@ last evaluated under. A contribution is a pure function of the body values,
 and a predicate's value only grows, so a skipped clause adds nothing; of the
 contributions that are evaluated, only those not already below the value are
 hulled in. The widening thresholds are the head bounds that each clause's own
-constraint implies. They live in a `ThresholdSet` over the program's clauses
-(`compute_thresholds`), which mines a predicate's bounds the first time they
-are asked for. Only widening asks, so a predicate's bounds are mined when it
-is first widened, and never for a predicate that no cyclic component widens.
+constraint implies. `analyze` mines them itself, through a `ThresholdSet` over
+the program's clauses (`compute_thresholds`) that mines a predicate's bounds
+the first time they are asked for. Only widening asks, so a predicate's
+bounds are mined when it is first widened, and never for a predicate that no
+cyclic component widens.
 
 `_place` is the one place where canonical facts are put on a clause's atoms
 and conjoined with its constraint. `instantiate` also checks the conjunction
@@ -39,7 +41,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
 
-from .chc_ast import Atom, Clause, FALSE, Program, dependency_graph
+from .chc_ast import Atom, Clause, FALSE, Program, components
 from .linalg import (FALSE_SET, TRUE, ConstraintSet, LinearConstraint,
                      ResourceLimitError, is_satisfiable, project, simplify)
 from .polyhedra import Polyhedron, canonical_args
@@ -185,12 +187,13 @@ WIDEN_DELAY = 2
 MAX_ITERATIONS = 1000
 
 
-def analyze(program: Program, thresholds: Optional[ThresholdSet] = None
-            ) -> Tuple[AbstractModel, Dict[str, Clause]]:
+def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
     """Over-approximate the least model; keep each predicate's first clause.
 
     Returns the model and, for every predicate that became non-empty, the
-    clause whose contribution first made it so.
+    clause whose contribution first made it so. The components come from
+    `components`, and widening is bounded by the program's own
+    `compute_thresholds`, mined lazily.
 
     Raises ResourceLimitError if an SCC fails to stabilise within
     `MAX_ITERATIONS` rounds (cannot happen with widening enabled unless the
@@ -198,9 +201,7 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None
     if a projection exceeds `fm_limit`, mining the thresholds of a predicate
     that is widened included.
     """
-    if thresholds is None:
-        thresholds = ThresholdSet({})
-    graph = dependency_graph(program)
+    thresholds = compute_thresholds(program)
     values: Dict[str, Polyhedron] = {
         p: Polyhedron.bottom(canonical_args(a))
         for p, a in program.predicates.items()}
@@ -210,14 +211,13 @@ def analyze(program: Program, thresholds: Optional[ThresholdSet] = None
     version: Dict[str, int] = dict.fromkeys(values, 0)
     evaluated: Dict[Clause, Tuple[int, ...]] = {}
 
-    for scc in graph.sccs_reverse_topological():
-        cyclic = graph.is_cyclic_scc(scc)
+    for scc, cyclic in components(program):
         iteration = 0
         while True:
             iteration += 1
             if iteration > MAX_ITERATIONS:
                 raise ResourceLimitError(
-                    f"analysis of component {scc} exceeded "
+                    f"analysis of component {list(scc)} exceeded "
                     f"{MAX_ITERATIONS} iterations")
             snapshot = AbstractModel(dict(values))
             snapshot_version = dict(version)

@@ -10,13 +10,16 @@ into fresh variables plus equality constraints.
 The surface syntax also allows a constraint as clause head
 ("X = Y :- p(X, Y)"). The parser rewrites such an integrity constraint into
 `false` clauses by negating the head, so every parsed head is an atom.
+
+`components` gives a program's predicate dependency components, callees
+first, in the order `analysis.analyze` iterates them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
 
 from .linalg import (EQ, ConstraintSet, LinearConstraint, Rat, rat)
 
@@ -26,12 +29,11 @@ __all__ = [
     "FALSE",
     "Clause",
     "Program",
-    "DependencyGraph",
     "ParseError",
     "FreshNames",
     "parse_program",
     "parse_clause",
-    "dependency_graph",
+    "components",
     "program_text",
     "clause_text",
 ]
@@ -451,87 +453,59 @@ def parse_program(text: str) -> Program:
 
 
 # ---------------------------------------------------------------------------
-# Dependency graph.
+# Dependency components.
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class DependencyGraph:
-    """Head-to-body predicate dependencies of a program."""
+def components(program: Program) -> List[Tuple[Tuple[str, ...], bool]]:
+    """The strongly connected components of the head-to-body dependencies,
+    callees before callers, each sorted and paired with whether it is
+    cyclic (more than one predicate, or one that depends on itself).
 
-    nodes: Tuple[str, ...]
-    edges: frozenset  # of (head_pred, body_pred)
+    Iterative Tarjan over the predicates in sorted order, visiting each
+    predicate's sorted successors; Tarjan finishes a component only after
+    everything it reaches, so it emits them in reverse topological order.
+    """
+    succ = {p: sorted({b.pred for cl in program.clauses_for(p) for b in cl.body})
+            for p in program.predicates}
+    index: Dict[str, int] = {}
+    low: Dict[str, int] = {}
+    on_stack: Set[str] = set()
+    stack: List[str] = []
+    work: List[Tuple[str, Iterator[str]]] = []
+    out: List[Tuple[Tuple[str, ...], bool]] = []
 
-    def successors(self, pred: str) -> List[str]:
-        return sorted(b for a, b in self.edges if a == pred)
+    def visit(node: str) -> None:
+        index[node] = low[node] = len(index)
+        stack.append(node)
+        on_stack.add(node)
+        work.append((node, iter(succ[node])))
 
-    def sccs_reverse_topological(self) -> List[List[str]]:
-        """Strongly connected components, callees before callers."""
-        index: Dict[str, int] = {}
-        low: Dict[str, int] = {}
-        on_stack: Set[str] = set()
-        stack: List[str] = []
-        sccs: List[List[str]] = []
-        counter = [0]
-        succ = {n: self.successors(n) for n in self.nodes}
-
-        def strongconnect(root: str) -> None:
-            work = [(root, iter(succ[root]))]
-            index[root] = low[root] = counter[0]
-            counter[0] += 1
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                node, it = work[-1]
-                advanced = False
-                for nb in it:
-                    if nb not in index:
-                        index[nb] = low[nb] = counter[0]
-                        counter[0] += 1
-                        stack.append(nb)
-                        on_stack.add(nb)
-                        work.append((nb, iter(succ[nb])))
-                        advanced = True
-                        break
-                    if nb in on_stack:
-                        low[node] = min(low[node], index[nb])
-                if advanced:
-                    continue
+    for root in sorted(succ):
+        if root in index:
+            continue
+        visit(root)
+        while work:
+            node, it = work[-1]
+            for nb in it:
+                if nb not in index:
+                    visit(nb)
+                    break
+                if nb in on_stack:
+                    low[node] = min(low[node], index[nb])
+            else:
                 work.pop()
                 if work:
                     parent = work[-1][0]
                     low[parent] = min(low[parent], low[node])
                 if low[node] == index[node]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack.discard(w)
-                        comp.append(w)
-                        if w == node:
-                            break
-                    sccs.append(sorted(comp))
-
-        for n in self.nodes:
-            if n not in index:
-                strongconnect(n)
-        # Tarjan emits components in reverse topological order already
-        # (an SCC is finished only after everything it reaches).
-        return sccs
-
-    def is_cyclic_scc(self, scc: Sequence[str]) -> bool:
-        if len(scc) > 1:
-            return True
-        (p,) = scc
-        return (p, p) in self.edges
-
-
-def dependency_graph(program: Program) -> DependencyGraph:
-    nodes = sorted(program.predicates)
-    edges = set()
-    for cl in program.clauses:
-        for b in cl.body:
-            edges.add((cl.head.pred, b.pred))
-    return DependencyGraph(tuple(nodes), frozenset(edges))
+                    comp: List[str] = []
+                    while not comp or comp[-1] != node:
+                        comp.append(stack.pop())
+                        on_stack.discard(comp[-1])
+                    out.append((tuple(sorted(comp)),
+                                len(comp) > 1 or node in succ[node]))
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Verification loop and command line entry point.
 
 Each round first specialises the program with the answer constraints of its
-query-answer transform (constraint propagation), then runs the polyhedral
-analysis.  A safe model ends the run; otherwise the first derivation of
-`false` that the analysis found is replayed as an AND-tree.  Feasible trees
-are real counterexamples; spurious ones drive one round of interpolant-guided
-predicate splitting, and the loop starts over on the specialised program.
+query-answer transform (constraint propagation), unless no clause derives
+`false` already, then runs the polyhedral analysis once.  A safe model ends
+the run; otherwise the first derivation of `false` that the analysis found
+is replayed as an AND-tree.  Feasible trees are real counterexamples;
+spurious ones drive one round of interpolant-guided predicate splitting, and
+the loop starts over on the specialised program.  `python -m chcverify`
+runs `main`.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .analysis import (
     AbstractModel,
     analyze,
     check_safety,
-    compute_thresholds,
     is_inductive_model,
     model_to_text,
 )
@@ -40,7 +41,6 @@ DUMP_KINDS = ("qa", "spec", "model", "ps")
 @dataclass
 class Config:
     max_refinements: int = 10
-    use_thresholds: bool = True
     fm_step_limit: int = 10_000
     dump_dir: Optional[str] = None
     dump_kinds: Tuple[str, ...] = DUMP_KINDS
@@ -81,15 +81,6 @@ def _dump(cfg: Config, name: str, kind: str, render: Callable[..., str],
         raise
 
 
-def _safe(rounds: int, events: List[str], program: Program,
-          model: AbstractModel) -> Verdict:
-    """A safe verdict, once the model is re-checked to be inductive."""
-    if not is_inductive_model(program, model):
-        raise RuntimeError("analysis returned a non-inductive model")
-    return Verdict("safe", rounds, events=tuple(events),
-                   program=program, model=model)
-
-
 def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     cfg = config or Config()
     reset_caches()
@@ -99,29 +90,27 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     try:
         while True:
             if early_safe(program):
-                events.append(f"round {rounds}: no clause derives false")
-                model, _ = analyze(program)
-                return _safe(rounds, events, program, model)
-            qa = qa_transform(program, FALSE)
-            _dump(cfg, f"round{rounds}.qa", "qa", program_text, qa)
-            qa_thresholds = compute_thresholds(qa) if cfg.use_thresholds else None
-            qa_model, _ = analyze(qa, qa_thresholds)
-            program = strengthen(program, qa_model)
-            _dump(cfg, f"round{rounds}.spec", "spec", program_text, program)
-            events.append(
-                f"round {rounds}: propagation kept {len(program.clauses)} clauses")
-            if early_safe(program):
-                events.append(
-                    f"round {rounds}: propagation removed every false clause")
-                model, _ = analyze(program)
-                return _safe(rounds, events, program, model)
-            thresholds = compute_thresholds(program) if cfg.use_thresholds else None
-            model, first = analyze(program, thresholds)
+                proof = "no clause derives false"
+            else:
+                qa = qa_transform(program, FALSE)
+                _dump(cfg, f"round{rounds}.qa", "qa", program_text, qa)
+                qa_model, _ = analyze(qa)
+                program = strengthen(program, qa_model)
+                _dump(cfg, f"round{rounds}.spec", "spec", program_text, program)
+                events.append(f"round {rounds}: propagation kept "
+                              f"{len(program.clauses)} clauses")
+                proof = ("propagation removed every false clause"
+                         if early_safe(program)
+                         else "model proves false unreachable")
+            model, first = analyze(program)
             _dump(cfg, f"round{rounds}.model", "model", model_to_text, model,
                   program)
             if check_safety(model):
-                events.append(f"round {rounds}: model proves false unreachable")
-                return _safe(rounds, events, program, model)
+                events.append(f"round {rounds}: {proof}")
+                if not is_inductive_model(program, model):
+                    raise RuntimeError("analysis returned a non-inductive model")
+                return Verdict("safe", rounds, events=tuple(events),
+                               program=program, model=model)
             trace = extract_trace(first)
             tree = build_and_tree(program, trace)
             if feasible(tree):
@@ -157,16 +146,15 @@ def main(argv: Optional[List[str]] = None) -> int:
         description="Decide safety of constrained Horn clauses over "
                     "linear rational arithmetic.")
     ap.add_argument("file", help="clause file to verify")
-    ap.add_argument("--max-refinements", type=int, default=10, metavar="N",
-                    help="splitting rounds before giving up (default 10)")
+    ap.add_argument("--max-refinements", type=int,
+                    default=Config.max_refinements, metavar="N",
+                    help="splitting rounds before giving up (default %(default)s)")
     ap.add_argument("--dump-dir", metavar="DIR",
                     help="write per-round artifacts into DIR")
     ap.add_argument("--dump", action="append", choices=DUMP_KINDS,
                     metavar="|".join(DUMP_KINDS),
                     help="artifact kinds to dump (default: all)")
     ap.add_argument("--format", choices=("human", "json"), default="human")
-    ap.add_argument("--thresholds", choices=("on", "off"), default="on",
-                    help="widening thresholds (default on)")
     args = ap.parse_args(argv)
 
     try:
@@ -181,7 +169,6 @@ def main(argv: Optional[List[str]] = None) -> int:
 
     cfg = Config(
         max_refinements=args.max_refinements,
-        use_thresholds=args.thresholds == "on",
         dump_dir=args.dump_dir,
         dump_kinds=tuple(args.dump) if args.dump else DUMP_KINDS,
     )
@@ -201,6 +188,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             "iterations": verdict.refinements,
             "time_ms": elapsed_ms,
             "witness": str(verdict.trace) if verdict.trace else None,
+            "reason": verdict.reason,
             "events": list(verdict.events),
         }))
     else:

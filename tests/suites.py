@@ -26,7 +26,7 @@ from oracles import (
 )
 
 from conftest import random_constraint, random_constraint_set, random_program, tr
-from chcverify.analysis import analyze, compute_thresholds, check_safety, is_inductive_model
+from chcverify.analysis import analyze, check_safety, is_inductive_model
 from chcverify.cex import (
     TraceTerm,
     TreeInterpolant,
@@ -293,7 +293,7 @@ def run_suite_c(n_cases=210, seed=303):
                 if not _fanout(exc):
                     raise
                 skipped += 1
-            qa_model, _ = analyze(qa, compute_thresholds(qa))
+            qa_model, _ = analyze(qa)
             spec = strengthen(prog, qa_model)
             src_ids = [cl.id for cl in prog.clauses]
             kept = {cl.id for cl in spec.clauses}
@@ -360,11 +360,11 @@ def _check_pipeline_interpolants(rng, tag):
     """Run one propagation round; label any spurious trace and check it."""
     prog = random_program(rng, max_clauses=5)
     qa = qa_transform(prog, FALSE)
-    qa_model, _ = analyze(qa, compute_thresholds(qa))
+    qa_model, _ = analyze(qa)
     spec = strengthen(prog, qa_model)
     if not any(cl.is_false_head() for cl in spec.clauses):
         return 0
-    model, first = analyze(spec, compute_thresholds(spec))
+    model, first = analyze(spec)
     if check_safety(model):
         return 0
     trace = extract_trace(first)
@@ -399,9 +399,9 @@ def _check_constructed_spurious(rng, tag):
     """The off-grid loop must reach interpolation and satisfy the laws."""
     prog = _off_grid_loop(rng)
     qa = qa_transform(prog, FALSE)
-    qa_model, _ = analyze(qa, compute_thresholds(qa))
+    qa_model, _ = analyze(qa)
     spec = strengthen(prog, qa_model)
-    model, first = analyze(spec, compute_thresholds(spec))
+    model, first = analyze(spec)
     assert not check_safety(model), f"{tag}: hull unexpectedly avoids the gap"
     tree = build_and_tree(spec, extract_trace(first))
     assert not feasible(tree), f"{tag}: off-grid point claimed reachable"
@@ -538,7 +538,7 @@ def run_suite_e(n_cases=210, seed=505):
         tag = f"suite e attempt {attempts}"
         prog = random_program(rng)
         try:
-            model, _ = analyze(prog, compute_thresholds(prog))
+            model, _ = analyze(prog)
             interp = _random_interpolant(rng, prog)
             split = split_facts(prog, model, interp)
             for pred, arity in prog.predicates.items():

@@ -9,7 +9,7 @@ import os
 import time
 import warnings
 
-from chcverify.analysis import analyze, check_safety, compute_thresholds
+from chcverify.analysis import analyze, check_safety
 from chcverify.cex import build_and_tree, extract_trace, feasible, tree_constraints, tree_interpolants
 from chcverify.chc_ast import FALSE, parse_program
 from chcverify.driver import verify
@@ -32,9 +32,9 @@ T4 = open("tests/data/t4.pl").read()
 def first_round():
     prog = parse_program(T4)
     qa = qa_transform(prog, FALSE)
-    qa_model, _ = analyze(qa, compute_thresholds(qa))
+    qa_model, _ = analyze(qa)
     spec = strengthen(prog, qa_model)
-    model, first = analyze(spec, compute_thresholds(spec))
+    model, first = analyze(spec)
     return prog, spec, model, first
 
 

@@ -42,7 +42,7 @@ class TestModels:
 
     def test_recursive_counter_stabilizes_on_the_invariant(self):
         prog = parse_program(SAFE_COUNTER)
-        model, _ = analyze(prog, compute_thresholds(prog))
+        model, _ = analyze(prog)
         assert str(model.value("p", 1)) == "-1*A =< 0"
         assert check_safety(model)
         assert is_inductive_model(prog, model)
@@ -50,7 +50,7 @@ class TestModels:
     def test_widening_loses_the_loop_body_correlations(self):
         # the two-counter loop grows in a direction no finite iterate bounds
         prog = parse_program(T4)
-        model, _ = analyze(prog, compute_thresholds(prog))
+        model, _ = analyze(prog)
         assert model.value("l", 4).is_top
         assert str(model.value("l_body", 4)) == (
             "-1*A+ 2*B+ 1*C+ -2*D =< 0, 1*A+ 1*B+ -1*C+ -1*D = -3, "
@@ -85,7 +85,7 @@ class TestSemiNaive:
             return contribution(cl, model)
 
         monkeypatch.setattr(analysis, "_contribution", counting)
-        analyze(prog, compute_thresholds(prog))
+        analyze(prog)
         return calls
 
     def test_acyclic_clauses_are_evaluated_once(self, monkeypatch):
@@ -107,7 +107,7 @@ class TestSemiNaive:
             rng = random.Random(606 * 1_000_000 + attempt)
             prog = random_program(rng, max_clauses=5)
             for p in (prog, qa_transform(prog, FALSE)):
-                model, _ = analyze(p, compute_thresholds(p))
+                model, _ = analyze(p)
                 assert is_inductive_model(p, model), f"attempt {attempt}"
 
 
@@ -116,7 +116,7 @@ class TestWitness:
         # the clause that first made each predicate non-empty; l's later
         # growth through c2 (and its widening to top) is not kept
         prog = parse_program(T4)
-        _, first = analyze(prog, compute_thresholds(prog))
+        _, first = analyze(prog)
         assert {p: cl.id for p, cl in first.items()} == {
             "l_body": "c5", "l": "c3", "false": "c1"}
 
@@ -129,7 +129,7 @@ class TestWitness:
             prog = random_program(rng, max_clauses=5)
             progs += [prog, qa_transform(prog, FALSE)]
         for prog in progs:
-            _, first = analyze(prog, compute_thresholds(prog))
+            _, first = analyze(prog)
             order = list(first)
             for pred, cl in first.items():
                 assert cl.head.pred == pred
@@ -138,14 +138,14 @@ class TestWitness:
 
     def test_lookup(self):
         prog = parse_program(T4)
-        _, first = analyze(prog, compute_thresholds(prog))
+        _, first = analyze(prog)
         assert first["false"] is prog.clause("c1")
         assert first["l"] is prog.clause("c3")
         assert "nothing" not in first
 
     def test_safe_program_never_grows_false(self):
         prog = parse_program(SAFE_COUNTER)
-        _, first = analyze(prog, compute_thresholds(prog))
+        _, first = analyze(prog)
         assert "false" not in first
 
 
@@ -181,10 +181,16 @@ class TestThresholds:
         text = "p(X) :- 1*X = 0.\np(Y) :- 1*X+ -1*Y = -1, 1*Y =< 5, p(X).\n" \
                "false :- 1*X+ -1*X = 1, p(X)."
         prog = parse_program(text)
-        with_thr, _ = analyze(prog, compute_thresholds(prog))
-        without, _ = analyze(prog)
-        assert str(with_thr.value("p", 1)) == "-1*A =< 0, 1*A =< 5"
-        assert str(without.value("p", 1)) == "-1*A =< 0"
+        model, _ = analyze(prog)
+        assert str(model.value("p", 1)) == "-1*A =< 0, 1*A =< 5"
+        # the widening that makes the third round, of 0 =< A =< 1 by
+        # 0 =< A =< 2, keeps the bound only through the threshold
+        space = canonical_args(1)
+        old = Polyhedron(space, _cs(({"A": -1}, LE, 0), ({"A": 1}, LE, 1)))
+        new = Polyhedron(space, _cs(({"A": -1}, LE, 0), ({"A": 1}, LE, 2)))
+        assert str(old.widen(new)) == "-1*A =< 0"
+        assert str(old.widen(new, compute_thresholds(prog).for_pred("p"))
+                   ) == "-1*A =< 0, 1*A =< 5"
 
 
 class TestThresholdSet:
@@ -207,7 +213,7 @@ class TestLazyThresholds:
 
         monkeypatch.setattr(analysis, "_head_bounds", no_mining)
         prog = parse_program(ACYCLIC_CHAIN)
-        model, _ = analyze(prog, compute_thresholds(prog))
+        model, _ = analyze(prog)
         assert str(model.value("q", 1)) == "1*A = 1"
 
     def test_each_predicate_is_mined_at_most_once(self, monkeypatch):
@@ -220,13 +226,14 @@ class TestLazyThresholds:
 
         monkeypatch.setattr(analysis, "_head_bounds", counting)
         prog = parse_program(T4)
-        thr = compute_thresholds(prog)
-        analyze(prog, thr)
+        analyze(prog)
         assert calls == {"l": 1}
-        assert len(thr) == 8
-        for pred in ("l", "l_body", "false"):
+        calls.clear()
+        thr = compute_thresholds(prog)
+        for pred in ("l", "l_body", "false", "l"):
             thr.for_pred(pred)
         assert calls == {"l": 1, "l_body": 1, "false": 1}
+        assert len(thr) == 8
 
 
 def _cs(*rows):
@@ -293,7 +300,7 @@ class TestInstantiate:
             rng = random.Random(606 * 1_000_000 + attempt)
             prog = random_program(rng, max_clauses=5)
             for p in (prog, qa_transform(prog, FALSE)):
-                model, _ = analyze(p, compute_thresholds(p))
+                model, _ = analyze(p)
                 for cl in p.clauses:
                     tag = f"attempt {attempt}: {cl}"
                     facts = [model.value(b.pred, b.arity).constraints

@@ -3,7 +3,7 @@
 import pytest
 
 from conftest import tr
-from chcverify.analysis import analyze, compute_thresholds
+from chcverify.analysis import analyze
 from chcverify.cex import (
     TraceTerm,
     build_and_tree,
@@ -39,9 +39,9 @@ def t4_spurious():
     """The strengthened two-counter loop and its first counterexample."""
     prog = parse_program(T4)
     qa = qa_transform(prog, FALSE)
-    qa_model, _ = analyze(qa, compute_thresholds(qa))
+    qa_model, _ = analyze(qa)
     spec = strengthen(prog, qa_model)
-    _, first = analyze(spec, compute_thresholds(spec))
+    _, first = analyze(spec)
     return spec, first
 
 

@@ -13,7 +13,7 @@ from chcverify.chc_ast import (
     FreshNames,
     ParseError,
     Program,
-    dependency_graph,
+    components,
     parse_clause,
     parse_program,
     program_text,
@@ -214,24 +214,26 @@ class TestRenaming:
 
 class TestDependencyGraph:
     def test_edges_point_from_head_to_body(self):
-        graph = dependency_graph(parse_program(T4))
-        assert ("false", "l") in graph.edges
-        assert ("l", "l_body") in graph.edges
-        assert ("l", "l") in graph.edges
+        # false -> l, l -> l_body and l -> l: callees first, l cyclic
+        assert components(parse_program(T4)) == [
+            (("l_body",), False), (("l",), True), (("false",), False)]
 
     def test_sccs_list_callees_first(self):
-        graph = dependency_graph(parse_program(T4))
-        order = graph.sccs_reverse_topological()
-        assert order.index(["l_body"]) < order.index(["l"])
-        assert order.index(["l"]) < order.index(["false"])
+        # sorted order visits a first, but its callees finish before it
+        prog = parse_program(
+            "a(X) :- b(X).\nb(X) :- c(X).\nc(X) :- 1*X = 0.\nfalse :- a(X).")
+        assert components(prog) == [
+            (("c",), False), (("b",), False), (("a",), False),
+            (("false",), False)]
 
     def test_cyclic_scc_detection(self):
-        graph = dependency_graph(parse_program(T4))
-        assert graph.is_cyclic_scc(["l"])
-        assert not graph.is_cyclic_scc(["l_body"])
+        prog = parse_program(
+            "p(X) :- 1*X = 0.\np(Y) :- 1*X+ -1*Y = -1, p(X).\n"
+            "q(X) :- p(X).\nfalse :- q(X).")
+        assert components(prog) == [
+            (("p",), True), (("q",), False), (("false",), False)]
 
     def test_mutual_recursion_is_one_component(self):
         prog = parse_program(
             "p(X) :- 1*X =< 0, q(X).\nq(X) :- p(X).\nfalse :- p(X).")
-        graph = dependency_graph(prog)
-        assert ["p", "q"] in graph.sccs_reverse_topological()
+        assert components(prog) == [(("p", "q"), True), (("false",), False)]

@@ -2,6 +2,8 @@
 
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -81,7 +83,7 @@ class TestVerify:
         # ships must still be inductive. Here p is bottom although c1
         # derives p(0).
         monkeypatch.setattr(driver, "analyze",
-                            lambda program, thresholds=None: (AbstractModel({}), None))
+                            lambda program: (AbstractModel({}), None))
         with pytest.raises(RuntimeError, match="non-inductive"):
             verify(parse_program("p(X) :- 1*X = 0.\n"))
 
@@ -91,10 +93,10 @@ class TestVerify:
         real = driver.analyze
         calls = []
 
-        def analyze(program, thresholds=None):
+        def analyze(program):
             calls.append(program)
             if len(calls) == 1:
-                return real(program, thresholds)
+                return real(program)
             return AbstractModel({}), None
 
         monkeypatch.setattr(driver, "analyze", analyze)
@@ -155,7 +157,7 @@ class TestVerify:
         cfg = Config()
         assert cfg.max_refinements == 10
         assert cfg.fm_step_limit == 10_000
-        assert cfg.use_thresholds and cfg.dump_dir is None
+        assert cfg.dump_dir is None
 
 
 class TestDumps:
@@ -214,12 +216,32 @@ class TestCli:
         code = main([str(f), "--format", "json"])
         data = json.loads(capsys.readouterr().out)
         assert code == 1
-        assert set(data) == {"verdict", "iterations", "time_ms", "witness", "events"}
+        assert set(data) == {"verdict", "iterations", "time_ms", "witness",
+                             "reason", "events"}
         assert data["verdict"] == "unsafe"
         assert data["iterations"] == 1
         assert data["witness"] == "c1_2(c2_2_1_3(c5_1,c3_3))"
+        assert data["reason"] is None
         assert isinstance(data["time_ms"], int)
         assert data["events"][0] == "round 0: propagation kept 5 clauses"
+
+        code = main([str(f), "--format", "json", "--max-refinements", "0"])
+        data = json.loads(capsys.readouterr().out)
+        assert code == 2
+        assert data["verdict"] == "unknown" and data["witness"] is None
+        assert data["reason"] == "refinement limit reached"
+
+    def test_python_m_runs_the_cli(self):
+        src = os.path.dirname(os.path.dirname(driver.__file__))
+        path = os.environ.get("PYTHONPATH")
+        env = dict(os.environ,
+                   PYTHONPATH=src if not path else src + os.pathsep + path)
+        done = subprocess.run(
+            [sys.executable, "-m", "chcverify", "tests/data/t4.pl"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        assert done.stderr == ""
+        assert "result:      unsafe" in done.stdout
 
     def test_human_output_and_exit_codes(self, tmp_path, capsys):
         safe = tmp_path / "safe.pl"
@@ -274,11 +296,6 @@ class TestCli:
         assert main([str(f), "--dump-dir", str(out), "--dump", "spec"]) == 1
         assert sorted(os.listdir(out)) == ["round0.spec", "round1.spec"]
 
-    def test_thresholds_can_be_disabled(self, tmp_path, capsys):
-        f = tmp_path / "safe.pl"
-        f.write_text(SAFE_COUNTER)
-        assert main([str(f), "--thresholds", "off"]) == 0
-        capsys.readouterr()
 
 
 def test_verdict_dataclass_shape():

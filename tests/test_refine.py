@@ -2,7 +2,7 @@
 
 import functools
 
-from chcverify.analysis import analyze, compute_thresholds
+from chcverify.analysis import analyze
 from chcverify.cex import build_and_tree, extract_trace, tree_interpolants
 from chcverify.chc_ast import FALSE, parse_program, program_text
 from chcverify.linalg import entails_all, is_satisfiable
@@ -26,9 +26,9 @@ c6_1. l_body_1(A0,B0,A1,B1) :- -2*A0+ 1*B0 =< 0, 1*A0+ -1*A1 = -2, 1*A0+ -1*A1+ 
 def first_round():
     prog = parse_program(T4)
     qa = qa_transform(prog, FALSE)
-    qa_model, _ = analyze(qa, compute_thresholds(qa))
+    qa_model, _ = analyze(qa)
     spec = strengthen(prog, qa_model)
-    model, first = analyze(spec, compute_thresholds(spec))
+    model, first = analyze(spec)
     tree = build_and_tree(spec, extract_trace(first))
     return spec, model, tree_interpolants(tree)
 

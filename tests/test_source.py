@@ -1,6 +1,7 @@
 """Properties of the package source itself."""
 
 import ast
+import dataclasses
 import importlib
 import pathlib
 import re
@@ -12,6 +13,7 @@ import chcverify
 PACKAGE = pathlib.Path(chcverify.__file__).parent
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
 LAYERS = BENCH / "layers.py"
+CORPUS = BENCH / "corpus.py"
 
 
 def test_no_assert_statements():
@@ -45,6 +47,20 @@ def test_every_benchmark_trace_target_resolves():
     missing = [t for t in targets if not _traceable(t)]
     assert not missing, f"benchmark trace targets not found: {missing}"
     assert len(targets) > 20
+
+
+def test_every_benchmark_config_key_is_a_config_field():
+    # The benchmark worker builds `Config(**job.config)`, so a field that a
+    # workload sets and the code no longer has would only show as failed
+    # benchmark runs.
+    tree = ast.parse(CORPUS.read_text(), filename=str(CORPUS))
+    keys = {key.value for node in ast.walk(tree)
+            if isinstance(node, ast.keyword) and node.arg == "config"
+            and isinstance(node.value, ast.Dict)
+            for key in node.value.keys}
+    assert keys, "no config={...} found in the benchmark corpus"
+    fields = {f.name for f in dataclasses.fields(chcverify.Config)}
+    assert keys <= fields, f"not Config fields: {sorted(keys - fields)}"
 
 
 def test_every_exported_name_resolves():

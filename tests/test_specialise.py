@@ -1,6 +1,6 @@
 """Constraint propagation: strengthening clauses with query-answer facts."""
 
-from chcverify.analysis import analyze, compute_thresholds
+from chcverify.analysis import analyze
 from chcverify.chc_ast import FALSE, parse_program, program_text
 from chcverify.linalg import entails_all
 from chcverify.qa import qa_transform
@@ -11,7 +11,7 @@ T4 = open("tests/data/t4.pl").read()
 
 def propagate(prog):
     qa = qa_transform(prog, FALSE)
-    qa_model, _ = analyze(qa, compute_thresholds(qa))
+    qa_model, _ = analyze(qa)
     return strengthen(prog, qa_model)
 
 

@@ -196,10 +196,10 @@ def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
     `compute_thresholds`, mined lazily.
 
     Raises ResourceLimitError if an SCC fails to stabilise within
-    `MAX_ITERATIONS` rounds (cannot happen with widening enabled unless the
-    delay or thresholds are made pathological; kept as a hard backstop), or
-    if a projection exceeds `fm_limit`, mining the thresholds of a predicate
-    that is widened included.
+    `MAX_ITERATIONS` rounds (a hard backstop: every cyclic component is
+    widened after `WIDEN_DELAY` rounds, and widening up to finitely many
+    thresholds stabilises), or if a projection exceeds `fm_limit`, mining
+    the thresholds of a predicate that is widened included.
     """
     thresholds = compute_thresholds(program)
     values: Dict[str, Polyhedron] = {

@@ -10,19 +10,21 @@ satisfiable exactly when the trace corresponds to a real derivation.
 For infeasible traces, `tree_interpolants` labels every non-root node with
 a constraint over that node's interface variables that overapproximates the
 subtree below it while remaining inconsistent with the rest of the tree.
+All labels come from one Farkas refutation of the whole tree: a node's
+label is the weighted sum of the rows in its subtree.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Tuple
 
 from .chc_ast import Atom, Clause, FreshNames, Program, Var
 from .linalg import (
     FALSE_CONSTRAINT,
     ConstraintSet,
+    FarkasCertificate,
     LinearConstraint,
-    entails,
     farkas_refutation,
     is_satisfiable,
 )
@@ -121,30 +123,26 @@ def feasible(node: AndNode) -> bool:
     return is_satisfiable(tree_constraints(node))
 
 
-def interpolate(c1: ConstraintSet, c2: ConstraintSet,
+def interpolate(cert: FarkasCertificate, subtree: Container[int],
                 shared: Iterable[Var]) -> LinearConstraint:
-    """A constraint I with c1 entailing I, I inconsistent with c2, and
-    vars(I) contained in `shared`.  Requires c1 & c2 unsatisfiable.
+    """The interpolant that `cert` gives for its parts in `subtree` against
+    the other parts: their weighted sum, FALSE_CONSTRAINT when that is a
+    false constant (a true constant is the label `true`).
 
-    When c1 is already unsatisfiable on its own the contradiction 0 <= -1
-    is the interpolant.  Otherwise the Farkas combination of the c1 rows in
-    a refutation of c1 & c2 only mentions variables common to both sides:
-    a variable local to c1 must cancel within the c1 rows because it cannot
-    be cancelled by any c2 row.
+    The subtree's parts imply the sum, as the weights are non-negative, and
+    the sum contradicts the other parts, whose sum adds up with it to the
+    certificate's false constant. A variable that no other part mentions
+    cancels in the whole sum, so it cancels here: the sum mentions only
+    variables the two sides share (RuntimeError otherwise).
     """
-    if not is_satisfiable(c1):
-        itp = FALSE_CONSTRAINT
-    else:
-        itp = farkas_refutation(c1, c2).first_part()
+    itp = cert.sum_of(subtree)
+    if itp.is_trivially_false():
+        return FALSE_CONSTRAINT
     allowed = frozenset(shared)
     if not itp.variables() <= allowed:
         raise RuntimeError(
             f"interpolant {itp} mentions non-shared variables "
             f"{sorted(itp.variables() - allowed)}")
-    if not entails(c1, itp):
-        raise RuntimeError(f"interpolant {itp} is not implied by the first part")
-    if is_satisfiable(c2.add(itp)):
-        raise RuntimeError(f"interpolant {itp} does not refute the second part")
     return itp
 
 
@@ -170,41 +168,26 @@ class TreeInterpolant:
 def tree_interpolants(tree: AndNode) -> TreeInterpolant:
     """Label every non-root node of an infeasible tree with an interpolant.
 
-    Works over a frontier of constraint sets that always conjoins to an
-    unsatisfiable formula: initially the instantiated clause constraints of
-    all nodes, then, as each node is solved bottom-up, the node's clause
-    and its children's interpolants are replaced by the node's interpolant.
-    Each interpolant therefore (a) follows from the subtree below the node
-    and (b) contradicts everything outside it, and its variables are the
-    node's atom arguments, the only variables the two sides share.
+    One refutation of the whole tree gives every label: its parts are the
+    nodes' clause constraints in post-order, and a node's label is the
+    weighted sum of the parts in its subtree (`interpolate`). So a node's
+    label is its own rows' sum plus its children's labels, follows from
+    the subtree below the node and contradicts everything outside it, and
+    its variables are the node's atom arguments, the only variables the
+    two sides share. ValueError when the tree is feasible.
     """
     order: List[AndNode] = []
-    kids: List[Tuple[int, ...]] = []
+    subtrees: List[range] = []
 
-    def walk(n: AndNode) -> int:
-        child_idx = tuple(walk(c) for c in n.children)
+    def walk(n: AndNode) -> None:
+        start = len(order)
+        for c in n.children:
+            walk(c)
         order.append(n)
-        kids.append(child_idx)
-        return len(order) - 1
+        subtrees.append(range(start, len(order)))
 
-    root = walk(tree)
-    frontier: Dict[int, ConstraintSet] = {
-        i: order[i].clause.constraint for i in range(len(order))}
-    facts: List[Tuple[Atom, ConstraintSet]] = []
-    for i in range(len(order)):
-        if i == root:
-            continue
-        first = ConstraintSet.make(
-            [c for j in (i,) + kids[i] for c in frontier[j]])
-        rest = ConstraintSet.make(
-            [c for j, cs in frontier.items()
-             if j != i and j not in kids[i] for c in cs])
-        itp = interpolate(first, rest, order[i].atom.args)
-        for j in kids[i]:
-            del frontier[j]
-        frontier[i] = ConstraintSet.make([itp])
-        facts.append((order[i].atom, frontier[i]))
-    leftover = ConstraintSet.make([c for cs in frontier.values() for c in cs])
-    if is_satisfiable(leftover):
-        raise RuntimeError("tree interpolation lost the refutation")
-    return TreeInterpolant(tuple(facts))
+    walk(tree)
+    cert = farkas_refutation(*(n.clause.constraint for n in order))
+    return TreeInterpolant(tuple(
+        (n.atom, ConstraintSet.make([interpolate(cert, sub, n.atom.args)]))
+        for n, sub in zip(order[:-1], subtrees[:-1])))

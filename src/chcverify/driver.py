@@ -155,7 +155,13 @@ def main(argv: Optional[List[str]] = None) -> int:
                     metavar="|".join(DUMP_KINDS),
                     help="artifact kinds to dump (default: all)")
     ap.add_argument("--format", choices=("human", "json"), default="human")
-    args = ap.parse_args(argv)
+    try:
+        args = ap.parse_args(argv)
+        if args.max_refinements < 0:
+            ap.error("--max-refinements must not be negative")
+    except SystemExit as exc:
+        # argparse exits 2 on a usage error, which would read as "unknown".
+        return 3 if exc.code else 0
 
     try:
         with open(args.file) as fh:

@@ -53,7 +53,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field, replace
 from fractions import Fraction as Rat
 from functools import lru_cache
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 __all__ = [
     "Rat",
@@ -745,7 +745,8 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
     Exact for linear rational arithmetic: the result is FALSE_SET when
     elimination derives a false constant, and otherwise holds exactly where
     some values of the other variables satisfy `cs`. An unsatisfiable `cs`
-    need not give FALSE_SET; callers check satisfiability first. Raises
+    need not give FALSE_SET, but its projection is unsatisfiable too, so
+    `simplify` of it gives FALSE_SET (as `analysis.consequence` uses). Raises
     ResourceLimitError when the intermediate constraint count exceeds the
     `fm_limit` cap. Results are cached per cap, so a tighter cap never
     reuses a projection computed under a looser one.
@@ -947,66 +948,56 @@ class FarkasCertificate:
     """A non-negative combination of constraints deriving a contradiction.
 
     `constraints` are inequality rows (equalities of the input appear as
-    their two halves), `from_first[i]` records whether row i came from the
-    first of the two input sets, `multipliers[i]` is the weight of row i.
-    `derived` is the weighted sum: a constant constraint that is false.
+    their two halves), `parts[i]` is the index of the input set that row i
+    came from, `multipliers[i]` is the weight of row i. `derived` is the
+    weighted sum: a constant constraint that is false.
     """
 
     constraints: Tuple[LinearConstraint, ...]
-    from_first: Tuple[bool, ...]
+    parts: Tuple[int, ...]
     multipliers: Tuple[Rat, ...]
     derived: LinearConstraint
 
-    def combination(self, select=None) -> Tuple[Dict[str, Rat], Rat, bool]:
-        """Weighted sum of (a subset of) the rows: coeffs, bound, any-strict."""
+    def sum_of(self, select: Optional[Container[int]] = None) -> LinearConstraint:
+        """The weighted sum of the rows of the parts in `select` (of every
+        row when None), as a single constraint."""
         coeffs: Dict[str, Rat] = {}
         bound = _ZERO
         strict = False
-        for row, flag, lam in zip(self.constraints, self.from_first, self.multipliers):
-            if lam == 0 or (select is not None and flag != select):
+        for row, part, lam in zip(self.constraints, self.parts, self.multipliers):
+            if lam == 0 or (select is not None and part not in select):
                 continue
             for v, c in row.coeffs:
                 coeffs[v] = coeffs.get(v, _ZERO) + lam * c
             bound += lam * row.bound
             strict = strict or row.rel == LT
-        return coeffs, bound, strict
-
-    def validate(self) -> bool:
-        if any(lam < 0 for lam in self.multipliers):
-            return False
-        coeffs, bound, strict = self.combination()
-        coeffs = {v: c for v, c in coeffs.items() if c != 0}
-        rel = LT if strict else LE
-        if LinearConstraint.make(coeffs, rel, bound) != self.derived:
-            return False
-        return self.derived.is_trivially_false()
-
-    def first_part(self) -> LinearConstraint:
-        """The first-set half of the combination, as a single constraint."""
-        coeffs, bound, strict = self.combination(select=True)
         return LinearConstraint.make(coeffs, LT if strict else LE, bound)
 
+    def validate(self) -> bool:
+        return (all(lam >= 0 for lam in self.multipliers)
+                and self.sum_of() == self.derived
+                and self.derived.is_trivially_false())
 
-def farkas_refutation(first: ConstraintSet, second: ConstraintSet
-                      ) -> FarkasCertificate:
-    """Certificate of unsatisfiability for `first & second`.
 
-    Precondition: the union is unsatisfiable (ValueError otherwise). The
-    returned multipliers are non-negative; rows coming from equalities are
-    the two inequality halves so negative equality weights never arise.
-    The certificate is re-checked before it is returned; RuntimeError
-    means the LP kernel returned no valid one.
+def farkas_refutation(*parts: ConstraintSet) -> FarkasCertificate:
+    """Certificate of unsatisfiability for the conjunction of `parts`.
+
+    Precondition: the conjunction is unsatisfiable (ValueError otherwise).
+    Each part's rows enter in turn, so a row that two parts hold enters
+    once for each. The returned multipliers are non-negative; rows coming
+    from equalities are the two inequality halves so negative equality
+    weights never arise. The certificate is re-checked before it is
+    returned; RuntimeError means the LP kernel returned no valid one.
     """
-    union = first & second
-    if is_satisfiable(union):
+    if is_satisfiable(ConstraintSet.make(c for part in parts for c in part)):
         raise ValueError("farkas_refutation: constraint union is satisfiable")
     rows: List[LinearConstraint] = []
-    origin: List[bool] = []
-    for source, flag in ((first, True), (second, False)):
-        for c in source.constraints:
+    origin: List[int] = []
+    for k, part in enumerate(parts):
+        for c in part.constraints:
             for half in c.split_equality():
                 rows.append(half)
-                origin.append(flag)
+                origin.append(k)
     lam = [f"$l{i}" for i in range(len(rows))]
     lp_rows = []
     for v in sorted({v for r in rows for v in r.variables()}):
@@ -1035,9 +1026,7 @@ def farkas_refutation(first: ConstraintSet, second: ConstraintSet
                 "(Motzkin transposition guarantees one)")
     multipliers = tuple(point.get(l, _ZERO) for l in lam)
     cert = FarkasCertificate(tuple(rows), tuple(origin), multipliers, FALSE_CONSTRAINT)
-    coeffs, bound, strict = cert.combination()
-    cert = replace(cert, derived=LinearConstraint.make(
-        coeffs, LT if strict else LE, bound))
+    cert = replace(cert, derived=cert.sum_of())
     if not cert.validate():
         raise RuntimeError(
             "farkas_refutation: the multipliers do not re-multiply to a "

@@ -91,12 +91,10 @@ def _check_certificate(cert, first, second, tag):
         f"{tag}: combination does not cancel the variables"
     assert bound < 0 or (strict and bound <= 0), \
         f"{tag}: combination is not contradictory"
-    halves = {
-        True: {h for c in first for h in c.split_equality()},
-        False: {h for c in second for h in c.split_equality()},
-    }
-    for row, flag in zip(cert.constraints, cert.from_first):
-        assert row in halves[flag], f"{tag}: certificate row not from its side"
+    halves = [{h for c in part for h in c.split_equality()}
+              for part in (first, second)]
+    for row, part in zip(cert.constraints, cert.parts):
+        assert row in halves[part], f"{tag}: certificate row not from its side"
 
 
 def run_suite_a(n_cases=220, seed=101):
@@ -140,7 +138,7 @@ def run_suite_a(n_cases=220, seed=101):
 def _check_refutation(first, second, tag):
     cert = farkas_refutation(first, second)
     _check_certificate(cert, first, second, tag)
-    itp = cert.first_part()
+    itp = cert.sum_of({0})
     assert oracle_entails(first, itp), f"{tag}: first part not implied"
     assert not oracle_sat(tuple(second) + (itp,)), \
         f"{tag}: first part consistent with the second set"
@@ -419,14 +417,15 @@ def _check_interpolation_pair(rng, tag):
         c1 = c1.add(LinearConstraint.make({v: rat(1)}, LE, rat(b)))
         c2 = c2.add(LinearConstraint.make({v: rat(-1)}, LE, rat(-(b + 1))))
     assert not oracle_sat(c1 & c2), f"{tag}: seeded pair still satisfiable"
-    itp = interpolate(c1, c2, shared)
+    itp = interpolate(farkas_refutation(c1, c2), {0}, shared)
     assert itp.variables() <= set(shared), f"{tag}: interpolant leaks locals"
     try:
         assert oracle_entails(c1, itp), f"{tag}: interpolant not implied"
         assert not oracle_sat(tuple(c2) + (itp,)), f"{tag}: interpolant too weak"
     except OracleRangeError:
         # Farkas combinations can overflow the oracle's exact range; the
-        # simplex checks below are then backed by interpolate's own audit.
+        # simplex checks below are then backed by the certificate's exact
+        # re-check (`FarkasCertificate.validate`).
         assert entails(c1, itp), f"{tag}: interpolant not implied"
         assert not is_satisfiable(c2.add(itp)), f"{tag}: interpolant too weak"
     return 1

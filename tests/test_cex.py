@@ -2,7 +2,9 @@
 
 import pytest
 
+import suites
 from conftest import tr
+from chcverify import cex
 from chcverify.analysis import analyze
 from chcverify.cex import (
     TraceTerm,
@@ -22,6 +24,8 @@ from chcverify.linalg import (
     ConstraintSet,
     LinearConstraint,
     entails,
+    entails_all,
+    farkas_refutation,
     is_satisfiable,
     rat,
 )
@@ -126,7 +130,7 @@ class TestInterpolation:
     def test_interpolant_separates_and_respects_the_interface(self):
         c1 = ConstraintSet.make([C({"X": 1, "U": -1}, LE, 0), C({"U": 1}, LE, 1)])
         c2 = ConstraintSet.make([C({"X": -1, "W": 1}, LE, -3), C({"W": -1}, LE, 0)])
-        itp = interpolate(c1, c2, ["X"])
+        itp = interpolate(farkas_refutation(c1, c2), {0}, ["X"])
         assert itp.variables() <= {"X"}
         assert entails(c1, itp)
         assert not is_satisfiable(c2.add(itp))
@@ -134,13 +138,13 @@ class TestInterpolation:
     def test_inconsistent_first_part_yields_false(self):
         c1 = ConstraintSet.make([C({"U": 1}, LT, 0), C({"U": -1}, LT, 0)])
         c2 = ConstraintSet.make([C({"X": 1}, LE, 5)])
-        assert interpolate(c1, c2, ["X"]) == FALSE_CONSTRAINT
+        assert interpolate(farkas_refutation(c1, c2), {0}, ["X"]) == FALSE_CONSTRAINT
 
     def test_satisfiable_conjunction_is_rejected(self):
         c1 = ConstraintSet.make([C({"X": 1}, LE, 1)])
         c2 = ConstraintSet.make([C({"X": -1}, LE, 0)])
         with pytest.raises(ValueError):
-            interpolate(c1, c2, ["X"])
+            interpolate(farkas_refutation(c1, c2), {0}, ["X"])
 
 
 class TestTreeInterpolants:
@@ -165,6 +169,39 @@ class TestTreeInterpolants:
         assert [atom.pred for atom, _ in interp.facts] == ["a", "b"]
         for atom, cs in interp.facts:
             assert cs.variables() <= set(atom.args)
+
+    def test_one_refutation_labels_a_branching_tree(self, monkeypatch):
+        # c4 joins two subtrees: a counter stepped once and a constant.
+        prog = parse_program(
+            "p(X) :- 1*X = 0.\np(Y) :- 1*X+ -1*Y = -1, p(X).\n"
+            "q(X) :- 1*X = 3.\nfalse :- 1*X+ 1*Y < 2, p(X), q(Y).")
+        t = TraceTerm("c4", (TraceTerm("c2", (TraceTerm("c1"),)), TraceTerm("c3")))
+        tree = build_and_tree(prog, t)
+        assert not feasible(tree)
+        calls = []
+
+        def counted(*parts):
+            calls.append(parts)
+            return farkas_refutation(*parts)
+
+        monkeypatch.setattr(cex, "farkas_refutation", counted)
+        interp = tree_interpolants(tree)
+        assert len(calls) == 1
+        assert [atom.pred for atom, _ in interp.facts] == ["p", "p", "q"]
+        suites.check_tree_interpolant_conditions(tree, interp, "branching tree")
+        # Locally: a node's clause and its children's labels imply its own
+        # label, and at the root they are inconsistent.
+        step, const = tree.children
+        (init,) = step.children
+        label = dict(zip((init, step, const), (cs for _, cs in interp.facts)))
+
+        def local(n):
+            return n.clause.constraint.add(
+                *(c for k in n.children for c in label[k]))
+
+        for n in (init, step, const):
+            assert entails_all(local(n), label[n])
+        assert not is_satisfiable(local(tree))
 
     def test_feasible_tree_is_rejected(self):
         prog = parse_program(T4)

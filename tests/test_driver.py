@@ -277,6 +277,19 @@ class TestCli:
         assert main([str(tmp_path / "nope.pl")]) == 3
         assert "error:" in capsys.readouterr().err
 
+    def test_bad_options_are_usage_errors(self, tmp_path, capsys):
+        # not 2, which means unknown
+        f = tmp_path / "t4.pl"
+        f.write_text(T4)
+        assert main(["--bogus", str(f)]) == 3
+        assert "unrecognized arguments: --bogus" in capsys.readouterr().err
+        assert main([str(f), "--max-refinements", "-3"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--max-refinements must not be negative" in captured.err
+        assert main(["--help"]) == 0
+        assert "usage: chcverify" in capsys.readouterr().out
+
     def test_parse_error_is_a_usage_error(self, tmp_path, capsys):
         bad = tmp_path / "bad.pl"
         bad.write_text("p(X :- .")

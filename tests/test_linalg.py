@@ -351,18 +351,26 @@ class TestSolveLP:
 
 class TestFarkasRefutation:
     def test_multipliers_reproduce_the_contradiction(self):
-        first = S(C({"X": 1}, LE, 1))
-        second = S(C({"X": -1}, LE, -3))
-        cert = farkas_refutation(first, second)
-        assert cert.derived.is_constant() and cert.derived.is_trivially_false()
-        assert all(m >= 0 for m in cert.multipliers)
-        assert len(cert.constraints) == len(cert.from_first) == len(cert.multipliers)
+        two = (S(C({"X": 1}, LE, 1)), S(C({"X": -1}, LE, -3)))
+        # X = 0 is held by parts 0 and 2: it enters once for each, as halves.
+        three = (S(C({"X": 1}, EQ, 0), C({"U": 1, "X": -1}, LE, 0)),
+                 S(C({"U": -1}, LE, -1)),
+                 S(C({"X": 1}, EQ, 0)))
+        for parts in (two, three):
+            cert = farkas_refutation(*parts)
+            assert cert.derived.is_constant() and cert.derived.is_trivially_false()
+            assert all(m >= 0 for m in cert.multipliers)
+            assert len(cert.constraints) == len(cert.parts) == len(cert.multipliers)
+            for k, part in enumerate(parts):
+                rows = [r for r, p in zip(cert.constraints, cert.parts) if p == k]
+                assert rows == [h for c in part for h in c.split_equality()]
+        assert cert.parts == (0, 0, 0, 1, 2, 2)
 
     def test_first_part_is_an_interpolant(self):
         first = S(C({"X": 1, "U": 1}, LE, 0), C({"U": -1}, LE, 0))
         second = S(C({"X": -1, "W": 1}, LE, -1), C({"W": -1}, LE, 0))
         cert = farkas_refutation(first, second)
-        itp = cert.first_part()
+        itp = cert.sum_of({0})
         assert itp.variables() <= {"X"}
         assert entails(first, itp)
         assert not is_satisfiable(second.add(itp))

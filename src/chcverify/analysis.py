@@ -38,8 +38,7 @@ rebuilds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .chc_ast import Atom, Clause, FALSE, Program, components
 from .linalg import (FALSE_SET, TRUE, ConstraintSet, LinearConstraint,
@@ -59,8 +58,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class AbstractModel:
+class AbstractModel(NamedTuple):
     """One polyhedron per predicate; absent predicates are bottom."""
 
     facts: Mapping[str, Polyhedron]

@@ -16,8 +16,7 @@ label is the weighted sum of the rows in its subtree.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Container, Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
 
 from .chc_ast import Atom, Clause, FreshNames, Program, Var
 from .linalg import (
@@ -31,8 +30,7 @@ from .linalg import (
 from .polyhedra import canonical_args
 
 
-@dataclass(frozen=True)
-class TraceTerm:
+class TraceTerm(NamedTuple):
     """A clause identifier applied to the traces of its body atoms."""
 
     clause_id: str
@@ -65,8 +63,7 @@ def extract_trace(first: Mapping[str, Clause], pred: str = "false"
     return expand(first[pred])
 
 
-@dataclass(frozen=True)
-class AndNode:
+class AndNode(NamedTuple):
     """One node of an instantiated derivation tree.
 
     `atom` is the instance being derived (the parent's body atom, or the
@@ -146,8 +143,7 @@ def interpolate(cert: FarkasCertificate, subtree: Container[int],
     return itp
 
 
-@dataclass(frozen=True)
-class TreeInterpolant:
+class TreeInterpolant(NamedTuple):
     """Interpolants for the non-root nodes of an infeasible AND-tree.
 
     `facts` pairs each node's atom with its interpolant, in the order the

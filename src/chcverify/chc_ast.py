@@ -18,8 +18,8 @@ first, in the order `analysis.analyze` iterates them.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Set, Tuple, Union
+from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set,
+                    Tuple, Union)
 
 from .linalg import (EQ, ConstraintSet, LinearConstraint, Rat, rat)
 
@@ -49,8 +49,7 @@ ANSWER_SUFFIX = "__a"
 RESERVED_SUFFIXES = (QUERY_SUFFIX, ANSWER_SUFFIX)
 
 
-@dataclass(frozen=True)
-class Atom:
+class Atom(NamedTuple):
     """A predicate applied to argument variables."""
 
     pred: str
@@ -72,8 +71,7 @@ class Atom:
 FALSE = Atom("false", ())
 
 
-@dataclass(frozen=True)
-class Clause:
+class Clause(NamedTuple):
     """One constrained Horn clause.
 
     `head` is an Atom, FALSE for an integrity constraint. Every atom, head
@@ -104,24 +102,22 @@ class Clause:
         )
 
 
-@dataclass(frozen=True)
 class Program:
     """An immutable clause list with atom heads and consistent predicate
-    arities."""
+    arities.
 
-    clauses: Tuple[Clause, ...]
-    # Predicate -> arity, in order of first occurrence (body atoms first).
-    predicates: Dict[str, int] = field(init=False, repr=False, compare=False)
-    # Head predicate -> its clauses in clause order, and id -> clause.
-    by_head: Dict[str, Tuple[Clause, ...]] = field(
-        init=False, repr=False, compare=False)
-    by_id: Dict[str, Clause] = field(init=False, repr=False, compare=False)
+    `predicates` maps each predicate to its arity, in order of first
+    occurrence (body atoms first); `by_head` maps a head predicate to its
+    clauses in clause order and `by_id` an id to its clause.
+    """
 
-    def __post_init__(self) -> None:
+    __slots__ = ("clauses", "predicates", "by_head", "by_id")
+
+    def __init__(self, clauses: Tuple[Clause, ...]) -> None:
         arities: Dict[str, int] = {}
         by_head: Dict[str, List[Clause]] = {}
         by_id: Dict[str, Clause] = {}
-        for cl in self.clauses:
+        for cl in clauses:
             if cl.id in by_id:
                 raise ValueError(f"duplicate clause id {cl.id!r}")
             by_id[cl.id] = cl
@@ -141,10 +137,21 @@ class Program:
                 if seen != at.arity:
                     raise ValueError(
                         f"predicate {at.pred} used with arities {seen} and {at.arity}")
-        object.__setattr__(self, "predicates", arities)
-        object.__setattr__(
-            self, "by_head", {p: tuple(cls) for p, cls in by_head.items()})
-        object.__setattr__(self, "by_id", by_id)
+        self.clauses = clauses
+        self.predicates = arities
+        self.by_head = {p: tuple(cls) for p, cls in by_head.items()}
+        self.by_id = by_id
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Program:
+            return NotImplemented
+        return self.clauses == other.clauses
+
+    def __hash__(self) -> int:
+        return hash((self.clauses,))
+
+    def __repr__(self) -> str:
+        return f"Program(clauses={self.clauses!r})"
 
     def clauses_for(self, pred: str) -> Tuple[Clause, ...]:
         return self.by_head.get(pred, ())

@@ -12,14 +12,12 @@ runs `main`.
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import sys
 import tempfile
 import time
-from dataclasses import dataclass
-from typing import Callable, List, Optional, Tuple
+from typing import Callable, List, NamedTuple, Optional, Tuple
 
 from .analysis import (
     AbstractModel,
@@ -38,16 +36,14 @@ from .specialise import early_safe, strengthen
 DUMP_KINDS = ("qa", "spec", "model", "ps")
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     max_refinements: int = 10
     fm_step_limit: int = 10_000
     dump_dir: Optional[str] = None
     dump_kinds: Tuple[str, ...] = DUMP_KINDS
 
 
-@dataclass
-class Verdict:
+class Verdict(NamedTuple):
     """Outcome of a run: kind is "safe", "unsafe" or "unknown".
 
     `refinements` counts completed splitting rounds.  Unsafe verdicts carry
@@ -141,13 +137,15 @@ _EXIT_CODES = {"safe": 0, "unsafe": 1, "unknown": 2}
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    import argparse  # only the command line needs it, not `import chcverify`
+
     ap = argparse.ArgumentParser(
         prog="chcverify",
         description="Decide safety of constrained Horn clauses over "
                     "linear rational arithmetic.")
     ap.add_argument("file", help="clause file to verify")
     ap.add_argument("--max-refinements", type=int,
-                    default=Config.max_refinements, metavar="N",
+                    default=Config._field_defaults["max_refinements"], metavar="N",
                     help="splitting rounds before giving up (default %(default)s)")
     ap.add_argument("--dump-dir", metavar="DIR",
                     help="write per-round artifacts into DIR")

@@ -50,10 +50,10 @@ from __future__ import annotations
 import itertools
 import math
 from contextvars import ContextVar
-from dataclasses import dataclass, field, replace
 from fractions import Fraction as Rat
 from functools import lru_cache
-from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import (Container, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Sequence, Tuple)
 
 __all__ = [
     "Rat",
@@ -101,7 +101,6 @@ class ResourceLimitError(Exception):
 fm_limit: ContextVar[int] = ContextVar("fm_limit", default=10_000)
 
 
-@dataclass(frozen=True)
 class LinearConstraint:
     """A normalised linear constraint  sum(c_i * v_i)  rel  bound.
 
@@ -115,13 +114,18 @@ class LinearConstraint:
     keyed on constraints do not re-hash their coefficients.
     """
 
-    coeffs: Tuple[Tuple[str, int], ...]
-    rel: str
-    bound: Rat
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("coeffs", "rel", "bound", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.coeffs, self.rel, self.bound)))
+    def __init__(self, coeffs: Tuple[Tuple[str, int], ...], rel: str,
+                 bound: Rat) -> None:
+        self.coeffs = coeffs
+        self.rel = rel
+        self.bound = bound
+        self._hash = hash((coeffs, rel, bound))
+
+    def __repr__(self) -> str:
+        return (f"LinearConstraint(coeffs={self.coeffs!r}, rel={self.rel!r}, "
+                f"bound={self.bound!r})")
 
     def __hash__(self) -> int:
         return self._hash
@@ -273,7 +277,6 @@ def _canonical(items: List[Tuple[str, int]], rel: str, bound: int,
 FALSE_CONSTRAINT = LinearConstraint.make({}, LE, -1)
 
 
-@dataclass(frozen=True)
 class ConstraintSet:
     """An immutable conjunction of linear constraints.
 
@@ -282,11 +285,14 @@ class ConstraintSet:
     constraint, the hash is computed once, at construction.
     """
 
-    constraints: Tuple[LinearConstraint, ...]
-    _hash: int = field(init=False, repr=False, compare=False)
+    __slots__ = ("constraints", "_hash")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "_hash", hash((self.constraints,)))
+    def __init__(self, constraints: Tuple[LinearConstraint, ...]) -> None:
+        self.constraints = constraints
+        self._hash = hash((constraints,))
+
+    def __repr__(self) -> str:
+        return f"ConstraintSet(constraints={self.constraints!r})"
 
     def __hash__(self) -> int:
         return self._hash
@@ -943,8 +949,25 @@ def reset_caches() -> None:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class FarkasCertificate:
+def _weighted_sum(rows: Sequence[LinearConstraint], parts: Sequence[int],
+                  multipliers: Sequence[Rat],
+                  select: Optional[Container[int]] = None) -> LinearConstraint:
+    """The sum of multipliers[i] * rows[i] over the rows whose part is in
+    `select` (over every row when None), as a single constraint."""
+    coeffs: Dict[str, Rat] = {}
+    bound = _ZERO
+    strict = False
+    for row, part, lam in zip(rows, parts, multipliers):
+        if lam == 0 or (select is not None and part not in select):
+            continue
+        for v, c in row.coeffs:
+            coeffs[v] = coeffs.get(v, _ZERO) + lam * c
+        bound += lam * row.bound
+        strict = strict or row.rel == LT
+    return LinearConstraint.make(coeffs, LT if strict else LE, bound)
+
+
+class FarkasCertificate(NamedTuple):
     """A non-negative combination of constraints deriving a contradiction.
 
     `constraints` are inequality rows (equalities of the input appear as
@@ -961,22 +984,7 @@ class FarkasCertificate:
     def sum_of(self, select: Optional[Container[int]] = None) -> LinearConstraint:
         """The weighted sum of the rows of the parts in `select` (of every
         row when None), as a single constraint."""
-        coeffs: Dict[str, Rat] = {}
-        bound = _ZERO
-        strict = False
-        for row, part, lam in zip(self.constraints, self.parts, self.multipliers):
-            if lam == 0 or (select is not None and part not in select):
-                continue
-            for v, c in row.coeffs:
-                coeffs[v] = coeffs.get(v, _ZERO) + lam * c
-            bound += lam * row.bound
-            strict = strict or row.rel == LT
-        return LinearConstraint.make(coeffs, LT if strict else LE, bound)
-
-    def validate(self) -> bool:
-        return (all(lam >= 0 for lam in self.multipliers)
-                and self.sum_of() == self.derived
-                and self.derived.is_trivially_false())
+        return _weighted_sum(self.constraints, self.parts, self.multipliers, select)
 
 
 def farkas_refutation(*parts: ConstraintSet) -> FarkasCertificate:
@@ -1025,10 +1033,9 @@ def farkas_refutation(*parts: ConstraintSet) -> FarkasCertificate:
                 "farkas_refutation: no certificate for an unsatisfiable system "
                 "(Motzkin transposition guarantees one)")
     multipliers = tuple(point.get(l, _ZERO) for l in lam)
-    cert = FarkasCertificate(tuple(rows), tuple(origin), multipliers, FALSE_CONSTRAINT)
-    cert = replace(cert, derived=cert.sum_of())
-    if not cert.validate():
+    derived = _weighted_sum(rows, origin, multipliers)
+    if any(m < 0 for m in multipliers) or not derived.is_trivially_false():
         raise RuntimeError(
             "farkas_refutation: the multipliers do not re-multiply to a "
             "contradiction")
-    return cert
+    return FarkasCertificate(tuple(rows), tuple(origin), multipliers, derived)

@@ -15,7 +15,6 @@ exact on closed operands.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence, Tuple
 
 from .linalg import (EQ, LE, ConstraintSet, FALSE_SET, LinearConstraint,
@@ -43,18 +42,30 @@ def canonical_args(n: int) -> Tuple[str, ...]:
     return _ARGS[:n]
 
 
-@dataclass(frozen=True)
 class Polyhedron:
     """A polyhedron over `space`; `constraints is None` encodes bottom."""
 
-    space: Tuple[str, ...]
-    constraints: Optional[ConstraintSet]
+    __slots__ = ("space", "constraints")
 
-    def __post_init__(self) -> None:
-        if self.constraints is not None:
-            extra = self.constraints.variables() - set(self.space)
+    def __init__(self, space: Tuple[str, ...],
+                 constraints: Optional[ConstraintSet]) -> None:
+        if constraints is not None:
+            extra = constraints.variables() - set(space)
             if extra:
                 raise ValueError(f"constraints mention {sorted(extra)} outside space")
+        self.space = space
+        self.constraints = constraints
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not Polyhedron:
+            return NotImplemented
+        return self.space == other.space and self.constraints == other.constraints
+
+    def __hash__(self) -> int:
+        return hash((self.space, self.constraints))
+
+    def __repr__(self) -> str:
+        return f"Polyhedron(space={self.space!r}, constraints={self.constraints!r})"
 
     @classmethod
     def bottom(cls, space: Sequence[str]) -> "Polyhedron":

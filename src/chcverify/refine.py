@@ -21,8 +21,7 @@ the split facts in its constraints.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .analysis import AbstractModel, instantiate
 from .cex import TreeInterpolant
@@ -36,8 +35,7 @@ from .linalg import (
 from .polyhedra import Polyhedron, canonical_args
 
 
-@dataclass(frozen=True)
-class SplitModel:
+class SplitModel(NamedTuple):
     """Ordered cells per predicate, each a polyhedron over canonical args,
     and the fact that each predicate's cells split (which is their hull)."""
 

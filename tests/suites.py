@@ -425,7 +425,7 @@ def _check_interpolation_pair(rng, tag):
     except OracleRangeError:
         # Farkas combinations can overflow the oracle's exact range; the
         # simplex checks below are then backed by the certificate's exact
-        # re-check (`FarkasCertificate.validate`).
+        # re-check in `farkas_refutation`.
         assert entails(c1, itp), f"{tag}: interpolant not implied"
         assert not is_satisfiable(c2.add(itp)), f"{tag}: interpolant too weak"
     return 1

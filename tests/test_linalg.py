@@ -391,6 +391,29 @@ class TestFarkasRefutation:
         with pytest.raises(RuntimeError, match="re-multiply"):
             farkas_refutation(S(C({"X": 1}, LE, 1)), S(C({"X": -1}, LE, -3)))
 
+    def test_a_negative_multiplier_raises(self, monkeypatch):
+        # 2*(X =< 1) + (-X =< -3) - (X =< 5) derives 0 =< -6, but with a
+        # negative weight, which no inequality may take
+        monkeypatch.setattr(linalg, "solve_lp",
+                            lambda rows, objective, nonneg, want_point=False:
+                            ("optimal", rat(0), {"$l0": 2, "$l1": 1, "$l2": -1}))
+        with pytest.raises(RuntimeError, match="re-multiply"):
+            farkas_refutation(S(C({"X": 1}, LE, 1)),
+                              S(C({"X": -1}, LE, -3), C({"X": 1}, LE, 5)))
+
+    def test_the_certificate_is_summed_once(self, monkeypatch):
+        # The re-check reads the one stored sum instead of summing again.
+        calls = []
+        weighted_sum = linalg._weighted_sum
+        monkeypatch.setattr(linalg, "_weighted_sum",
+                            lambda *args: calls.append(args) or weighted_sum(*args))
+        for k in (1, 2, 3):
+            cert = farkas_refutation(S(C({"X": 1}, LE, 1)), S(C({"X": -1}, LE, -3)))
+            assert len(calls) == k
+        assert cert.derived == weighted_sum(
+            cert.constraints, cert.parts, cert.multipliers)
+        assert cert.derived.is_trivially_false()
+
     def test_no_certificate_raises(self, monkeypatch):
         monkeypatch.setattr(linalg, "solve_lp",
                             lambda rows, objective, nonneg, want_point=False:

@@ -1,13 +1,20 @@
 """Properties of the package source itself."""
 
 import ast
-import dataclasses
 import importlib
+import inspect
 import pathlib
+import pickle
 import runpy
+import subprocess
 import sys
 
+import pytest
+
 import chcverify
+from chcverify.chc_ast import parse_program
+from chcverify.linalg import EQ, LE, LT, ConstraintSet, LinearConstraint
+from chcverify.polyhedra import Polyhedron
 
 PACKAGE = pathlib.Path(chcverify.__file__).parent
 BENCH = pathlib.Path(__file__).resolve().parent.parent / "bench"
@@ -58,7 +65,7 @@ def test_every_benchmark_config_key_is_a_config_field():
             and isinstance(node.value, ast.Dict)
             for key in node.value.keys}
     assert keys, "no config={...} found in the benchmark corpus"
-    fields = {f.name for f in dataclasses.fields(chcverify.Config)}
+    fields = set(inspect.signature(chcverify.Config).parameters)
     assert keys <= fields, f"not Config fields: {sorted(keys - fields)}"
 
 
@@ -131,3 +138,52 @@ def test_package_imports_only_the_standard_library():
     outside = sorted(roots - set(sys.stdlib_module_names))
     assert not outside, f"imports outside the standard library: {outside}"
     assert {"fractions", "math"} <= roots
+
+
+def test_import_loads_only_what_verify_runs():
+    # Every verdict starts a fresh interpreter, so what `import chcverify`
+    # loads is paid on every run: the CLI's argparse is imported by `main`,
+    # and the records are NamedTuples and slotted classes, not dataclasses
+    # (whose import pulls in inspect). `-S` skips `site`, whose `.pth`
+    # hooks may import modules of their own.
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import chcverify; "
+            "print(' '.join(sorted(sys.modules)))")
+    out = subprocess.run([sys.executable, "-S", "-c", code, str(PACKAGE.parent)],
+                         capture_output=True, text=True, check=True).stdout
+    loaded = set(out.split())
+    assert "chcverify.driver" in loaded
+    assert not loaded & {"dataclasses", "inspect", "argparse"}
+
+
+def _program():
+    return parse_program("c1. p(X) :- 1*X = 0.\nc2. false :- 1*X < 0, p(X).")
+
+
+# The slotted record types, each with a builder of a fresh value and its
+# constructor fields.
+SLOTTED = {
+    "LinearConstraint": (lambda: LinearConstraint.make({"X": 1, "Y": -2}, LT, 3),
+                         ("coeffs", "rel", "bound")),
+    "ConstraintSet": (lambda: ConstraintSet.make(
+        [LinearConstraint.make({"X": 1}, LE, 1),
+         LinearConstraint.make({"Y": 2}, EQ, "1/2")]), ("constraints",)),
+    "Program": (_program, ("clauses",)),
+    "Polyhedron": (lambda: Polyhedron.of(
+        ("A", "B"), ConstraintSet.make([LinearConstraint.make({"A": 1, "B": 1}, LE, 4)])),
+        ("space", "constraints")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SLOTTED))
+def test_slotted_types_have_value_semantics(name):
+    build, fields = SLOTTED[name]
+    a, b = build(), build()
+    assert a is not b and a == b and hash(a) == hash(b) and not a != b
+    as_tuple = tuple(getattr(a, f) for f in fields)
+    assert a != as_tuple and as_tuple != a
+    text = repr(a)
+    assert text.startswith(f"{name}(")
+    assert all(f"{f}=" in text for f in fields), text
+    assert not hasattr(a, "__dict__")
+    back = pickle.loads(pickle.dumps(a))
+    assert back == a and hash(back) == hash(a)

@@ -21,7 +21,7 @@ import re
 from typing import (Dict, Iterable, Iterator, List, Mapping, NamedTuple, Optional, Set,
                     Tuple, Union)
 
-from .linalg import (EQ, ConstraintSet, LinearConstraint, Rat, rat)
+from .linalg import EQ, LE, LT, ConstraintSet, LinearConstraint, Rat, rat
 
 __all__ = [
     "Var",
@@ -186,13 +186,26 @@ class ParseError(Exception):
     pass
 
 
+# One match per token: the white space and comments before it, then the
+# token, or nothing at the end of the input. So `findall` gives the token
+# strings and then "" once or twice, and a reader that stops at "" never
+# runs off the list. A bad character ends the list: its token runs to the
+# end of the input, and then "" follows once.
 _TOKEN = re.compile(r"""
-    (?P<ws>\s+|%[^\n]*)
-  | (?P<num>\d+(?:\.\d+)?)
-  | (?P<name>[a-zA-Z_][a-zA-Z0-9_]*)
-  | (?P<op>:-|=<|<=|>=|[()*+,.<>=-])
-  | (?P<bad>.)
-""", re.VERBOSE | re.DOTALL)
+    \s*(?:%[^\n]*\s*)*           # skipped: white space and comments
+    ( [a-zA-Z_][a-zA-Z0-9_]*      # a name
+    | [()*+,.-]                   # an operator
+    | \d+(?:\.\d+)?               # a number
+    | :-|=<|<=|>=|[<>=]           # an operator
+    | .+                          # a bad character, and the rest
+    )?""", re.VERBOSE | re.DOTALL)
+
+# The characters that start a token, but for ":" (of ":-" only) and the
+# non-ASCII digits that `\d` also matches.
+_TOKEN_START = frozenset(
+    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_()*+,.-<>=")
+
+_RELATIONS = {"=": EQ, "=<": LE, "<=": LE, ">=": ">=", "<": LT, ">": ">"}
 
 # A clause id: cN, with the "_M" (or "__M", ...) suffixes that `refine`
 # appends. After a split constraint head's "cN.K" (tokens cN . K), the
@@ -200,161 +213,207 @@ _TOKEN = re.compile(r"""
 _LABEL = re.compile(r"c\d+(?:_+\d+)*$")
 _LABEL_SUFFIX = re.compile(r"(?:_+\d+)+$")
 
-# The token after the last one. The parser looks at most two tokens past
-# a real one, so three of these end every token list it reads.
-_END = ("end", "")
-
-
-def _tokenize(text: str) -> List[Tuple[str, str]]:
-    tokens = []
-    for m in _TOKEN.finditer(text):
-        kind = m.lastgroup
-        if kind == "ws":
-            continue
-        if kind == "bad":
-            raise ParseError(
-                f"unexpected character {m.group()!r} at offset {m.start()}")
-        tokens.append((kind, m.group()))
-    return tokens
-
-
-# A linear term: variable -> coefficient, and the constant. Integer literals
-# stay `int`; only a decimal literal is a rational.
+# A coefficient or constant of a term. Integer literals stay `int`; only a
+# decimal literal is a rational.
 _Num = Union[int, Rat]
-_Term = Tuple[Dict[str, _Num], _Num]
 
 
-class _Parser:
-    def __init__(self, tokens: List[Tuple[str, str]]) -> None:
-        self.tokens = tokens + [_END] * 3
-        self.pos = 0
+def _unexpected(tok: str, message: str) -> ParseError:
+    return ParseError(message if tok else "unexpected end of input")
 
-    def peek(self, offset: int = 0) -> Tuple[str, str]:
-        return self.tokens[self.pos + offset]
 
-    def next(self) -> Tuple[str, str]:
-        tok = self.tokens[self.pos]
-        if tok is _END:
-            raise ParseError("unexpected end of input")
-        self.pos += 1
-        return tok
+def _term(toks: List[str], i: int) -> Tuple[Dict[str, _Num], _Num, int]:
+    """The linear term that starts at toks[i]: its coefficients, its
+    constant and the index after it.
 
-    def expect(self, value: str) -> None:
-        tok = self.next()
-        if tok[1] != value:
-            raise ParseError(f"expected {value!r}, found {tok[1]!r}")
-
-    def at_end(self) -> bool:
-        return self.tokens[self.pos] is _END
-
-    def parse_term(self) -> _Term:
-        coeffs, const = self.parse_factor()
-        tokens = self.tokens
-        while (op := tokens[self.pos][1]) == "+" or op == "-":
-            self.pos += 1
-            c2, k2 = self.parse_factor()
-            sign = 1 if op == "+" else -1
-            for v, c in c2.items():
-                coeffs[v] = coeffs.get(v, 0) + sign * c
-            const += sign * k2
-        return coeffs, const
-
-    def parse_factor(self) -> _Term:
-        coeffs, const = self.parse_primary()
-        tokens = self.tokens
-        while tokens[self.pos][1] == "*":
-            self.pos += 1
-            c2, k2 = self.parse_primary()
-            if coeffs and c2:
+    A term is a sum of products of primaries (a number, a variable, a
+    signed primary or a parenthesised term), and only one factor of a
+    product may have variables.
+    """
+    coeffs: Optional[Dict[str, _Num]] = None
+    scale: _Num = 1  # the sign and the constant factors of the product
+    while True:
+        vc: Optional[Dict[str, _Num]] = None  # its factor with variables
+        while True:
+            tok = toks[i]
+            i += 1
+            while tok == "-" or tok == "+":
+                if tok == "-":
+                    scale = -scale
+                tok = toks[i]
+                i += 1
+            c = tok[:1]
+            if "A" <= c <= "Z" or c == "_":
+                fc, fk = {tok: 1}, 0
+            elif c.isdecimal():
+                fc, fk = None, rat(tok) if "." in tok else int(tok)
+            elif c == "(":
+                fc, fk, i = _term(toks, i)
+                tok = toks[i]
+                i += 1
+                if tok != ")":
+                    raise _unexpected(tok, f"expected ')', found {tok!r}")
+            elif "a" <= c <= "z":
+                raise ParseError(f"expected a variable or number, found {tok!r}")
+            else:
+                raise _unexpected(tok, f"unexpected token {tok!r} in term")
+            if not fc:
+                scale *= fk
+            elif vc is None:
+                vc, vk = fc, fk
+            else:
                 raise ParseError("non-linear term (product of two variables)")
-            if c2:
-                coeffs, const, c2, k2 = c2, k2, coeffs, const
-            coeffs = {v: c * k2 for v, c in coeffs.items()}
-            const = const * k2
-        return coeffs, const
-
-    def parse_primary(self) -> _Term:
-        kind, text = self.next()
-        if kind == "num":
-            return {}, rat(text) if "." in text else int(text)
-        if kind == "name":
-            if not _is_variable(text):
-                raise ParseError(f"expected a variable or number, found {text!r}")
-            return {text: 1}, 0
-        if text == "-":
-            coeffs, const = self.parse_primary()
-            return {v: -c for v, c in coeffs.items()}, -const
-        if text == "+":
-            return self.parse_primary()
-        if text == "(":
-            coeffs, const = self.parse_term()
-            self.expect(")")
-            return coeffs, const
-        raise ParseError(f"unexpected token {text!r} in term")
-
-    def parse_body_item(self, fresh: FreshNames, extra: List[LinearConstraint]
-                        ) -> Union[Atom, LinearConstraint, None]:
-        tok = self.peek()
-        if tok[0] == "name" and not _is_variable(tok[1]):
-            nxt = self.peek(1)
-            if nxt is _END or nxt[1] in (",", ".", ")"):
-                if tok[1] == "true":
-                    self.next()
-                    return None
-                return self.parse_atom(fresh, extra)
-            if nxt[1] == "(":
-                return self.parse_atom(fresh, extra)
-        return self.parse_constraint()
-
-    def parse_constraint(self) -> LinearConstraint:
-        lhs_c, lhs_k = self.parse_term()
-        tok = self.next()
-        if tok[1] not in ("=", "=<", "<=", ">=", "<", ">"):
-            raise ParseError(f"expected a relation, found {tok[1]!r}")
-        rel = "<=" if tok[1] == "=<" else tok[1]
-        rhs_c, rhs_k = self.parse_term()
-        coeffs = dict(lhs_c)
-        for v, c in rhs_c.items():
-            coeffs[v] = coeffs.get(v, 0) - c
-        return LinearConstraint.make(coeffs, rel, rhs_k - lhs_k)
-
-    def parse_atom(self, fresh: FreshNames, extra: List[LinearConstraint]) -> Atom:
-        tok = self.next()
-        name = tok[1]
-        for suffix in RESERVED_SUFFIXES:
-            if name.endswith(suffix):
-                raise ParseError(
-                    f"predicate {name!r} uses the reserved suffix {suffix!r}")
-        args: List[Var] = []
-        if self.peek()[1] == "(":
-            self.next()
-            while True:
-                coeffs, const = self.parse_term()
-                var = _arg_to_var(coeffs, const, args, fresh, extra)
-                args.append(var)
-                tok = self.next()
-                if tok[1] == ")":
-                    break
-                if tok[1] != ",":
-                    raise ParseError(f"expected ',' or ')' in atom, found {tok[1]!r}")
-        return Atom(name, tuple(args))
+            if toks[i] != "*":
+                break
+            i += 1
+        if vc is None:
+            vc, vk = {}, scale
+        elif scale != 1:
+            vc = {v: x * scale for v, x in vc.items()}
+            vk *= scale
+        if coeffs is None:
+            coeffs, const = vc, vk
+        else:
+            for v, x in vc.items():
+                coeffs[v] = coeffs.get(v, 0) + x
+            const += vk
+        tok = toks[i]
+        if tok == "+":
+            scale = 1
+        elif tok == "-":
+            scale = -1
+        else:
+            return coeffs, const, i
+        i += 1
 
 
-def _is_variable(name: str) -> bool:
-    return name[0].isupper() or name[0] == "_"
+def _read(text: str, clause_id: Optional[str] = None) -> List[Clause]:
+    """The clauses of `text`, labelled as `parse_program` describes; with a
+    `clause_id`, those of the one unlabelled clause that `text` must hold.
 
-
-def _arg_to_var(coeffs: Dict[str, _Num], const: _Num, seen: List[Var],
-                fresh: FreshNames, extra: List[LinearConstraint]) -> Var:
-    if len(coeffs) == 1 and const == 0:
-        (v, c), = coeffs.items()
-        if c == 1 and v not in seen:
-            return v
-    v = fresh.fresh()
-    eq = dict(coeffs)
-    eq[v] = eq.get(v, 0) - 1
-    extra.append(LinearConstraint.make(eq, EQ, -const))
-    return v
+    A constraint head `phi :- C, B` gives one clause
+    `false :- not_i(phi), C, B` per disjunct of the negation of phi: with
+    the same id for an inequality head, suffixes .1 and .2 for an equality.
+    """
+    toks = _TOKEN.findall(text)
+    last = toks[-2] if len(toks) > 1 else ""
+    if last and last[0] not in _TOKEN_START and last != ":-" and not last[0].isdecimal():
+        raise ParseError(f"unexpected character {last[0]!r} at offset "
+                         f"{len(text) - len(last)}")
+    clauses: List[Clause] = []
+    i = 0
+    label = clause_id
+    auto = 1
+    while True:
+        tok = toks[i]
+        if clause_id is None:
+            if not tok:
+                return clauses
+            label = f"c{auto}"
+            auto += 1
+            if _LABEL.match(tok):
+                # "cN.K_M." reads as the tokens cN . K _M . ; n counts those
+                # of the id, and the label ends at the "." after them.
+                n = 1
+                if toks[i + 1] == "." and toks[i + 2][:1].isdecimal():
+                    k = 4 if _LABEL_SUFFIX.match(toks[i + 3]) else 3
+                    if toks[i + k] == ".":
+                        n = k
+                if toks[i + n] == "." and toks[i + n + 1]:
+                    label = "".join(toks[i:i + n])
+                    i += n + 1
+        elif clauses:
+            if tok:
+                raise ParseError("trailing input after clause")
+            return clauses
+        if not toks[i]:
+            raise ParseError("expected a clause")
+        head = FALSE
+        phi: Optional[LinearConstraint] = None
+        body: List[Atom] = []
+        constraints: List[LinearConstraint] = []
+        fresh: Optional[FreshNames] = None
+        # The items: the head, then the body atoms and constraints; `sep`
+        # is what may follow the item besides ".".
+        sep = ":-"
+        while True:
+            tok = toks[i]
+            if sep == ":-" and tok == "false":
+                i += 1
+            elif sep == "," and tok == "true" and toks[i + 1] in ("", ",", ".", ")"):
+                i += 1
+            elif "a" <= tok[:1] <= "z" and (
+                    (nxt := toks[i + 1]) == "("
+                    or nxt in ((".", ":-") if sep == ":-" else ("", ",", ".", ")"))):
+                if tok.endswith(RESERVED_SUFFIXES):
+                    suffix = next(s for s in RESERVED_SUFFIXES if tok.endswith(s))
+                    raise ParseError(
+                        f"predicate {tok!r} uses the reserved suffix {suffix!r}")
+                i += 1
+                args: List[Var] = []
+                if nxt == "(":
+                    i += 1
+                    while True:
+                        v = toks[i]
+                        if (("A" <= v[:1] <= "Z" or v[:1] == "_")
+                                and toks[i + 1] in (",", ")") and v not in args):
+                            i += 1
+                        else:
+                            # An argument that is not a new variable becomes
+                            # a fresh variable equal to it.
+                            coeffs, const, i = _term(toks, i)
+                            v = next(iter(coeffs)) if len(coeffs) == 1 else ""
+                            if coeffs.get(v) != 1 or const != 0 or v in args:
+                                if fresh is None:
+                                    # avoiding every name in the file
+                                    fresh = FreshNames(toks)
+                                v = fresh.fresh()
+                                coeffs[v] = -1
+                                constraints.append(
+                                    LinearConstraint.make(coeffs, EQ, -const))
+                        args.append(v)
+                        end = toks[i]
+                        i += 1
+                        if end == ")":
+                            break
+                        if end != ",":
+                            raise _unexpected(
+                                end, f"expected ',' or ')' in atom, found {end!r}")
+                atom = Atom(tok, tuple(args))
+                if sep == ":-":
+                    head = atom
+                else:
+                    body.append(atom)
+            else:
+                lc, lk, i = _term(toks, i)
+                tok = toks[i]
+                rel = _RELATIONS.get(tok)
+                if rel is None:
+                    raise _unexpected(tok, f"expected a relation, found {tok!r}")
+                rc, rk, i = _term(toks, i + 1)
+                for v, x in rc.items():
+                    lc[v] = lc.get(v, 0) - x
+                c = LinearConstraint.make(lc, rel, rk - lk)
+                if sep == ":-":
+                    phi = c
+                else:
+                    constraints.append(c)
+            tok = toks[i]
+            i += 1
+            if tok == ".":
+                break
+            if tok != sep:
+                raise _unexpected(tok, f"expected {sep!r} or '.', found {tok!r}")
+            sep = ","
+        cs = ConstraintSet.make(constraints)
+        if phi is None:
+            clauses.append(Clause(label, head, cs, tuple(body)))
+        else:
+            negs = phi.negations()
+            clauses.extend(
+                Clause(label if len(negs) == 1 else f"{label}.{k}", FALSE, cs.add(neg),
+                       tuple(body))
+                for k, neg in enumerate(negs, 1))
 
 
 def parse_clause(text: str, clause_id: str = "c1") -> Clause:
@@ -363,60 +422,10 @@ def parse_clause(text: str, clause_id: str = "c1") -> Clause:
     Raises ParseError when the text is an integrity constraint with an
     equality head, which stands for two clauses.
     """
-    tokens = _tokenize(text)
-    var_pool = {t[1] for t in tokens if t[0] == "name"}
-    parser = _Parser(tokens)
-    clauses = _parse_clause(parser, clause_id, var_pool)
-    if not parser.at_end():
-        raise ParseError("trailing input after clause")
+    clauses = _read(text, clause_id)
     if len(clauses) != 1:
         raise ParseError("an equality head gives two clauses")
     return clauses[0]
-
-
-def _parse_clause(parser: _Parser, clause_id: str, var_pool: Set[str]
-                  ) -> List[Clause]:
-    """One clause, or for a constraint head `phi :- C, B` one clause
-    `false :- not_i(phi), C, B` per disjunct of the negation of phi: the
-    same id for an inequality head, suffixes .1 and .2 for an equality."""
-    fresh = FreshNames(avoid=var_pool)
-    extra: List[LinearConstraint] = []
-    head = FALSE
-    phi: Optional[LinearConstraint] = None
-    tok = parser.peek()
-    if tok is _END:
-        raise ParseError("expected a clause")
-    if tok[0] == "name" and tok[1] == "false":
-        parser.next()
-    elif (tok[0] == "name" and not _is_variable(tok[1])
-          and parser.peek(1)[1] in ("(", ".", ":-")):
-        head = parser.parse_atom(fresh, extra)
-    else:
-        phi = parser.parse_constraint()
-    constraints: List[LinearConstraint] = []
-    body: List[Atom] = []
-    tok = parser.next()
-    if tok[1] == ":-":
-        while True:
-            item = parser.parse_body_item(fresh, extra)
-            if isinstance(item, Atom):
-                body.append(item)
-            elif item is not None:
-                constraints.append(item)
-            tok = parser.next()
-            if tok[1] == ".":
-                break
-            if tok[1] != ",":
-                raise ParseError(f"expected ',' or '.', found {tok[1]!r}")
-    elif tok[1] != ".":
-        raise ParseError(f"expected ':-' or '.', found {tok[1]!r}")
-    cs = ConstraintSet.make(constraints + extra)
-    if phi is None:
-        return [Clause(clause_id, head, cs, tuple(body))]
-    negs = phi.negations()
-    return [Clause(clause_id if len(negs) == 1 else f"{clause_id}.{i}",
-                   FALSE, cs.add(neg), tuple(body))
-            for i, neg in enumerate(negs, 1)]
 
 
 def parse_program(text: str) -> Program:
@@ -431,32 +440,9 @@ def parse_program(text: str) -> Program:
     conflict with explicit labels is an error, caught as a duplicate id).
     So a 0-ary fact spelled like such an id, such as "c1_2.", reads as the
     label of the clause after it, unless it ends the input. A constraint
-    head is rewritten into `false` clauses (see `_parse_clause`).
+    head is rewritten into `false` clauses (see `_read`).
     """
-    tokens = _tokenize(text)
-    # The variable pool must avoid every name in the file so generated
-    # argument variables are genuinely fresh.
-    var_pool = {t[1] for t in tokens if t[0] == "name"}
-    parser = _Parser(tokens)
-    clauses: List[Clause] = []
-    auto = 1
-    while not parser.at_end():
-        label = f"c{auto}"
-        tok = parser.peek()
-        if tok[0] == "name" and _LABEL.match(tok[1]):
-            # "cN.K_M." reads as the tokens cN . K _M . ; n counts those of
-            # the id, and the label ends at the "." after them.
-            n = 1
-            if parser.peek(1)[1] == "." and parser.peek(2)[0] == "num":
-                k = 4 if _LABEL_SUFFIX.match(parser.peek(3)[1]) else 3
-                if parser.peek(k)[1] == ".":
-                    n = k
-            if parser.peek(n)[1] == "." and parser.peek(n + 1) is not _END:
-                label = "".join(parser.next()[1] for _ in range(n))
-                parser.next()
-        clauses.extend(_parse_clause(parser, label, var_pool))
-        auto += 1
-    return Program(tuple(clauses))
+    return Program(tuple(_read(text)))
 
 
 # ---------------------------------------------------------------------------

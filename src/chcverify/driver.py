@@ -15,7 +15,6 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 import time
 from typing import Callable, List, NamedTuple, Optional, Tuple
 
@@ -65,6 +64,8 @@ def _dump(cfg: Config, name: str, kind: str, render: Callable[..., str],
     """Write `render(*args)` when `kind` is dumped; otherwise render nothing."""
     if cfg.dump_dir is None or kind not in cfg.dump_kinds:
         return
+    import tempfile  # only dumps need it, not `import chcverify`
+
     text = render(*args)
     os.makedirs(cfg.dump_dir, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=cfg.dump_dir, prefix=name + ".")

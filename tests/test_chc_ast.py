@@ -1,6 +1,7 @@
 """Clause syntax: parsing, validation, renaming, dependencies."""
 
 import random
+from pathlib import Path
 
 import pytest
 
@@ -21,6 +22,8 @@ from chcverify.chc_ast import (
 from chcverify.linalg import EQ, LE, LT, ConstraintSet, LinearConstraint, rat
 
 T4 = open("tests/data/t4.pl").read()
+REPO = Path(__file__).resolve().parent.parent
+SHIPPED = sorted(REPO.glob("bench/corpus/*.pl")) + [REPO / "tests" / "data" / "t4.pl"]
 
 
 def C(coeffs, rel, b):
@@ -129,6 +132,84 @@ class TestLiterals:
             with pytest.raises(ParseError) as err:
                 parse(text)
             assert str(err.value) == message, text
+
+
+class TestReader:
+    """Lexical corners of the reader, and a seeded fuzz run over it."""
+
+    def test_bad_character_offset_counts_the_comment_before_it(self):
+        text = "% a # in a comment\np(X) :- 1*X = 0 # ."
+        with pytest.raises(ParseError, match="^unexpected character '#' at offset 35$"):
+            parse_program(text)
+        assert text[35] == "#" and text.index("#") < 35
+
+    def test_non_ascii_letter_is_a_bad_character(self):
+        with pytest.raises(ParseError, match="^unexpected character 'é' at offset 3$"):
+            parse_program("p(Xé) :- 1*X = 0.")
+
+    def test_comment_on_the_last_line_without_newline(self):
+        prog = parse_program("p(X) :- 1*X = 0.\n% done: q(X) # no newline")
+        assert prog == parse_program("p(X) :- 1*X = 0.")
+
+    def test_decimal_literals(self):
+        prog = parse_program("p(X) :- 0.25*X + 1.5 = 0.5*X.")
+        assert prog == parse_program("p(X) :- 1*X + 6 = 2*X.")
+        # a decimal argument becomes a fresh variable equal to it
+        (c,) = parse_program("p(0.5).").clause("c1").constraint
+        assert str(c) == "2*V1 = 1"
+
+    def test_split_and_suffixed_labels(self):
+        prog = parse_program("c3.2_1. false :- p(X).\nc1_1__1. p(X) :- 1*X = 0.")
+        assert [cl.id for cl in prog.clauses] == ["c3.2_1", "c1_1__1"]
+
+    def test_fact_spelled_like_an_id_ends_the_input(self):
+        prog = parse_program("p :- c1_2.\nc1_2.")
+        assert [cl.id for cl in prog.clauses] == ["c1", "c2"]
+        assert prog.clause("c2").head == Atom("c1_2", ())
+        # anywhere else it labels the clause after it
+        assert [cl.id for cl in parse_program("c1_2. p.").clauses] == ["c1_2"]
+
+    def test_fresh_names_avoid_every_name_in_the_file(self):
+        prog = parse_program("p(V1, X, X) :- 1*X = 0.")
+        assert prog.clause("c1").head.args == ("V1", "X", "V2")
+        # also the names of later clauses
+        prog = parse_program("p(X, X) :- 1*X = 0.\nq(V1) :- 1*V1 = 0.")
+        assert prog.clause("c1").head.args == ("X", "V2")
+
+    def test_parse_clause_rejects_trailing_input(self):
+        for text in ("p. )", "p(X) :- q(X). r.", "c1. p."):
+            with pytest.raises(ParseError, match="^trailing input after clause$"):
+                parse_clause(text)
+
+    def test_token_soups_parse_or_raise_and_round_trip(self):
+        # An index-based reader can run off the end of its tokens: no soup
+        # may raise anything but ParseError or ValueError.
+        pieces = ("X Y Z V1 _A p q true false c1 foo 0 1 2 0.25 10 ( ) * + - , . :- "
+                  "= =< <= >= < > c1. c2_1. c3.2_1. c1_1__1. # é : ! p(X) q(X,Y) "
+                  "r(X,X) 1*X -2*Y X+1").split() + ["%c\n"]
+        rng = random.Random(5)
+        parsed = 0
+        for _ in range(3000):
+            text = "".join(rng.choice(pieces) + rng.choice(("", " ", "\n"))
+                           for _ in range(rng.randint(0, 12)))
+            try:
+                parse_clause(text)
+            except (ParseError, ValueError):
+                pass
+            try:
+                prog = parse_program(text)
+            except (ParseError, ValueError):
+                continue
+            parsed += 1
+            assert parse_program(program_text(prog)) == prog, text
+        assert parsed > 100
+
+    @pytest.mark.parametrize("path", SHIPPED, ids=lambda p: str(p.relative_to(REPO)))
+    def test_shipped_programs_round_trip(self, path):
+        prog = parse_program(path.read_text())
+        text = program_text(prog)
+        assert parse_program(text) == prog
+        assert program_text(parse_program(text)) == text
 
 
 class TestProgramValidation:

@@ -143,7 +143,8 @@ def test_package_imports_only_the_standard_library():
 def test_import_loads_only_what_verify_runs():
     # Every verdict starts a fresh interpreter, so what `import chcverify`
     # loads is paid on every run: the CLI's argparse is imported by `main`,
-    # and the records are NamedTuples and slotted classes, not dataclasses
+    # tempfile (with random, shutil, bisect and fnmatch) by the dumps, and
+    # the records are NamedTuples and slotted classes, not dataclasses
     # (whose import pulls in inspect). `-S` skips `site`, whose `.pth`
     # hooks may import modules of their own.
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import chcverify; "
@@ -153,6 +154,7 @@ def test_import_loads_only_what_verify_runs():
     loaded = set(out.split())
     assert "chcverify.driver" in loaded
     assert not loaded & {"dataclasses", "inspect", "argparse"}
+    assert not loaded & {"tempfile", "random", "shutil", "bisect", "fnmatch"}
 
 
 def _program():

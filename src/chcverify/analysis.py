@@ -34,10 +34,25 @@ its body predicates was already non-empty, so the body predicates' first
 clauses were kept earlier, and chasing first clauses from any predicate
 terminates: this is the derivation skeleton for FALSE that `extract_trace`
 rebuilds.
+
+Within one verification run, `analyze` also reuses the fixpoints of cyclic
+components. A split changes only some predicates, so most components of the
+next round's program are earlier ones under new predicate names. The memo
+(`fixpoint_memo`) is keyed by everything a component's iteration reads
+(`_component_key`): per predicate, in the component's sorted order, its
+clauses' constraints and arguments, with each body predicate named by its
+index in the component or, outside it, by its current value. Predicate
+names and clause ids are not read. The iteration order, the widening
+thresholds (mined from the component's own clauses) and every kernel answer
+are functions of that key under the run's `fm_limit`, so a hit sets each
+predicate's value and first clause to what iterating would have given.
+`driver.verify` opens the memo for one run; outside one, `fixpoint_memo` is
+None and nothing is memoized. `is_inductive_model` never reads it.
 """
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .chc_ast import Atom, Clause, FALSE, Program, components
@@ -52,6 +67,7 @@ __all__ = [
     "consequence",
     "compute_thresholds",
     "analyze",
+    "fixpoint_memo",
     "check_safety",
     "is_inductive_model",
     "model_to_text",
@@ -184,6 +200,29 @@ WIDEN_DELAY = 2
 # Hard backstop on the rounds of one component (see `analyze`).
 MAX_ITERATIONS = 1000
 
+# A component's key (`_component_key`) to its predicates' values and the
+# (predicate index, clause index) of each first clause, in the order they
+# were kept. Held in a ContextVar, as `fm_limit` is, so `driver.verify` opens
+# it for one run without threading it through `analyze`.
+fixpoint_memo: ContextVar[Optional[Dict[tuple, tuple]]] = ContextVar(
+    "fixpoint_memo", default=None)
+
+
+def _component_key(program: Program, scc: Tuple[str, ...],
+                   values: Mapping[str, Polyhedron]) -> tuple:
+    """Everything the fixpoint of the cyclic component `scc` reads, up to
+    predicate names: per predicate in `scc` order, its clauses in
+    `clauses_for` order, each as its constraint, its head arguments and, per
+    body atom, the atom's arguments with the body predicate's index in `scc`
+    or, outside it, its current value's constraints (None for bottom)."""
+    index = {p: i for i, p in enumerate(scc)}
+    return tuple(
+        tuple((cl.constraint, cl.head.args,
+               tuple((b.args, index[b.pred] if b.pred in index
+                      else values[b.pred].constraints) for b in cl.body))
+              for cl in program.clauses_for(pred))
+        for pred in scc)
+
 
 def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
     """Over-approximate the least model; keep each predicate's first clause.
@@ -198,6 +237,10 @@ def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
     widened after `WIDEN_DELAY` rounds, and widening up to finitely many
     thresholds stabilises), or if a projection exceeds `fm_limit`, mining
     the thresholds of a predicate that is widened included.
+
+    While `fixpoint_memo` is open, a cyclic component whose key is in it
+    takes its values and first clauses from there instead of iterating, and
+    one that iterates to stability is stored.
     """
     thresholds = compute_thresholds(program)
     values: Dict[str, Polyhedron] = {
@@ -209,7 +252,21 @@ def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
     version: Dict[str, int] = dict.fromkeys(values, 0)
     evaluated: Dict[Clause, Tuple[int, ...]] = {}
 
+    memo = fixpoint_memo.get()
     for scc, cyclic in components(program):
+        key = None
+        if cyclic and memo is not None:
+            key = _component_key(program, scc, values)
+            hit = memo.get(key)
+            if hit is not None:
+                facts, grown = hit
+                for pred, fact in zip(scc, facts):
+                    values[pred] = fact
+                    version[pred] += 1
+                for i, k in grown:
+                    first[scc[i]] = program.clauses_for(scc[i])[k]
+                continue
+        kept = len(first)
         iteration = 0
         while True:
             iteration += 1
@@ -246,6 +303,11 @@ def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
                 first.setdefault(pred, grower)
             if version == snapshot_version:
                 break
+        if key is not None:
+            memo[key] = (
+                tuple(values[p] for p in scc),
+                tuple((scc.index(p), program.clauses_for(p).index(cl))
+                      for p, cl in list(first.items())[kept:]))
     return AbstractModel(values), first
 
 

@@ -22,6 +22,7 @@ from .analysis import (
     AbstractModel,
     analyze,
     check_safety,
+    fixpoint_memo,
     is_inductive_model,
     model_to_text,
 )
@@ -84,6 +85,9 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     events: List[str] = []
     rounds = 0
     token = fm_limit.set(cfg.fm_step_limit)
+    # Opened at the first refinement: before it, components rarely recur,
+    # and keying them costs more than the hits save.
+    memo_token = fixpoint_memo.set(None)
     try:
         while True:
             if early_safe(program):
@@ -127,10 +131,13 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
                 f"round {rounds}: split into {len(program.predicates)} "
                 f"predicates, {len(program.clauses)} clauses")
             rounds += 1
+            if rounds == 1:
+                fixpoint_memo.set({})
     except ResourceLimitError as exc:
         events.append(f"round {rounds}: gave up: {exc}")
         return Verdict("unknown", rounds, reason=str(exc), events=tuple(events))
     finally:
+        fixpoint_memo.reset(memo_token)
         fm_limit.reset(token)
 
 

@@ -1,5 +1,5 @@
-"""Shared test fixtures: random program generation, the trace of an
-AND-tree, and the property suites.
+"""Shared test fixtures: the worked example T4, random program generation,
+the trace of an AND-tree, and the property suites.
 
 The six property suites are session-scoped fixtures so that the per-module
 tests and the acceptance tests share one run.  Each suite raises on the
@@ -7,6 +7,7 @@ first violated law, naming the failing case seed.
 """
 
 import random
+from pathlib import Path
 from typing import Dict, List, Sequence
 
 import pytest
@@ -14,6 +15,11 @@ import pytest
 from chcverify.cex import AndNode, TraceTerm
 from chcverify.chc_ast import FALSE, Atom, Clause, Program
 from chcverify.linalg import EQ, LE, LT, ConstraintSet, LinearConstraint, rat
+
+# Paths from this file, so the tests run from any working directory.
+REPO = Path(__file__).resolve().parent.parent
+DATA = REPO / "tests" / "data"
+T4 = (DATA / "t4.pl").read_text()
 
 CLAUSE_VARS = ("X", "Y", "Z")
 PRED_NAMES = ("p", "q", "r")

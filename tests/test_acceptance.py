@@ -9,6 +9,7 @@ import os
 import time
 import warnings
 
+from conftest import DATA, T4
 from chcverify.analysis import analyze, check_safety
 from chcverify.cex import build_and_tree, extract_trace, feasible, tree_constraints, tree_interpolants
 from chcverify.chc_ast import FALSE, parse_program
@@ -25,8 +26,6 @@ from chcverify.qa import qa_transform
 from chcverify.specialise import strengthen
 
 import suites
-
-T4 = open("tests/data/t4.pl").read()
 
 
 def first_round():
@@ -101,4 +100,4 @@ def test_randomized_suites_cover_at_least_200_cases_each(
 def test_shipped_corpus_is_the_two_counter_loop_only():
     # larger benchmark sets need minutes-per-file budgets; the randomized
     # suites above stand in for them
-    assert sorted(os.listdir("tests/data")) == ["t4.pl"]
+    assert sorted(os.listdir(DATA)) == ["t4.pl"]

@@ -3,7 +3,7 @@
 import pytest
 
 import suites
-from conftest import tr
+from conftest import T4, tr
 from chcverify import cex
 from chcverify.analysis import analyze
 from chcverify.cex import (
@@ -31,8 +31,6 @@ from chcverify.linalg import (
 )
 from chcverify.qa import qa_transform
 from chcverify.specialise import strengthen
-
-T4 = open("tests/data/t4.pl").read()
 
 
 def C(coeffs, rel, b):

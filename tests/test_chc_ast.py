@@ -1,11 +1,10 @@
 """Clause syntax: parsing, validation, renaming, dependencies."""
 
 import random
-from pathlib import Path
 
 import pytest
 
-from conftest import random_program
+from conftest import DATA, REPO, T4, random_program
 from chcverify import chc_ast
 from chcverify.chc_ast import (
     FALSE,
@@ -21,9 +20,7 @@ from chcverify.chc_ast import (
 )
 from chcverify.linalg import EQ, LE, LT, ConstraintSet, LinearConstraint, rat
 
-T4 = open("tests/data/t4.pl").read()
-REPO = Path(__file__).resolve().parent.parent
-SHIPPED = sorted(REPO.glob("bench/corpus/*.pl")) + [REPO / "tests" / "data" / "t4.pl"]
+SHIPPED = sorted(REPO.glob("bench/corpus/*.pl")) + [DATA / "t4.pl"]
 
 
 def C(coeffs, rel, b):

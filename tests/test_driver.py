@@ -4,18 +4,19 @@ import json
 import os
 import subprocess
 import sys
+from contextvars import ContextVar
 
 import pytest
 
-from chcverify import driver
-from chcverify.analysis import AbstractModel, is_inductive_model
+from conftest import DATA, REPO, T4
+from chcverify import analysis, driver
+from chcverify.analysis import AbstractModel, fixpoint_memo, is_inductive_model
 from chcverify.cex import build_and_tree, feasible
 from chcverify.chc_ast import parse_program, program_text
 from chcverify.driver import Config, Verdict, main, verify
 from chcverify.linalg import _entails_cached, _tableau_of, is_satisfiable, simplify
 
-T4 = open("tests/data/t4.pl").read()
-UPDOWN = open("bench/corpus/updown.pl").read()
+UPDOWN = (REPO / "bench" / "corpus" / "updown.pl").read_text()
 
 SAFE_COUNTER = """\
 p(X) :- 1*X = 0.
@@ -44,6 +45,20 @@ c3. false :- 1*X = 2, p(X).
 """
 
 
+def _count_evaluations(monkeypatch):
+    """A list whose last entry counts clause evaluations (`_contribution`
+    calls); append a 0 to start a new count."""
+    counts = []
+    contribution = analysis._contribution
+
+    def counting(cl, model):
+        counts[-1] += 1
+        return contribution(cl, model)
+
+    monkeypatch.setattr(analysis, "_contribution", counting)
+    return counts
+
+
 class TestVerify:
     def test_two_counter_loop_is_unsafe_after_one_split(self):
         verdict = verify(parse_program(T4))
@@ -65,18 +80,25 @@ class TestVerify:
         assert verdict.trace is None
         assert any("removed every false clause" in e for e in verdict.events)
 
-    def test_a_run_costs_the_same_whatever_ran_before(self):
+    def test_a_run_costs_the_same_whatever_ran_before(self, monkeypatch):
         def cache_counts():
             return (is_satisfiable.cache_info(), _entails_cached.cache_info(),
                     simplify.cache_info(), _tableau_of.cache_info())
 
-        verify(parse_program(UNSAFE_COUNTER))
-        verify(parse_program(BOUNDARY_COUNTER), Config(max_refinements=1))
+        evaluations = _count_evaluations(monkeypatch)
+
+        def runs():
+            for text, config in ((UNSAFE_COUNTER, None),
+                                 (BOUNDARY_COUNTER, Config(max_refinements=1))):
+                evaluations.append(0)
+                verify(parse_program(text), config)
+
+        runs()
         after_other_runs = cache_counts()
-        verify(parse_program(UNSAFE_COUNTER))
-        verify(parse_program(BOUNDARY_COUNTER), Config(max_refinements=1))
+        runs()
         assert cache_counts() == after_other_runs
         assert after_other_runs[0].misses > 0
+        assert evaluations[:2] == evaluations[2:] and evaluations[1] > 0
 
     def test_an_early_safe_model_is_re_checked(self, monkeypatch):
         # No integrity clause: safe before any analysis, but the model that
@@ -160,6 +182,80 @@ class TestVerify:
         assert cfg.dump_dir is None
 
 
+class TestFixpointMemo:
+    @staticmethod
+    def _memo_open_per_analysis(monkeypatch):
+        seen = []
+        real = driver.analyze
+
+        def analyze(program):
+            seen.append(fixpoint_memo.get() is not None)
+            return real(program)
+
+        monkeypatch.setattr(driver, "analyze", analyze)
+        return seen
+
+    @pytest.mark.parametrize("text, config, kind, refinements", [
+        (SAFE_COUNTER, Config(), "safe", 0),
+        (T4, Config(), "unsafe", 1),
+        (BOUNDARY_COUNTER, Config(max_refinements=3), "unknown", 3),
+        (UPDOWN, Config(fm_step_limit=8), "unknown", 1),
+    ], ids=["safe", "unsafe", "refinement-limit", "fm-step-limit"])
+    def test_open_from_the_first_refinement_to_the_verdict(
+            self, monkeypatch, text, config, kind, refinements):
+        seen = self._memo_open_per_analysis(monkeypatch)
+        verdict = verify(parse_program(text), config)
+        assert (verdict.kind, verdict.refinements) == (kind, refinements)
+        # round 0 analyses the query-answer transform and the program
+        assert seen == [False] * min(2, len(seen)) + [True] * (len(seen) - 2)
+        assert fixpoint_memo.get() is None
+
+    def test_closed_when_the_analysis_raises(self, monkeypatch):
+        real = driver.analyze
+
+        def analyze(program):
+            if fixpoint_memo.get() is not None:
+                raise RuntimeError("analysis failed")
+            return real(program)
+
+        monkeypatch.setattr(driver, "analyze", analyze)
+        with pytest.raises(RuntimeError, match="analysis failed"):
+            verify(parse_program(T4))
+        assert fixpoint_memo.get() is None
+
+    def test_a_run_never_reads_a_memo_opened_outside_it(self, monkeypatch):
+        seen = self._memo_open_per_analysis(monkeypatch)
+        outer = {}
+        token = fixpoint_memo.set(outer)
+        try:
+            verify(parse_program(T4))
+            assert fixpoint_memo.get() is outer and outer == {}
+        finally:
+            fixpoint_memo.reset(token)
+        assert seen == [False, False, True, True]
+
+    def test_updown_reuses_fixpoints_with_the_same_results(
+            self, monkeypatch, tmp_path):
+        evaluations = _count_evaluations(monkeypatch)
+
+        def run(name):
+            evaluations.append(0)
+            out = tmp_path / name
+            verdict = verify(parse_program(UPDOWN), Config(dump_dir=str(out)))
+            return verdict, {p.name: p.read_text() for p in out.iterdir()}
+
+        memoized = run("memoized")
+        # a memo that the analysis never reads: every component iterates
+        monkeypatch.setattr(driver, "fixpoint_memo",
+                            ContextVar("unread", default=None))
+        iterated = run("iterated")
+        assert memoized == iterated
+        assert memoized[0].kind == "unknown" and memoized[0].refinements == 10
+        assert len(memoized[1]) == 43  # 4 kinds in 11 rounds, no last .ps
+        # 448: updown's evaluations before components were memoized
+        assert evaluations[0] < evaluations[1] and evaluations[0] < 448
+
+
 class TestDumps:
     def test_each_round_writes_its_artifacts(self, tmp_path):
         out = tmp_path / "dumps"
@@ -237,7 +333,7 @@ class TestCli:
         env = dict(os.environ,
                    PYTHONPATH=src if not path else src + os.pathsep + path)
         done = subprocess.run(
-            [sys.executable, "-m", "chcverify", "tests/data/t4.pl"],
+            [sys.executable, "-m", "chcverify", str(DATA / "t4.pl")],
             capture_output=True, text=True, env=env, timeout=120)
         assert done.returncode == 1
         assert done.stderr == ""

@@ -2,10 +2,9 @@
 
 import pytest
 
+from conftest import T4
 from chcverify.chc_ast import FALSE, Atom, parse_program
 from chcverify.oracle import FAN_OUT_LIMIT, bounded_derive
-
-T4 = open("tests/data/t4.pl").read()
 
 
 def test_t4_needs_three_levels_to_reach_false():

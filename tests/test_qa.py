@@ -2,10 +2,9 @@
 
 import pytest
 
+from conftest import T4
 from chcverify.chc_ast import FALSE, Atom, parse_program, program_text
 from chcverify.qa import qa_transform
-
-T4 = open("tests/data/t4.pl").read()
 
 
 def test_t4_transform_is_reproduced_exactly():

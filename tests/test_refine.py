@@ -2,6 +2,7 @@
 
 import functools
 
+from conftest import T4
 from chcverify.analysis import analyze
 from chcverify.cex import build_and_tree, extract_trace, tree_interpolants
 from chcverify.chc_ast import FALSE, parse_program, program_text
@@ -10,8 +11,6 @@ from chcverify.polyhedra import Polyhedron
 from chcverify.qa import qa_transform
 from chcverify.refine import polyvariant_specialise, split_facts
 from chcverify.specialise import strengthen
-
-T4 = open("tests/data/t4.pl").read()
 
 SPECIALISED_T4 = """\
 c1_2. false :- 1*A = 0, 1*A+ 1*B+ -3*I = 0, 1*A+ -2*I = 0, -1*N < 0, l_2(I,A,B,N).

@@ -1,12 +1,11 @@
 """Constraint propagation: strengthening clauses with query-answer facts."""
 
+from conftest import T4
 from chcverify.analysis import analyze
 from chcverify.chc_ast import FALSE, parse_program, program_text
 from chcverify.linalg import entails_all
 from chcverify.qa import qa_transform
 from chcverify.specialise import early_safe, strengthen
-
-T4 = open("tests/data/t4.pl").read()
 
 
 def propagate(prog):

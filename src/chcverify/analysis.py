@@ -1,6 +1,6 @@
 """Convex polyhedral analysis of CHC programs.
 
-`analyze` takes only the program. It computes, for every predicate, one
+`analyze` computes, for every predicate, one
 polyhedron over its canonical argument names that over-approximates the
 predicate's least model, by chaotic iteration over the strongly connected
 components of the dependency graph in reverse topological order, which it
@@ -35,24 +35,22 @@ clauses were kept earlier, and chasing first clauses from any predicate
 terminates: this is the derivation skeleton for FALSE that `extract_trace`
 rebuilds.
 
-Within one verification run, `analyze` also reuses the fixpoints of cyclic
-components. A split changes only some predicates, so most components of the
-next round's program are earlier ones under new predicate names. The memo
-(`fixpoint_memo`) is keyed by everything a component's iteration reads
-(`_component_key`): per predicate, in the component's sorted order, its
-clauses' constraints and arguments, with each body predicate named by its
-index in the component or, outside it, by its current value. Predicate
-names and clause ids are not read. The iteration order, the widening
-thresholds (mined from the component's own clauses) and every kernel answer
-are functions of that key under the run's `fm_limit`, so a hit sets each
-predicate's value and first clause to what iterating would have given.
-`driver.verify` opens the memo for one run; outside one, `fixpoint_memo` is
-None and nothing is memoized. `is_inductive_model` never reads it.
+Given a memo, `analyze` also reuses the fixpoints of cyclic components. A
+split changes only some predicates, so most components of the next round's
+program are earlier ones under new predicate names. The memo is keyed by
+everything a component's iteration reads (`_component_key`): per predicate,
+in the component's sorted order, its clauses' constraints and arguments,
+with each body predicate named by its index in the component or, outside
+it, by its current value. Predicate names and clause ids are not read. The
+iteration order, the widening thresholds (mined from the component's own
+clauses) and every kernel answer are functions of that key, so a hit sets
+each predicate's value and first clause to what iterating would have given.
+`driver.verify` keeps one memo per run and passes it from the first
+refinement on. `is_inductive_model` never reads it.
 """
 
 from __future__ import annotations
 
-from contextvars import ContextVar
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .chc_ast import Atom, Clause, FALSE, Program, components
@@ -67,7 +65,6 @@ __all__ = [
     "consequence",
     "compute_thresholds",
     "analyze",
-    "fixpoint_memo",
     "check_safety",
     "is_inductive_model",
     "model_to_text",
@@ -200,13 +197,6 @@ WIDEN_DELAY = 2
 # Hard backstop on the rounds of one component (see `analyze`).
 MAX_ITERATIONS = 1000
 
-# A component's key (`_component_key`) to its predicates' values and the
-# (predicate index, clause index) of each first clause, in the order they
-# were kept. Held in a ContextVar, as `fm_limit` is, so `driver.verify` opens
-# it for one run without threading it through `analyze`.
-fixpoint_memo: ContextVar[Optional[Dict[tuple, tuple]]] = ContextVar(
-    "fixpoint_memo", default=None)
-
 
 def _component_key(program: Program, scc: Tuple[str, ...],
                    values: Mapping[str, Polyhedron]) -> tuple:
@@ -224,7 +214,8 @@ def _component_key(program: Program, scc: Tuple[str, ...],
         for pred in scc)
 
 
-def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
+def analyze(program: Program, memo: Optional[Dict[tuple, tuple]] = None
+            ) -> Tuple[AbstractModel, Dict[str, Clause]]:
     """Over-approximate the least model; keep each predicate's first clause.
 
     Returns the model and, for every predicate that became non-empty, the
@@ -235,12 +226,14 @@ def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
     Raises ResourceLimitError if an SCC fails to stabilise within
     `MAX_ITERATIONS` rounds (a hard backstop: every cyclic component is
     widened after `WIDEN_DELAY` rounds, and widening up to finitely many
-    thresholds stabilises), or if a projection exceeds `fm_limit`, mining
-    the thresholds of a predicate that is widened included.
+    thresholds stabilises), or if a projection exceeds `linalg.FM_LIMIT`,
+    mining the thresholds of a predicate that is widened included.
 
-    While `fixpoint_memo` is open, a cyclic component whose key is in it
-    takes its values and first clauses from there instead of iterating, and
-    one that iterates to stability is stored.
+    `memo`, when given, maps a component's key (`_component_key`) to its
+    predicates' values and the (predicate index, clause index) of each first
+    clause, in the order they were kept. A cyclic component whose key is in
+    it takes its values and first clauses from there instead of iterating,
+    and one that iterates to stability is stored.
     """
     thresholds = compute_thresholds(program)
     values: Dict[str, Polyhedron] = {
@@ -252,7 +245,6 @@ def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
     version: Dict[str, int] = dict.fromkeys(values, 0)
     evaluated: Dict[Clause, Tuple[int, ...]] = {}
 
-    memo = fixpoint_memo.get()
     for scc, cyclic in components(program):
         key = None
         if cyclic and memo is not None:

@@ -12,11 +12,15 @@ a constraint over that node's interface variables that overapproximates the
 subtree below it while remaining inconsistent with the rest of the tree.
 All labels come from one Farkas refutation of the whole tree: a node's
 label is the weighted sum of the rows in its subtree.
+
+Every walk over a trace or a tree is a loop over an explicit stack, not a
+recursion: a derivation may be deeper than Python's recursion limit.
 """
 
 from __future__ import annotations
 
-from typing import Container, Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (Container, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+                    Tuple, Union)
 
 from .chc_ast import Atom, Clause, FreshNames, Program, Var
 from .linalg import (
@@ -37,12 +41,30 @@ class TraceTerm(NamedTuple):
     children: Tuple["TraceTerm", ...] = ()
 
     def __str__(self) -> str:
-        if not self.children:
-            return self.clause_id
-        return f"{self.clause_id}({','.join(str(c) for c in self.children)})"
+        out: List[str] = []
+        todo: List[Union["TraceTerm", str]] = [self]
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                out.append(item)
+                continue
+            out.append(item.clause_id)
+            if item.children:
+                out.append("(")
+                todo.append(")")
+                for k, child in enumerate(reversed(item.children)):
+                    if k:
+                        todo.append(",")
+                    todo.append(child)
+        return "".join(out)
 
     def size(self) -> int:
-        return 1 + sum(c.size() for c in self.children)
+        n = 0
+        todo = [self]
+        while todo:
+            n += 1
+            todo.extend(todo.pop().children)
+        return n
 
 
 def extract_trace(first: Mapping[str, Clause], pred: str = "false"
@@ -52,15 +74,30 @@ def extract_trace(first: Mapping[str, Clause], pred: str = "false"
     `first` maps each predicate to the clause that first made it non-empty
     (the second result of `analyze`). Each body atom is expanded with its
     own predicate's first clause. That clause was kept before the one
-    whose body names it, so the recursion terminates.
+    whose body names it, so the expansion terminates; a predicate's term is
+    built once and shared wherever the predicate occurs.
     """
     if pred not in first:
         raise ValueError(f"no derivation of {pred} was recorded")
-
-    def expand(cl: Clause) -> TraceTerm:
-        return TraceTerm(cl.id, tuple(expand(first[b.pred]) for b in cl.body))
-
-    return expand(first[pred])
+    terms: Dict[str, TraceTerm] = {}
+    entered = set()
+    todo = [pred]
+    while todo:
+        p = todo[-1]
+        if p in terms:
+            todo.pop()
+            continue
+        body = first[p].body
+        missing = [b.pred for b in body if b.pred not in terms]
+        if missing:
+            if p in entered:
+                raise ValueError(f"the first clauses through {p} form a cycle")
+            entered.add(p)
+            todo.extend(missing)
+            continue
+        terms[p] = TraceTerm(first[p].id, tuple(terms[b.pred] for b in body))
+        todo.pop()
+    return terms[pred]
 
 
 class AndNode(NamedTuple):
@@ -77,10 +114,16 @@ class AndNode(NamedTuple):
 
 
 def build_and_tree(program: Program, trace: TraceTerm) -> AndNode:
-    """Instantiate `trace` over `program` with pairwise fresh variables."""
-    fresh = FreshNames(prefix="T")
+    """Instantiate `trace` over `program` with pairwise fresh variables.
 
-    def build(term: TraceTerm, target: Optional[Atom]) -> AndNode:
+    Nodes are renamed in pre-order, then built bottom-up.
+    """
+    fresh = FreshNames(prefix="T")
+    # (atom, renamed clause, child count) per node, in pre-order
+    nodes: List[Tuple[Atom, Clause, int]] = []
+    todo: List[Tuple[TraceTerm, Optional[Atom]]] = [(trace, None)]
+    while todo:
+        term, target = todo.pop()
         cl = program.clause(term.clause_id)
         if len(term.children) != len(cl.body):
             raise ValueError(
@@ -94,25 +137,26 @@ def build_and_tree(program: Program, trace: TraceTerm) -> AndNode:
             for formal, actual in zip(cl.head.args, target.args):
                 mapping[formal] = actual
         renamed = cl.rename(mapping)
-        atom = target if target is not None else renamed.head
-        children = tuple(
-            build(sub, renamed.body[i])
-            for i, sub in enumerate(term.children))
-        return AndNode(atom, renamed, children)
-
-    return build(trace, None)
+        nodes.append((target if target is not None else renamed.head,
+                      renamed, len(term.children)))
+        todo.extend(zip(reversed(term.children), reversed(renamed.body)))
+    # In reverse pre-order a node's children are the last n subtrees built,
+    # its first child on top.
+    built: List[AndNode] = []
+    for atom, renamed, n in reversed(nodes):
+        children = tuple(built.pop() for _ in range(n))
+        built.append(AndNode(atom, renamed, children))
+    return built[0]
 
 
 def tree_constraints(node: AndNode) -> ConstraintSet:
     """Conjunction of every instantiated clause constraint in the tree."""
     rows: List[LinearConstraint] = []
-
-    def walk(n: AndNode) -> None:
+    todo = [node]
+    while todo:
+        n = todo.pop()
         rows.extend(n.clause.constraint)
-        for c in n.children:
-            walk(c)
-
-    walk(node)
+        todo.extend(reversed(n.children))
     return ConstraintSet.make(rows)
 
 
@@ -174,15 +218,17 @@ def tree_interpolants(tree: AndNode) -> TreeInterpolant:
     """
     order: List[AndNode] = []
     subtrees: List[range] = []
-
-    def walk(n: AndNode) -> None:
-        start = len(order)
-        for c in n.children:
-            walk(c)
-        order.append(n)
-        subtrees.append(range(start, len(order)))
-
-    walk(tree)
+    # post-order: a node is entered (start None), then left once the
+    # subtrees of its children, from `start` on, are in `order`
+    todo: List[Tuple[AndNode, Optional[int]]] = [(tree, None)]
+    while todo:
+        n, start = todo.pop()
+        if start is None:
+            todo.append((n, len(order)))
+            todo.extend((c, None) for c in reversed(n.children))
+        else:
+            order.append(n)
+            subtrees.append(range(start, len(order)))
     cert = farkas_refutation(*(n.clause.constraint for n in order))
     return TreeInterpolant(tuple(
         (n.atom, ConstraintSet.make([interpolate(cert, sub, n.atom.args)]))

@@ -22,13 +22,12 @@ from .analysis import (
     AbstractModel,
     analyze,
     check_safety,
-    fixpoint_memo,
     is_inductive_model,
     model_to_text,
 )
 from .cex import TraceTerm, build_and_tree, extract_trace, feasible, tree_interpolants
 from .chc_ast import FALSE, ParseError, Program, parse_program, program_text
-from .linalg import ResourceLimitError, fm_limit, reset_caches
+from .linalg import ResourceLimitError, reset_caches
 from .qa import qa_transform
 from .refine import polyvariant_specialise, split_facts
 from .specialise import early_safe, strengthen
@@ -38,7 +37,6 @@ DUMP_KINDS = ("qa", "spec", "model", "ps")
 
 class Config(NamedTuple):
     max_refinements: int = 10
-    fm_step_limit: int = 10_000
     dump_dir: Optional[str] = None
     dump_kinds: Tuple[str, ...] = DUMP_KINDS
 
@@ -80,14 +78,25 @@ def _dump(cfg: Config, name: str, kind: str, render: Callable[..., str],
 
 
 def verify(program: Program, config: Optional[Config] = None) -> Verdict:
+    """Decide whether `program` derives `false`.
+
+    A run starts by emptying the kernel's caches (`linalg.reset_caches`),
+    so what it costs does not depend on what ran before it. From the first
+    refinement on it keeps a fixpoint memo, a local that every later
+    analysis reads and fills (`analysis.analyze`) and that ends with the
+    run. Four budgets bound a run, and each ends it in `unknown` with a
+    reason: `cfg.max_refinements` splitting rounds, `linalg.FM_LIMIT` rows
+    in one projection, `analysis.MAX_ITERATIONS` rounds of one component's
+    fixpoint, and `refine.MAX_CLAUSES_PER_SOURCE` versions of one clause
+    in a split.
+    """
     cfg = config or Config()
     reset_caches()
     events: List[str] = []
     rounds = 0
-    token = fm_limit.set(cfg.fm_step_limit)
-    # Opened at the first refinement: before it, components rarely recur,
-    # and keying them costs more than the hits save.
-    memo_token = fixpoint_memo.set(None)
+    # Kept from the first refinement on: before it, components rarely
+    # recur, and keying them costs more than the hits save.
+    memo = None
     try:
         while True:
             if early_safe(program):
@@ -95,7 +104,7 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
             else:
                 qa = qa_transform(program, FALSE)
                 _dump(cfg, f"round{rounds}.qa", "qa", program_text, qa)
-                qa_model, _ = analyze(qa)
+                qa_model, _ = analyze(qa, memo)
                 program = strengthen(program, qa_model)
                 _dump(cfg, f"round{rounds}.spec", "spec", program_text, program)
                 events.append(f"round {rounds}: propagation kept "
@@ -103,7 +112,7 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
                 proof = ("propagation removed every false clause"
                          if early_safe(program)
                          else "model proves false unreachable")
-            model, first = analyze(program)
+            model, first = analyze(program, memo)
             _dump(cfg, f"round{rounds}.model", "model", model_to_text, model,
                   program)
             if check_safety(model):
@@ -132,13 +141,10 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
                 f"predicates, {len(program.clauses)} clauses")
             rounds += 1
             if rounds == 1:
-                fixpoint_memo.set({})
+                memo = {}
     except ResourceLimitError as exc:
         events.append(f"round {rounds}: gave up: {exc}")
         return Verdict("unknown", rounds, reason=str(exc), events=tuple(events))
-    finally:
-        fixpoint_memo.reset(memo_token)
-        fm_limit.reset(token)
 
 
 _EXIT_CODES = {"safe": 0, "unsafe": 1, "unknown": 2}
@@ -172,6 +178,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         with open(args.file) as fh:
             program = parse_program(fh.read())
+        if args.dump_dir is not None:
+            os.makedirs(args.dump_dir, exist_ok=True)
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -40,7 +40,7 @@ Projection is Fourier-Motzkin elimination. Equalities are first used for
 Gaussian substitution, which keeps the combinatorial part small. Both steps
 build each new row as one integer combination of two rows (`_combine`),
 made canonical as `LinearConstraint.make` makes its rows (`_canonical`). The
-number of intermediate constraints is capped (see `fm_limit`) and exceeding
+number of intermediate constraints is capped (`FM_LIMIT`) and exceeding
 the cap raises ResourceLimitError so callers can degrade to an "unknown"
 verdict instead of diverging.
 """
@@ -49,7 +49,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from contextvars import ContextVar
 from fractions import Fraction as Rat
 from functools import lru_cache
 from typing import (Container, Dict, Iterable, List, Mapping, NamedTuple, Optional,
@@ -72,7 +71,6 @@ __all__ = [
     "project",
     "simplify",
     "farkas_refutation",
-    "fm_limit",
     "reset_caches",
 ]
 
@@ -92,13 +90,14 @@ def rat(num, den=1) -> Rat:
 
 
 class ResourceLimitError(Exception):
-    """A configured resource cap was exceeded (projection blow-up etc.)."""
+    """A resource cap was exceeded: the rows of one projection (`FM_LIMIT`),
+    the rounds of one component's fixpoint (`analysis.MAX_ITERATIONS`) or
+    the versions of one clause in a split (`refine.MAX_CLAUSES_PER_SOURCE`).
+    """
 
 
 # Cap on the number of constraints a single projection may build up.
-# Held in a ContextVar so a driver can tighten it without threading a
-# parameter through every geometric operation.
-fm_limit: ContextVar[int] = ContextVar("fm_limit", default=10_000)
+FM_LIMIT = 10_000
 
 
 class LinearConstraint:
@@ -710,13 +709,12 @@ def _tableau_of(cs: ConstraintSet) -> Optional[_Tableau]:
 
 @lru_cache(maxsize=65536)
 def _entails_cached(cs: ConstraintSet, c: LinearConstraint) -> bool:
+    """Does the conjunction `cs` imply the single constraint `c`?"""
     t = _tableau_of(cs)
     return t is None or t.implies(c)
 
 
-def entails(cs: ConstraintSet, c: LinearConstraint) -> bool:
-    """Does the conjunction `cs` imply the single constraint `c`?"""
-    return _entails_cached(cs, c)
+entails = _entails_cached
 
 
 def entails_all(cs: ConstraintSet, other: ConstraintSet) -> bool:
@@ -753,16 +751,14 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
     some values of the other variables satisfy `cs`. An unsatisfiable `cs`
     need not give FALSE_SET, but its projection is unsatisfiable too, so
     `simplify` of it gives FALSE_SET (as `analysis.consequence` uses). Raises
-    ResourceLimitError when the intermediate constraint count exceeds the
-    `fm_limit` cap. Results are cached per cap, so a tighter cap never
-    reuses a projection computed under a looser one.
+    ResourceLimitError when the intermediate constraint count exceeds
+    `FM_LIMIT`.
     """
-    return _project_cached(cs, frozenset(keep), fm_limit.get())
+    return _project_cached(cs, frozenset(keep))
 
 
 @lru_cache(maxsize=65536)
-def _project_cached(cs: ConstraintSet, keep: frozenset, limit: int
-                    ) -> ConstraintSet:
+def _project_cached(cs: ConstraintSet, keep: frozenset) -> ConstraintSet:
     drop = sorted(cs.variables() - keep)
     if not drop:
         if cs.has_trivially_false():
@@ -815,9 +811,9 @@ def _project_cached(cs: ConstraintSet, keep: frozenset, limit: int
             if not cand.is_trivially_true():
                 new.append(cand)
         rows = _dominance_prune(rest + new)
-        if len(rows) > limit:
+        if len(rows) > FM_LIMIT:
             raise ResourceLimitError(
-                f"projection exceeded {limit} constraints while eliminating {var}")
+                f"projection exceeded {FM_LIMIT} constraints while eliminating {var}")
         if len(rows) > 12:
             rows = _semantic_prune(rows)
 

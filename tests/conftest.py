@@ -1,5 +1,5 @@
 """Shared test fixtures: the worked example T4, random program generation,
-the trace of an AND-tree, and the property suites.
+deep derivation chains, the trace of an AND-tree, and the property suites.
 
 The six property suites are session-scoped fixtures so that the per-module
 tests and the acceptance tests share one run.  Each suite raises on the
@@ -7,6 +7,8 @@ first violated law, naming the failing case seed.
 """
 
 import random
+import sys
+from contextlib import contextmanager
 from pathlib import Path
 from typing import Dict, List, Sequence
 
@@ -23,6 +25,31 @@ T4 = (DATA / "t4.pl").read_text()
 
 CLAUSE_VARS = ("X", "Y", "Z")
 PRED_NAMES = ("p", "q", "r")
+
+
+def chain_program(n: int, goal: str) -> str:
+    """p0 holds at 0 and each p_i one above p_(i-1), so p_(n-1) holds at
+    n-1 only; `false` asks for `goal` on it. The one derivation of `false`
+    is n + 1 clauses deep: c(n+1) over c(n) ... over c1."""
+    lines = ["p0(X) :- 1*X = 0."]
+    lines += [f"p{i}(Y) :- 1*Y+ -1*X = 1, p{i - 1}(X)." for i in range(1, n)]
+    lines.append(f"false :- {goal}, p{n - 1}(X).")
+    return "\n".join(lines) + "\n"
+
+
+@contextmanager
+def shallow_stack(frames: int = 60):
+    """Run the body with room for only `frames` more frames on the stack,
+    so that a walk recursing once per level of a deeper tree fails."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    old = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(old)
 
 
 def tr(node: AndNode) -> TraceTerm:

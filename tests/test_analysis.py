@@ -246,10 +246,10 @@ def _prefixed(prog, prefix):
 
 class TestFixpointMemo:
     @staticmethod
-    def _standalone(progs):
+    def _standalone(progs, memo=None):
         out = []
         for prog in progs:
-            model, first = analyze(prog)
+            model, first = analyze(prog, memo)
             out.append((model.facts, [(p, cl.id) for p, cl in first.items()]))
         return out
 
@@ -260,7 +260,7 @@ class TestFixpointMemo:
                 [(prefix + p, cid) for p, cid in first])
 
     def test_an_open_memo_iterates_each_component_once(self, monkeypatch):
-        # within one open memo: each program, the program again and a copy
+        # with one memo: each program, the program again and a copy
         # with every predicate renamed give what a standalone analysis
         # gives, and the last two iterate no cyclic component
         progs = [parse_program(T4)]
@@ -278,21 +278,18 @@ class TestFixpointMemo:
 
         monkeypatch.setattr(analysis, "_contribution", counting)
         memoized = 0
-        token = analysis.fixpoint_memo.set({})
-        try:
-            for prog, want in zip(progs, expected):
-                cyclic = {p for scc, is_cyclic in components(prog)
-                          if is_cyclic for p in scc}
-                memoized += bool(cyclic)
-                for n, prefix in enumerate(("", "", "r_")):
-                    heads.clear()
-                    model, first = analyze(_prefixed(prog, prefix))
-                    assert (model.facts, [(p, cl.id) for p, cl in first.items()]
-                            ) == self._renamed(want, prefix)
-                    if n > 0:
-                        assert not {prefix + p for p in cyclic} & set(heads)
-        finally:
-            analysis.fixpoint_memo.reset(token)
+        memo = {}
+        for prog, want in zip(progs, expected):
+            cyclic = {p for scc, is_cyclic in components(prog)
+                      if is_cyclic for p in scc}
+            memoized += bool(cyclic)
+            for n, prefix in enumerate(("", "", "r_")):
+                heads.clear()
+                model, first = analyze(_prefixed(prog, prefix), memo)
+                assert (model.facts, [(p, cl.id) for p, cl in first.items()]
+                        ) == self._renamed(want, prefix)
+                if n > 0:
+                    assert not {prefix + p for p in cyclic} & set(heads)
         assert memoized > 100
 
     def test_components_that_read_different_inputs_share_no_fixpoint(self):
@@ -309,11 +306,7 @@ class TestFixpointMemo:
             base.replace("q(X,Y).\nfalse", "q(Y,X).\nfalse"))]
         expected = self._standalone(progs)
         assert len({str(sorted(facts.items())) for facts, _ in expected}) == 4
-        token = analysis.fixpoint_memo.set({})
-        try:
-            assert self._standalone(progs) == expected
-        finally:
-            analysis.fixpoint_memo.reset(token)
+        assert self._standalone(progs, {}) == expected
 
 
 def _cs(*rows):

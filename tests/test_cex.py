@@ -3,7 +3,7 @@
 import pytest
 
 import suites
-from conftest import T4, tr
+from conftest import T4, chain_program, shallow_stack, tr
 from chcverify import cex
 from chcverify.analysis import analyze
 from chcverify.cex import (
@@ -15,12 +15,13 @@ from chcverify.cex import (
     tree_constraints,
     tree_interpolants,
 )
-from chcverify.chc_ast import FALSE, parse_program
+from chcverify.chc_ast import FALSE, Atom, Clause, parse_program
 from chcverify.linalg import (
     EQ,
     FALSE_CONSTRAINT,
     LE,
     LT,
+    TRUE,
     ConstraintSet,
     LinearConstraint,
     entails,
@@ -218,3 +219,50 @@ class TestTreeInterpolants:
         assert set(pooled) == {"p"}
         assert not is_satisfiable(
             pooled["p"].add(C({"A": 1}, EQ, 5), C({"A": 1}, LE, 1)))
+
+
+class TestDeepTrees:
+    # Deeper than the stack that `shallow_stack` leaves: no walk over a
+    # trace or a tree may recurse once per level.
+    N = 150
+
+    def test_a_deep_first_derivation_is_extracted(self):
+        prog = parse_program(chain_program(self.N, "1*X >= 0"))
+        _, first = analyze(prog)
+        with shallow_stack():
+            trace = extract_trace(first)
+            text, size = str(trace), trace.size()
+            tree = build_and_tree(prog, trace)
+            assert feasible(tree)
+        ids = [f"c{i}" for i in range(self.N + 1, 0, -1)]
+        assert text == "(".join(ids) + ")" * self.N
+        assert size == self.N + 1
+
+    def test_a_deep_infeasible_chain_is_interpolated(self):
+        prog = parse_program(chain_program(self.N, "1*X < 0"))
+        trace = TraceTerm("c1")
+        for i in range(2, self.N + 2):
+            trace = TraceTerm(f"c{i}", (trace,))
+        with shallow_stack():
+            tree = build_and_tree(prog, trace)
+            assert not feasible(tree)
+            facts = tree_interpolants(tree).facts
+        nodes, node = [], tree
+        while node.children:
+            node = node.children[0]
+            nodes.append(node)
+        # children first: p0's node, then p1's, up to p(N-1)'s below the root
+        assert [atom.pred for atom, _ in facts] == [f"p{i}" for i in range(self.N)]
+        below = TRUE
+        for n, (atom, label) in zip(reversed(nodes), facts):
+            assert atom == n.atom and label.variables() <= set(atom.args)
+            assert entails_all(n.clause.constraint.add(*below), label)
+            below = label
+        assert not is_satisfiable(tree.clause.constraint.add(*below))
+
+    def test_first_clauses_in_a_cycle_are_an_error(self):
+        p, q = Atom("p", ("X",)), Atom("q", ("X",))
+        first = {"p": Clause("c1", p, TRUE, (q,)),
+                 "q": Clause("c2", q, TRUE, (p,))}
+        with pytest.raises(ValueError, match="cycle"):
+            extract_trace(first, pred="p")

@@ -2,17 +2,17 @@
 
 import json
 import os
+import random
 import subprocess
 import sys
-from contextvars import ContextVar
 
 import pytest
 
-from conftest import DATA, REPO, T4
-from chcverify import analysis, driver
-from chcverify.analysis import AbstractModel, fixpoint_memo, is_inductive_model
+from conftest import DATA, REPO, T4, chain_program, random_program, shallow_stack
+from chcverify import analysis, driver, linalg
+from chcverify.analysis import AbstractModel, is_inductive_model
 from chcverify.cex import build_and_tree, feasible
-from chcverify.chc_ast import parse_program, program_text
+from chcverify.chc_ast import FALSE, Atom, Program, parse_program, program_text
 from chcverify.driver import Config, Verdict, main, verify
 from chcverify.linalg import _entails_cached, _tableau_of, is_satisfiable, simplify
 
@@ -105,7 +105,7 @@ class TestVerify:
         # ships must still be inductive. Here p is bottom although c1
         # derives p(0).
         monkeypatch.setattr(driver, "analyze",
-                            lambda program: (AbstractModel({}), None))
+                            lambda program, memo=None: (AbstractModel({}), None))
         with pytest.raises(RuntimeError, match="non-inductive"):
             verify(parse_program("p(X) :- 1*X = 0.\n"))
 
@@ -115,10 +115,10 @@ class TestVerify:
         real = driver.analyze
         calls = []
 
-        def analyze(program):
+        def analyze(program, memo=None):
             calls.append(program)
             if len(calls) == 1:
-                return real(program)
+                return real(program, memo)
             return AbstractModel({}), None
 
         monkeypatch.setattr(driver, "analyze", analyze)
@@ -155,8 +155,9 @@ class TestVerify:
         assert verdict.reason == "refinement limit reached"
         assert any("spurious" in e for e in verdict.events)
 
-    def test_projection_budget_exhaustion_is_unknown(self):
-        verdict = verify(parse_program(T4), Config(fm_step_limit=1))
+    def test_projection_budget_exhaustion_is_unknown(self, monkeypatch):
+        monkeypatch.setattr(linalg, "FM_LIMIT", 1)
+        verdict = verify(parse_program(T4))
         assert verdict.kind == "unknown"
         assert "gave up" in verdict.events[-1]
 
@@ -170,6 +171,14 @@ class TestVerify:
             "round 1: counterexample c1_2(c2_2_1_3(c5_1,c3_3)) is feasible",
         )
 
+    def test_a_derivation_deeper_than_the_stack_is_unsafe(self):
+        n = 150
+        prog = parse_program(chain_program(n, "1*X >= 0"))
+        with shallow_stack():
+            verdict = verify(prog)
+        assert (verdict.kind, verdict.refinements) == ("unsafe", 0)
+        assert verdict.trace.size() == n + 1
+
     def test_goal_free_program_is_safe_immediately(self):
         verdict = verify(parse_program("p(X) :- 1*X = 0."))
         assert verdict.kind == "safe"
@@ -177,62 +186,82 @@ class TestVerify:
 
     def test_defaults(self):
         cfg = Config()
+        assert Config._fields == ("max_refinements", "dump_dir", "dump_kinds")
         assert cfg.max_refinements == 10
-        assert cfg.fm_step_limit == 10_000
         assert cfg.dump_dir is None
+        assert linalg.FM_LIMIT == 10_000
+
+
+def _renamed_and_shuffled(program, rng):
+    # every predicate but false renamed at random, the clauses shuffled and
+    # their labels kept
+    preds = sorted(set(program.predicates) - {FALSE.pred})
+    names = dict(zip(preds, (f"q{k}" for k in rng.sample(range(10**6), len(preds)))))
+
+    def atom(a):
+        return Atom(names.get(a.pred, a.pred), a.args)
+
+    clauses = [cl._replace(head=atom(cl.head), body=tuple(map(atom, cl.body)))
+               for cl in program.clauses]
+    rng.shuffle(clauses)
+    return Program(tuple(clauses))
+
+
+def test_verdicts_do_not_depend_on_predicate_names_or_clause_order():
+    # the fixpoint memo's argument: a run reads no predicate name and no
+    # clause id, so a renamed, shuffled copy takes the same path
+    cases = [(parse_program(T4), Config()), (parse_program(UPDOWN), Config()),
+             (parse_program(BOUNDARY_COUNTER), Config(max_refinements=3))]
+    for attempt in range(1, 31):  # suite f's first programs
+        rng = random.Random(606 * 1_000_000 + attempt)
+        cases.append((random_program(rng, max_clauses=5),
+                      Config(max_refinements=2)))
+    rng = random.Random(21)
+    outcomes = []
+    for k, (prog, cfg) in enumerate(cases):
+        want = verify(prog, cfg)
+        got = verify(_renamed_and_shuffled(prog, rng), cfg)
+        assert (got.kind, got.refinements) == (want.kind, want.refinements), k
+        outcomes.append((want.kind, want.refinements))
+    assert {kind for kind, _ in outcomes} == {"safe", "unsafe", "unknown"}
+    assert [refinements for _, refinements in outcomes[:3]] == [1, 10, 3]
 
 
 class TestFixpointMemo:
     @staticmethod
-    def _memo_open_per_analysis(monkeypatch):
+    def _memo_per_analysis(monkeypatch):
         seen = []
         real = driver.analyze
 
-        def analyze(program):
-            seen.append(fixpoint_memo.get() is not None)
-            return real(program)
+        def analyze(program, memo=None):
+            seen.append(memo)
+            return real(program, memo)
 
         monkeypatch.setattr(driver, "analyze", analyze)
         return seen
 
-    @pytest.mark.parametrize("text, config, kind, refinements", [
-        (SAFE_COUNTER, Config(), "safe", 0),
-        (T4, Config(), "unsafe", 1),
-        (BOUNDARY_COUNTER, Config(max_refinements=3), "unknown", 3),
-        (UPDOWN, Config(fm_step_limit=8), "unknown", 1),
+    @pytest.mark.parametrize("text, config, fm_limit, kind, refinements", [
+        (SAFE_COUNTER, Config(), None, "safe", 0),
+        (T4, Config(), None, "unsafe", 1),
+        (BOUNDARY_COUNTER, Config(max_refinements=3), None, "unknown", 3),
+        (UPDOWN, Config(), 8, "unknown", 1),
     ], ids=["safe", "unsafe", "refinement-limit", "fm-step-limit"])
     def test_open_from_the_first_refinement_to_the_verdict(
-            self, monkeypatch, text, config, kind, refinements):
-        seen = self._memo_open_per_analysis(monkeypatch)
+            self, monkeypatch, text, config, fm_limit, kind, refinements):
+        if fm_limit is not None:
+            monkeypatch.setattr(linalg, "FM_LIMIT", fm_limit)
+        seen = self._memo_per_analysis(monkeypatch)
+        verify(parse_program(text), config)
+        before = len(seen)
         verdict = verify(parse_program(text), config)
         assert (verdict.kind, verdict.refinements) == (kind, refinements)
-        # round 0 analyses the query-answer transform and the program
-        assert seen == [False] * min(2, len(seen)) + [True] * (len(seen) - 2)
-        assert fixpoint_memo.get() is None
-
-    def test_closed_when_the_analysis_raises(self, monkeypatch):
-        real = driver.analyze
-
-        def analyze(program):
-            if fixpoint_memo.get() is not None:
-                raise RuntimeError("analysis failed")
-            return real(program)
-
-        monkeypatch.setattr(driver, "analyze", analyze)
-        with pytest.raises(RuntimeError, match="analysis failed"):
-            verify(parse_program(T4))
-        assert fixpoint_memo.get() is None
-
-    def test_a_run_never_reads_a_memo_opened_outside_it(self, monkeypatch):
-        seen = self._memo_open_per_analysis(monkeypatch)
-        outer = {}
-        token = fixpoint_memo.set(outer)
-        try:
-            verify(parse_program(T4))
-            assert fixpoint_memo.get() is outer and outer == {}
-        finally:
-            fixpoint_memo.reset(token)
-        assert seen == [False, False, True, True]
+        # round 0 analyses the query-answer transform and the program; every
+        # later analysis of the run shares one memo, which no run shares
+        first, later = seen[:before], seen[before:]
+        assert later[:2] == [None] * min(2, len(later))
+        assert all(type(m) is dict for m in later[2:])
+        assert len({id(m) for m in later[2:]}) == min(1, len(later[2:]))
+        assert not {id(m) for m in later[2:]} & {id(m) for m in first}
 
     def test_updown_reuses_fixpoints_with_the_same_results(
             self, monkeypatch, tmp_path):
@@ -245,9 +274,10 @@ class TestFixpointMemo:
             return verdict, {p.name: p.read_text() for p in out.iterdir()}
 
         memoized = run("memoized")
-        # a memo that the analysis never reads: every component iterates
-        monkeypatch.setattr(driver, "fixpoint_memo",
-                            ContextVar("unread", default=None))
+        # an analysis that drops the memo: every component iterates
+        real = driver.analyze
+        monkeypatch.setattr(driver, "analyze",
+                            lambda program, memo=None: real(program))
         iterated = run("iterated")
         assert memoized == iterated
         assert memoized[0].kind == "unknown" and memoized[0].refinements == 10
@@ -368,6 +398,23 @@ class TestCli:
         assert captured.out == ""
         assert captured.err == (f"error: {f}: internal error: "
                                 "RuntimeError: no certificate\n")
+
+    def test_a_derivation_deeper_than_the_stack_exits_1(self, tmp_path, capsys):
+        f = tmp_path / "chain.pl"
+        f.write_text(chain_program(300, "1*X >= 0"))
+        assert main([str(f)]) == 1
+        assert "result:      unsafe" in capsys.readouterr().out
+
+    def test_an_unusable_dump_dir_is_a_usage_error(self, tmp_path, capsys):
+        # an existing file, and a path under one
+        f = tmp_path / "t4.pl"
+        f.write_text(T4)
+        for dump_dir in (f, f / "dumps"):
+            assert main([str(f), "--dump-dir", str(dump_dir)]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error: ")
+            assert "internal error" not in captured.err
 
     def test_missing_file_is_a_usage_error(self, tmp_path, capsys):
         assert main([str(tmp_path / "nope.pl")]) == 3

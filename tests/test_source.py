@@ -140,6 +140,22 @@ def test_package_imports_only_the_standard_library():
     assert {"fractions", "math"} <= roots
 
 
+def test_no_module_imports_contextvars():
+    # A run's state is `verify`'s own: its locals, the arguments it passes
+    # and module constants, never a context variable that some caller set.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            names = ([alias.name for alias in node.names]
+                     if isinstance(node, ast.Import)
+                     else [node.module] if isinstance(node, ast.ImportFrom)
+                     else [])
+            if "contextvars" in names:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"contextvars imported at {found}"
+
+
 def test_import_loads_only_what_verify_runs():
     # Every verdict starts a fresh interpreter, so what `import chcverify`
     # loads is paid on every run: the CLI's argparse is imported by `main`,

@@ -13,11 +13,10 @@ last evaluated under. A contribution is a pure function of the body values,
 and a predicate's value only grows, so a skipped clause adds nothing; of the
 contributions that are evaluated, only those not already below the value are
 hulled in. The widening thresholds are the head bounds that each clause's own
-constraint implies. `analyze` mines them itself, through a `ThresholdSet` over
-the program's clauses (`compute_thresholds`) that mines a predicate's bounds
-the first time they are asked for. Only widening asks, so a predicate's
-bounds are mined when it is first widened, and never for a predicate that no
-cyclic component widens.
+constraint implies. `analyze` mines a predicate's bounds from its clauses
+(`compute_thresholds`) the first time it widens that predicate, and keeps
+them for the rest of the call; a predicate that no cyclic component widens
+is never mined.
 
 `_place` is the one place where canonical facts are put on a clause's atoms
 and conjoined with its constraint. `instantiate` also checks the conjunction
@@ -60,7 +59,6 @@ from .polyhedra import Polyhedron, canonical_args
 
 __all__ = [
     "AbstractModel",
-    "ThresholdSet",
     "instantiate",
     "consequence",
     "compute_thresholds",
@@ -142,45 +140,15 @@ def _contribution(clause: Clause, model: AbstractModel) -> Polyhedron:
     return Polyhedron.bottom(space) if got is None else Polyhedron(space, got)
 
 
-class ThresholdSet:
-    """Per-predicate widening thresholds, over canonical argument names.
-
-    `for_pred` mines a predicate's bounds from its clauses (`_head_bounds`)
-    the first time they are asked for, and keeps them; `len` counts them
-    all, mining every predicate not yet mined.
-    """
-
-    def __init__(self, by_head: Mapping[str, Sequence[Clause]]) -> None:
-        self._clauses = by_head
-        self._bounds: Dict[str, Tuple[LinearConstraint, ...]] = {}
-
-    def for_pred(self, pred: str) -> Tuple[LinearConstraint, ...]:
-        got = self._bounds.get(pred)
-        if got is None:
-            clauses = self._clauses.get(pred)
-            if clauses is None:
-                return ()
-            got = self._bounds[pred] = _head_bounds(clauses)
-        return got
-
-    def __len__(self) -> int:
-        return sum(len(self.for_pred(p)) for p in self._clauses)
-
-
-def compute_thresholds(program: Program) -> ThresholdSet:
+def compute_thresholds(clauses: Sequence[Clause]) -> Tuple[LinearConstraint, ...]:
     """Candidate widening bounds read off the clause constraints.
 
     For every clause, the bounds its own constraint implies on its head's
     arguments: the atoms of its simplified consequence with every body atom
-    at top. Atoms are kept per head predicate, without duplicates, in clause
-    order. The set is built from `program.by_head` and mines nothing yet:
-    a predicate's bounds are mined when `analyze` first widens it.
+    at top. `analyze` passes one predicate's clauses, and gets that
+    predicate's bounds over canonical names, without duplicates, in clause
+    order.
     """
-    return ThresholdSet(program.by_head)
-
-
-def _head_bounds(clauses: Sequence[Clause]) -> Tuple[LinearConstraint, ...]:
-    """The bounds that the clauses' own constraints imply on their heads."""
     seen: List[LinearConstraint] = []
     for cl in clauses:
         got = consequence(cl, [TRUE] * len(cl.body))
@@ -220,8 +188,9 @@ def analyze(program: Program, memo: Optional[Dict[tuple, tuple]] = None
 
     Returns the model and, for every predicate that became non-empty, the
     clause whose contribution first made it so. The components come from
-    `components`, and widening is bounded by the program's own
-    `compute_thresholds`, mined lazily.
+    `components`, and widening is bounded by the thresholds that
+    `compute_thresholds` mines from a predicate's clauses the first time
+    that predicate is widened.
 
     Raises ResourceLimitError if an SCC fails to stabilise within
     `MAX_ITERATIONS` rounds (a hard backstop: every cyclic component is
@@ -235,7 +204,7 @@ def analyze(program: Program, memo: Optional[Dict[tuple, tuple]] = None
     it takes its values and first clauses from there instead of iterating,
     and one that iterates to stability is stored.
     """
-    thresholds = compute_thresholds(program)
+    thresholds: Dict[str, Tuple[LinearConstraint, ...]] = {}
     values: Dict[str, Polyhedron] = {
         p: Polyhedron.bottom(canonical_args(a))
         for p, a in program.predicates.items()}
@@ -289,7 +258,11 @@ def analyze(program: Program, memo: Optional[Dict[tuple, tuple]] = None
                 # contains its second operand, so `new` is strictly above old.
                 new = old.hull(joined)
                 if cyclic and iteration > WIDEN_DELAY:
-                    new = old.widen(new, thresholds.for_pred(pred))
+                    bounds = thresholds.get(pred)
+                    if bounds is None:
+                        bounds = thresholds[pred] = compute_thresholds(
+                            program.clauses_for(pred))
+                    new = old.widen(new, bounds)
                 values[pred] = new
                 version[pred] += 1
                 first.setdefault(pred, grower)

@@ -5,7 +5,7 @@ Everything in this module is exact. A constraint with variables is stored in
 its canonical form: coprime Python `int` coefficients and bound. Rationals
 (`Rat`, which is `fractions.Fraction`) appear only where a value is not an
 integer: inputs to `LinearConstraint.make`, the bound of a constant
-constraint, LP optima and points, and Farkas multipliers.
+constraint, LP points, and Farkas multipliers.
 
 Satisfiability, entailment and redundancy are decided by one incremental
 simplex with Bland's rule on a fraction-free integer tableau (`_Tableau`).
@@ -33,8 +33,8 @@ the negation at a strict tie.
 The tableau is the only entailment procedure: no syntactic test answers
 first. Every row enters the tableau as a canonical `LinearConstraint`, the
 rows of an LP included, so a rational input is scaled to integers once, by
-`LinearConstraint.make`, and only an LP optimum and its point are turned
-back into rationals.
+`LinearConstraint.make`, and only an LP point is turned back into
+rationals.
 
 Projection is Fourier-Motzkin elimination. Equalities are first used for
 Gaussian substitution, which keeps the combinatorial part small. Both steps
@@ -371,15 +371,11 @@ FALSE_SET = ConstraintSet((FALSE_CONSTRAINT,))
 # included, is held as a positive integer multiple of the true rational row,
 # right-hand side first; positive scaling preserves every sign and every
 # ratio order, so the pivots are the ones a rational tableau would take, and
-# only an optimum and its point are read back as rationals. Bland's rule
+# only the point `solve_lp` finds is read back as rationals. Bland's rule
 # (lowest eligible column, lowest basic column on ties) ensures termination.
 # Small systems only; this is the single hot spot of the whole verifier, so
 # the inner loops stay primitive.
 # ---------------------------------------------------------------------------
-
-_OPTIMAL = "optimal"
-_UNBOUNDED = "unbounded"
-_INFEASIBLE = "infeasible"
 
 # Column kinds. A free column may enter the basis in either direction and,
 # once basic, never blocks the ratio test. A fixed column (the slack of an
@@ -659,36 +655,26 @@ class _Tableau:
         return zrow
 
 
-def solve_lp(rows: Sequence[Tuple[Mapping[str, Rat], str, Rat]],
-             objective: Mapping[str, Rat],
-             nonneg: frozenset,
-             want_point: bool = False):
-    """Maximise `objective` subject to `rows`.
+def solve_lp(rows: Sequence[Tuple[Mapping[str, Rat], str, Rat]]
+             ) -> Optional[Dict[str, Rat]]:
+    """A point of `rows` with every variable >= 0, or None when none exists.
 
-    Each row is (coeffs, rel, bound) with rel in {"<=", "="}. Variables in
-    `nonneg` are constrained to be >= 0, all others are free. Returns
-    (status, value, point) where status is one of "optimal", "unbounded",
-    "infeasible"; point is None unless requested and status is "optimal".
-    Value and point are exact rationals. Each row enters the tableau as its
-    canonical constraint, and the objective is read off the canonical form
-    of  objective <= 0: positive scaling changes no pivot.
+    Each row is (coeffs, rel, bound) with rel in {"<=", "="} and enters the
+    tableau as its canonical constraint, over non-negative columns made in
+    sorted order. The point is the basic one the phase 1 pivots reach, read
+    back as exact rationals.
     """
     for _, rel, _ in rows:
         if rel not in (LE, EQ):
             raise ValueError(f"unknown LP relation {rel!r}")
     t = _Tableau()
-    for v in sorted({v for coeffs, _, _ in rows for v in coeffs} | set(objective)):
-        t.column(v, _NONNEG if v in nonneg else _FREE)
+    for v in sorted({v for coeffs, _, _ in rows for v in coeffs}):
+        t.column(v, _NONNEG)
     for coeffs, rel, bound in rows:
         if not t.add(LinearConstraint.make(coeffs, rel, bound)):
-            return _INFEASIBLE, None, None
-    goal = LinearConstraint.make(objective, LE, 0)
-    if t._optimise(t._reduced([(t.col[v], a) for v, a in goal.coeffs])) is None:
-        return _UNBOUNDED, None, None
+            return None
     values = {b: Rat(row[0], row[b]) for row, b in zip(t.rows, t.basis)}
-    point = {v: values.get(j, _ZERO) for v, j in t.col.items()}
-    value = sum((c * point[v] for v, c in objective.items()), _ZERO)
-    return _OPTIMAL, value, point if want_point else None
+    return {v: values.get(j, _ZERO) for v, j in t.col.items()}
 
 
 @lru_cache(maxsize=65536)
@@ -1003,28 +989,26 @@ def farkas_refutation(*parts: ConstraintSet) -> FarkasCertificate:
                 rows.append(half)
                 origin.append(k)
     lam = [f"$l{i}" for i in range(len(rows))]
-    lp_rows = []
-    for v in sorted({v for r in rows for v in r.variables()}):
-        lp_rows.append(
-            ({lam[i]: rows[i].coeff(v) for i in range(len(rows))
-              if rows[i].coeff(v) != 0}, EQ, 0))
+    # One row per variable: sum of lam[i] * (its coefficient in rows[i]) = 0.
+    by_var: Dict[str, Dict[str, int]] = {}
+    for l, row in zip(lam, rows):
+        for v, a in row.coeffs:
+            by_var.setdefault(v, {})[l] = a
+    lp_rows = [(by_var[v], EQ, 0) for v in sorted(by_var)]
     bound_row = {lam[i]: rows[i].bound for i in range(len(rows)) if rows[i].bound != 0}
-    nn = frozenset(lam)
     # Case A: sum of bounds strictly negative.
-    status, _, point = solve_lp(
-        lp_rows + [(bound_row, LE, -1)], {}, nn, want_point=True)
-    if status != _OPTIMAL:
+    point = solve_lp(lp_rows + [(bound_row, LE, -1)])
+    if point is None:
         # Case B: bounds sum to <= 0 with positive weight on a strict row.
         strict_row = {lam[i]: 1 for i in range(len(rows)) if rows[i].rel == LT}
         if not strict_row:
             raise RuntimeError(
                 "farkas_refutation: no certificate with a negative bound sum "
                 "for an unsatisfiable system without strict rows")
-        status, _, point = solve_lp(
+        point = solve_lp(
             lp_rows + [(bound_row, LE, 0),
-                       ({k: -v for k, v in strict_row.items()}, LE, -1)],
-            {}, nn, want_point=True)
-        if status != _OPTIMAL:
+                       ({k: -v for k, v in strict_row.items()}, LE, -1)])
+        if point is None:
             raise RuntimeError(
                 "farkas_refutation: no certificate for an unsatisfiable system "
                 "(Motzkin transposition guarantees one)")

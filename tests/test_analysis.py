@@ -7,7 +7,6 @@ from conftest import T4, random_program
 from chcverify import analysis
 from chcverify.analysis import (
     AbstractModel,
-    ThresholdSet,
     analyze,
     check_safety,
     compute_thresholds,
@@ -153,27 +152,26 @@ class TestThresholds:
         # I < N, c3 and c4 give I >= N (once) and their sum bounds, c5 and c6
         # the two l_body steps
         prog = parse_program(T4)
-        thr = compute_thresholds(prog)
-        assert [str(c) for c in thr.for_pred("l")] == [
+        thr = {p: compute_thresholds(prog.clauses_for(p)) for p in prog.by_head}
+        assert [str(c) for c in thr["l"]] == [
             "1*A+ -1*D < 0", "-1*A+ 1*D =< 0",
             "-1*B+ -1*C+ 3*D < 0", "1*B+ 1*C+ -3*D < 0"]
-        assert [str(c) for c in thr.for_pred("l_body")] == [
+        assert [str(c) for c in thr["l_body"]] == [
             "1*A+ -1*C = -1", "1*B+ -1*D = -2",
             "1*A+ -1*C = -2", "1*B+ -1*D = -1"]
-        assert len(thr) == 8
+        assert sum(map(len, thr.values())) == 8
         canonical = {"A", "B", "C", "D"}
         for pred in ("l", "l_body"):
-            for c in thr.for_pred(pred):
+            for c in thr[pred]:
                 assert c.variables() <= canonical
-        assert thr.for_pred("unknown") == ()
 
     def test_unsatisfiable_clause_gives_no_bound(self):
         prog = parse_program(
             "p(X) :- 1*X =< 0, 1*X >= 1.\nq(X) :- 1*X =< 3.\n"
             "false :- p(X), q(X).")
-        thr = compute_thresholds(prog)
-        assert thr.for_pred("p") == ()
-        assert [str(c) for c in thr.for_pred("q")] == ["1*A =< 3"]
+        assert compute_thresholds(prog.clauses_for("p")) == ()
+        assert [str(c) for c in compute_thresholds(prog.clauses_for("q"))
+                ] == ["1*A =< 3"]
 
     def test_thresholds_keep_the_bound_the_plain_widen_loses(self):
         text = "p(X) :- 1*X = 0.\np(Y) :- 1*X+ -1*Y = -1, 1*Y =< 5, p(X).\n" \
@@ -187,20 +185,23 @@ class TestThresholds:
         old = Polyhedron(space, _cs(({"A": -1}, LE, 0), ({"A": 1}, LE, 1)))
         new = Polyhedron(space, _cs(({"A": -1}, LE, 0), ({"A": 1}, LE, 2)))
         assert str(old.widen(new)) == "-1*A =< 0"
-        assert str(old.widen(new, compute_thresholds(prog).for_pred("p"))
+        assert str(old.widen(new, compute_thresholds(prog.clauses_for("p")))
                    ) == "-1*A =< 0, 1*A =< 5"
 
 
 class TestThresholdSet:
+    """The set of bounds `compute_thresholds` mines from one predicate's
+    clauses."""
+
     def test_lookup_by_predicate(self):
         prog = parse_program("p(X) :- 1*X =< 3.\nfalse :- p(X).")
-        ts = ThresholdSet(prog.by_head)
-        assert ts.for_pred("p") == (LinearConstraint.make({"A": 1}, LE, 3),)
-        assert ts.for_pred("q") == ()
-        assert len(ts) == 1
+        assert compute_thresholds(prog.clauses_for("p")) == (
+            LinearConstraint.make({"A": 1}, LE, 3),)
+        # an unknown predicate has no clauses, and so no bounds
+        assert compute_thresholds(prog.clauses_for("q")) == ()
 
     def test_empty(self):
-        assert len(ThresholdSet(parse_program("").by_head)) == 0
+        assert compute_thresholds(parse_program("").clauses) == ()
 
 
 class TestLazyThresholds:
@@ -209,29 +210,38 @@ class TestLazyThresholds:
         def no_mining(clauses):
             raise AssertionError("thresholds mined without a widening")
 
-        monkeypatch.setattr(analysis, "_head_bounds", no_mining)
+        monkeypatch.setattr(analysis, "compute_thresholds", no_mining)
         prog = parse_program(ACYCLIC_CHAIN)
         model, _ = analyze(prog)
         assert str(model.value("q", 1)) == "1*A = 1"
 
     def test_each_predicate_is_mined_at_most_once(self, monkeypatch):
         calls = Counter()
-        head_bounds = analysis._head_bounds
 
         def counting(clauses):
             calls[clauses[0].head.pred] += 1
-            return head_bounds(clauses)
+            return compute_thresholds(clauses)
 
-        monkeypatch.setattr(analysis, "_head_bounds", counting)
-        prog = parse_program(T4)
-        analyze(prog)
+        monkeypatch.setattr(analysis, "compute_thresholds", counting)
+        analyze(parse_program(T4))
         assert calls == {"l": 1}
+        # p is widened three times (X steps to 6, then Y grows) and mined once
+        widened = Counter()
+        widen = Polyhedron.widen
+
+        def counting_widen(old, new, thresholds=()):
+            widened[old.space] += 1
+            return widen(old, new, thresholds)
+
+        monkeypatch.setattr(Polyhedron, "widen", counting_widen)
         calls.clear()
-        thr = compute_thresholds(prog)
-        for pred in ("l", "l_body", "false", "l"):
-            thr.for_pred(pred)
-        assert calls == {"l": 1, "l_body": 1, "false": 1}
-        assert len(thr) == 8
+        analyze(parse_program(
+            "p(X, Y) :- 1*X = 0, 1*Y = 0.\n"
+            "p(X1, Y) :- p(X, Y), 1*X1+ -1*X = 1, 1*X =< 5.\n"
+            "p(X, Y1) :- p(X, Y), 1*Y1+ -1*Y = 1, 1*X >= 5.\n"
+            "false :- p(X, Y), 1*Y < 0."))
+        assert widened == {("A", "B"): 3}
+        assert calls == {"p": 1}
 
 
 def _prefixed(prog, prefix):

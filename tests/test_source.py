@@ -11,6 +11,7 @@ import sys
 
 import pytest
 
+from conftest import T4
 import chcverify
 from chcverify.chc_ast import parse_program
 from chcverify.linalg import EQ, LE, LT, ConstraintSet, LinearConstraint
@@ -53,6 +54,40 @@ def test_every_benchmark_trace_target_resolves():
     missing = [t for t in targets if not _traceable(t)]
     assert not missing, f"benchmark trace targets not found: {missing}"
     assert len(targets) > 20
+
+
+def test_a_traced_run_does_the_work_of_the_timed_run():
+    # The benchmark's per-layer numbers come from a traced run, so neither
+    # the tracer nor its probes may make the program do work that the timed
+    # run skips: a probe that reads a lazily mined result must not mine
+    # more. The tracer rebinds the package's functions, so it runs in a
+    # subprocess. `verify` empties the caches when it starts, so each count
+    # is that run's own.
+    code = """if True:
+        import sys
+        sys.path[:0] = sys.argv[1:3]
+        import chcverify, layers
+        from chcverify import linalg
+        from tracer import Tracer
+
+        def projections(text):
+            chcverify.verify(chcverify.parse_program(text))
+            info = linalg._project_cached.cache_info()
+            return info.hits + info.misses
+
+        text = sys.stdin.read()
+        untraced = projections(text)
+        tracer = Tracer()
+        tracer.install(layers.TARGETS, layers.PROBES)
+        tracer.active = True
+        print(untraced, projections(text), len(tracer.name_of))
+    """
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(PACKAGE.parent), str(BENCH)],
+        input=T4, capture_output=True, text=True, check=True).stdout
+    untraced, traced, spans = map(int, out.split())
+    assert spans > 0
+    assert traced == untraced
 
 
 def test_every_benchmark_config_key_is_a_config_field():

@@ -19,15 +19,17 @@ recursion: a derivation may be deeper than Python's recursion limit.
 
 from __future__ import annotations
 
-from typing import (Container, Dict, Iterable, List, Mapping, NamedTuple, Optional,
-                    Tuple, Union)
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional, Tuple,
+                    Union)
 
 from .chc_ast import Atom, Clause, FreshNames, Program, Var
 from .linalg import (
     FALSE_CONSTRAINT,
+    LE,
+    LT,
     ConstraintSet,
-    FarkasCertificate,
     LinearConstraint,
+    Rat,
     farkas_refutation,
     is_satisfiable,
 )
@@ -164,19 +166,18 @@ def feasible(node: AndNode) -> bool:
     return is_satisfiable(tree_constraints(node))
 
 
-def interpolate(cert: FarkasCertificate, subtree: Container[int],
-                shared: Iterable[Var]) -> LinearConstraint:
-    """The interpolant that `cert` gives for its parts in `subtree` against
-    the other parts: their weighted sum, FALSE_CONSTRAINT when that is a
-    false constant (a true constant is the label `true`).
+def interpolate(itp: LinearConstraint, shared: Iterable[Var]) -> LinearConstraint:
+    """The interpolant that `itp`, the weighted sum of one side's rows of a
+    refutation (`FarkasCertificate.sum_of`), gives against the other side:
+    `itp` itself, or FALSE_CONSTRAINT when it is a false constant (a true
+    constant is the label `true`).
 
-    The subtree's parts imply the sum, as the weights are non-negative, and
-    the sum contradicts the other parts, whose sum adds up with it to the
-    certificate's false constant. A variable that no other part mentions
-    cancels in the whole sum, so it cancels here: the sum mentions only
-    variables the two sides share (RuntimeError otherwise).
+    That side implies the sum, as the weights are non-negative, and the sum
+    contradicts the other side, whose sum adds up with it to the
+    certificate's false constant. A variable that the other side does not
+    mention cancels in the whole sum, so it cancels here: the sum mentions
+    only variables the two sides share (RuntimeError otherwise).
     """
-    itp = cert.sum_of(subtree)
     if itp.is_trivially_false():
         return FALSE_CONSTRAINT
     allowed = frozenset(shared)
@@ -211,25 +212,52 @@ def tree_interpolants(tree: AndNode) -> TreeInterpolant:
     One refutation of the whole tree gives every label: its parts are the
     nodes' clause constraints in post-order, and a node's label is the
     weighted sum of the parts in its subtree (`interpolate`). So a node's
-    label is its own rows' sum plus its children's labels, follows from
-    the subtree below the node and contradicts everything outside it, and
-    its variables are the node's atom arguments, the only variables the
-    two sides share. ValueError when the tree is feasible.
+    label follows from the subtree below the node and contradicts
+    everything outside it, and its variables are the node's atom
+    arguments, the only variables the two sides share. The sums are built
+    in post-order, each from the node's own rows and its children's sums,
+    kept unnormalised until `LinearConstraint.make`: every label is
+    exactly `cert.sum_of(subtree)`, and an n-level chain adds O(n) rows
+    where summing each subtree afresh would add O(n^2). ValueError when
+    the tree is feasible.
     """
     order: List[AndNode] = []
-    subtrees: List[range] = []
-    # post-order: a node is entered (start None), then left once the
-    # subtrees of its children, from `start` on, are in `order`
-    todo: List[Tuple[AndNode, Optional[int]]] = [(tree, None)]
-    while todo:
-        n, start = todo.pop()
-        if start is None:
-            todo.append((n, len(order)))
-            todo.extend((c, None) for c in reversed(n.children))
-        else:
+    todo: List[Tuple[AndNode, bool]] = [(tree, False)]
+    while todo:  # post-order: a node is left after its children
+        n, left = todo.pop()
+        if left:
             order.append(n)
-            subtrees.append(range(start, len(order)))
+        else:
+            todo.append((n, True))
+            todo.extend((c, False) for c in reversed(n.children))
     cert = farkas_refutation(*(n.clause.constraint for n in order))
-    return TreeInterpolant(tuple(
-        (n.atom, ConstraintSet.make([interpolate(cert, sub, n.atom.args)]))
-        for n, sub in zip(order[:-1], subtrees[:-1])))
+    # Per node, unnormalised: the coefficients, bound and strictness of the
+    # weighted sum of its own rows, then of its subtree's.
+    coeffs: List[Dict[Var, Rat]] = [{} for _ in order]
+    bound = [Rat(0)] * len(order)
+    strict = [False] * len(order)
+    for row, part, lam in zip(cert.constraints, cert.parts, cert.multipliers):
+        if lam:
+            acc = coeffs[part]
+            for v, c in row.coeffs:
+                acc[v] = acc.get(v, 0) + lam * c
+            bound[part] += lam * row.bound
+            strict[part] = strict[part] or row.rel == LT
+    facts = []
+    pending: List[int] = []  # nodes whose parent is not left yet
+    for i, n in enumerate(order):
+        acc = coeffs[i]
+        if n.children:
+            for j in pending[-len(n.children):]:
+                for v, c in coeffs[j].items():
+                    acc[v] = acc.get(v, 0) + c
+                bound[i] += bound[j]
+                strict[i] = strict[i] or strict[j]
+            del pending[-len(n.children):]
+        pending.append(i)
+        # Cancelled variables go, so a parent never adds its subtree's.
+        coeffs[i] = {v: c for v, c in acc.items() if c}
+        if n is not tree:
+            itp = LinearConstraint.make(coeffs[i], LT if strict[i] else LE, bound[i])
+            facts.append((n.atom, ConstraintSet.make([interpolate(itp, n.atom.args)])))
+    return TreeInterpolant(tuple(facts))

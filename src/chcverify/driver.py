@@ -6,8 +6,8 @@ query-answer transform (constraint propagation), unless no clause derives
 the run; otherwise the first derivation of `false` that the analysis found
 is replayed as an AND-tree.  Feasible trees are real counterexamples;
 spurious ones drive one round of interpolant-guided predicate splitting, and
-the loop starts over on the specialised program.  `python -m chcverify`
-runs `main`.
+the loop starts over on the specialised program, unless that program
+repeats an earlier round's.  `python -m chcverify` runs `main`.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from .analysis import (
 from .cex import TraceTerm, build_and_tree, extract_trace, feasible, tree_interpolants
 from .chc_ast import FALSE, ParseError, Program, parse_program, program_text
 from .linalg import ResourceLimitError, reset_caches
-from .qa import qa_transform
+from .qa import ANSWER_SUFFIX, QUERY_SUFFIX, qa_transform
 from .refine import polyvariant_specialise, split_facts
 from .specialise import early_safe, strengthen
 
@@ -77,6 +77,28 @@ def _dump(cfg: Config, name: str, kind: str, render: Callable[..., str],
         raise
 
 
+def _round_key(program: Program) -> tuple:
+    """Everything a round reads of `program`, up to predicate names and
+    clause ids.
+
+    Each predicate, `false` included, is named by its index in
+    `program.predicates` (first appearance, body atoms first), and the
+    key holds the clauses in program order, each as its head's index and
+    arguments, its constraint and its body atoms' indices and arguments.
+    It adds the index of `false` and the order in which the predicates'
+    names and their query and answer names (`qa`) sort. So two programs
+    have equal keys exactly when an order-preserving renaming that keeps
+    `false` turns one into the other, clause ids aside.
+    """
+    index = {p: i for i, p in enumerate(program.predicates)}
+    names = [p + s for p in index for s in ("", QUERY_SUFFIX, ANSWER_SUFFIX)]
+    return (index.get(FALSE.pred),
+            tuple(sorted(range(len(names)), key=names.__getitem__)),
+            tuple((index[cl.head.pred], cl.head.args, cl.constraint,
+                   tuple((index[b.pred], b.args) for b in cl.body))
+                  for cl in program.clauses))
+
+
 def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     """Decide whether `program` derives `false`.
 
@@ -88,15 +110,33 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     reason: `cfg.max_refinements` splitting rounds, `linalg.FM_LIMIT` rows
     in one projection, `analysis.MAX_ITERATIONS` rounds of one component's
     fixpoint, and `refine.MAX_CLAUSES_PER_SOURCE` versions of one clause
-    in a split.
+    in a split. A loop ends it in `unknown` too, with the reason
+    "round N repeats round M": from the first refinement on, each round's
+    program is keyed (`_round_key`), and a round whose key an earlier
+    round M had does not start.
+
+    Stopping there loses no verdict. Round N's program is round M's under
+    an order-preserving renaming that keeps `false`, up to clause ids. A
+    round reads predicate names only through that order (the sorts in
+    `chc_ast.components`, on the program and on its query-answer
+    transform, and in `refine._version_names`) and clause ids only to make
+    new ids, and the fixpoint memo and the kernel caches are exact. So
+    round N would replay round M step for step: its counterexample is
+    spurious again, and its split gives round M + 1's program up to names
+    and ids. That renaming need not keep the sort order, so for the rounds
+    after N the argument rests on a run not depending on predicate names
+    at all, which `test_verdicts_do_not_depend_on_predicate_names_or_clause_order`
+    checks: they would repeat rounds M + 1 ... N until a budget ran out,
+    into `unknown` as well.
     """
     cfg = config or Config()
     reset_caches()
     events: List[str] = []
     rounds = 0
-    # Kept from the first refinement on: before it, components rarely
-    # recur, and keying them costs more than the hits save.
-    memo = None
+    given = program
+    # Kept from the first refinement on: before it, components and
+    # programs rarely recur, and keying them costs more than the hits save.
+    memo = seen = None
     try:
         while True:
             if early_safe(program):
@@ -140,8 +180,15 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
                 f"round {rounds}: split into {len(program.predicates)} "
                 f"predicates, {len(program.clauses)} clauses")
             rounds += 1
-            if rounds == 1:
-                memo = {}
+            if seen is None:
+                memo, seen = {}, {_round_key(given): 0}
+            key = _round_key(program)
+            if key in seen:
+                repeats = f"round {rounds} repeats round {seen[key]}"
+                events.append(f"round {rounds}: stopped: {repeats}")
+                return Verdict("unknown", rounds, reason=repeats,
+                               events=tuple(events))
+            seen[key] = rounds
     except ResourceLimitError as exc:
         events.append(f"round {rounds}: gave up: {exc}")
         return Verdict("unknown", rounds, reason=str(exc), events=tuple(events))

@@ -417,7 +417,7 @@ def _check_interpolation_pair(rng, tag):
         c1 = c1.add(LinearConstraint.make({v: rat(1)}, LE, rat(b)))
         c2 = c2.add(LinearConstraint.make({v: rat(-1)}, LE, rat(-(b + 1))))
     assert not oracle_sat(c1 & c2), f"{tag}: seeded pair still satisfiable"
-    itp = interpolate(farkas_refutation(c1, c2), {0}, shared)
+    itp = interpolate(farkas_refutation(c1, c2).sum_of({0}), shared)
     assert itp.variables() <= set(shared), f"{tag}: interpolant leaks locals"
     try:
         assert oracle_entails(c1, itp), f"{tag}: interpolant not implied"

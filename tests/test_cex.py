@@ -129,7 +129,7 @@ class TestInterpolation:
     def test_interpolant_separates_and_respects_the_interface(self):
         c1 = ConstraintSet.make([C({"X": 1, "U": -1}, LE, 0), C({"U": 1}, LE, 1)])
         c2 = ConstraintSet.make([C({"X": -1, "W": 1}, LE, -3), C({"W": -1}, LE, 0)])
-        itp = interpolate(farkas_refutation(c1, c2), {0}, ["X"])
+        itp = interpolate(farkas_refutation(c1, c2).sum_of({0}), ["X"])
         assert itp.variables() <= {"X"}
         assert entails(c1, itp)
         assert not is_satisfiable(c2.add(itp))
@@ -137,13 +137,14 @@ class TestInterpolation:
     def test_inconsistent_first_part_yields_false(self):
         c1 = ConstraintSet.make([C({"U": 1}, LT, 0), C({"U": -1}, LT, 0)])
         c2 = ConstraintSet.make([C({"X": 1}, LE, 5)])
-        assert interpolate(farkas_refutation(c1, c2), {0}, ["X"]) == FALSE_CONSTRAINT
+        itp = interpolate(farkas_refutation(c1, c2).sum_of({0}), ["X"])
+        assert itp == FALSE_CONSTRAINT
 
     def test_satisfiable_conjunction_is_rejected(self):
         c1 = ConstraintSet.make([C({"X": 1}, LE, 1)])
         c2 = ConstraintSet.make([C({"X": -1}, LE, 0)])
         with pytest.raises(ValueError):
-            interpolate(farkas_refutation(c1, c2), {0}, ["X"])
+            interpolate(farkas_refutation(c1, c2).sum_of({0}), ["X"])
 
 
 class TestTreeInterpolants:
@@ -201,6 +202,45 @@ class TestTreeInterpolants:
         for n in (init, step, const):
             assert entails_all(local(n), label[n])
         assert not is_satisfiable(local(tree))
+
+    @pytest.mark.parametrize("which", ["t4", "branching", "chain"])
+    def test_every_label_is_the_weighted_sum_of_its_subtree(self, which):
+        # the labels are built bottom-up from the children's sums; each
+        # must equal the sum over its whole subtree, byte for byte
+        if which == "t4":
+            spec, first = t4_spurious()
+            tree = build_and_tree(spec, extract_trace(first))
+        elif which == "branching":
+            # r's node joins p's and q's below the root
+            prog = parse_program(
+                "p(X) :- 1*X = 0.\nq(Y) :- 1*Y = 1.\n"
+                "r(X, Y) :- 1*X =< 1*Y, p(X), q(Y).\nfalse :- 1*X+ 1*Y > 5, r(X, Y).")
+            tree = build_and_tree(prog, TraceTerm(
+                "c4", (TraceTerm("c3", (TraceTerm("c1"), TraceTerm("c2"))),)))
+        else:
+            prog = parse_program(chain_program(40, "1*X < 0"))
+            trace = TraceTerm("c1")
+            for i in range(2, 42):
+                trace = TraceTerm(f"c{i}", (trace,))
+            tree = build_and_tree(prog, trace)
+        order, subtrees = [], []
+
+        def walk(n):
+            start = len(order)
+            for c in n.children:
+                walk(c)
+            order.append(n)
+            subtrees.append(range(start, len(order)))
+
+        walk(tree)
+        cert = farkas_refutation(*(n.clause.constraint for n in order))
+        want = tuple(
+            (n.atom, ConstraintSet.make([interpolate(cert.sum_of(sub), n.atom.args)]))
+            for n, sub in zip(order[:-1], subtrees[:-1]))
+        assert len(want) == len(order) - 1 > 0
+        assert tree_interpolants(tree).facts == want
+        assert [str(cs) for _, cs in tree_interpolants(tree).facts] == \
+            [str(cs) for _, cs in want]
 
     def test_feasible_tree_is_rejected(self):
         prog = parse_program(T4)

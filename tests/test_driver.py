@@ -3,6 +3,7 @@
 import json
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -139,13 +140,16 @@ class TestVerify:
         assert verdict.refinements == 0
         assert str(verdict.trace) == "c3(c1)"
 
-    def test_boundary_goal_exhausts_the_budget(self):
+    def test_boundary_goal_stops_when_round_2_repeats_round_1(self):
         # the split cells are closed, so a cut at X <= 0 keeps the initial
         # state in both halves and the same shallow counterexample recurs;
-        # a goal reachable only across such a cut stays undecided
-        verdict = verify(parse_program(BOUNDARY_COUNTER), Config(max_refinements=3))
+        # a goal reachable only across such a cut stays undecided, and the
+        # second split gives back the first one's program under new names
+        verdict = verify(parse_program(BOUNDARY_COUNTER))
         assert verdict.kind == "unknown"
-        assert verdict.refinements == 3
+        assert verdict.refinements == 2
+        assert verdict.reason == "round 2 repeats round 1"
+        assert verdict.events[-1] == "round 2: stopped: round 2 repeats round 1"
         assert all("feasible" not in e or "spurious" in e
                    for e in verdict.events)
 
@@ -221,10 +225,11 @@ def test_verdicts_do_not_depend_on_predicate_names_or_clause_order():
     for k, (prog, cfg) in enumerate(cases):
         want = verify(prog, cfg)
         got = verify(_renamed_and_shuffled(prog, rng), cfg)
-        assert (got.kind, got.refinements) == (want.kind, want.refinements), k
+        assert ((got.kind, got.refinements, got.reason)
+                == (want.kind, want.refinements, want.reason)), k
         outcomes.append((want.kind, want.refinements))
     assert {kind for kind, _ in outcomes} == {"safe", "unsafe", "unknown"}
-    assert [refinements for _, refinements in outcomes[:3]] == [1, 10, 3]
+    assert [refinements for _, refinements in outcomes[:3]] == [1, 5, 2]
 
 
 class TestFixpointMemo:
@@ -240,14 +245,16 @@ class TestFixpointMemo:
         monkeypatch.setattr(driver, "analyze", analyze)
         return seen
 
-    @pytest.mark.parametrize("text, config, fm_limit, kind, refinements", [
-        (SAFE_COUNTER, Config(), None, "safe", 0),
-        (T4, Config(), None, "unsafe", 1),
-        (BOUNDARY_COUNTER, Config(max_refinements=3), None, "unknown", 3),
-        (UPDOWN, Config(), 8, "unknown", 1),
+    @pytest.mark.parametrize("text, config, fm_limit, kind, refinements, reason", [
+        (SAFE_COUNTER, Config(), None, "safe", 0, None),
+        (T4, Config(), None, "unsafe", 1, None),
+        # the limit comes before round 2, which would repeat round 1
+        (BOUNDARY_COUNTER, Config(max_refinements=1), None, "unknown", 1,
+         "refinement limit reached"),
+        (UPDOWN, Config(), 8, "unknown", 1, "projection"),
     ], ids=["safe", "unsafe", "refinement-limit", "fm-step-limit"])
     def test_open_from_the_first_refinement_to_the_verdict(
-            self, monkeypatch, text, config, fm_limit, kind, refinements):
+            self, monkeypatch, text, config, fm_limit, kind, refinements, reason):
         if fm_limit is not None:
             monkeypatch.setattr(linalg, "FM_LIMIT", fm_limit)
         seen = self._memo_per_analysis(monkeypatch)
@@ -255,6 +262,8 @@ class TestFixpointMemo:
         before = len(seen)
         verdict = verify(parse_program(text), config)
         assert (verdict.kind, verdict.refinements) == (kind, refinements)
+        assert (verdict.reason is None) == (reason is None)
+        assert reason is None or reason in verdict.reason
         # round 0 analyses the query-answer transform and the program; every
         # later analysis of the run shares one memo, which no run shares
         first, later = seen[:before], seen[before:]
@@ -280,10 +289,57 @@ class TestFixpointMemo:
                             lambda program, memo=None: real(program))
         iterated = run("iterated")
         assert memoized == iterated
-        assert memoized[0].kind == "unknown" and memoized[0].refinements == 10
-        assert len(memoized[1]) == 43  # 4 kinds in 11 rounds, no last .ps
+        assert memoized[0].kind == "unknown" and memoized[0].refinements == 5
+        assert memoized[0].reason == "round 5 repeats round 4"
+        assert len(memoized[1]) == 20  # 4 kinds in rounds 0-4; round 5 repeats
         # 448: updown's evaluations before components were memoized
         assert evaluations[0] < evaluations[1] and evaluations[0] < 448
+
+
+class TestRoundKey:
+    # false < p < r < s, and p, r, s and false first appear in that order
+    PROGRAM = """\
+c1. p(X) :- 1*X = 0.
+c2. r(Y) :- 1*X+ -1*Y = -1, p(X).
+c3. s(Y) :- 1*Y >= 0, r(Y).
+c4. false :- 1*X = 2, s(X).
+"""
+
+    @classmethod
+    def key(cls, names=None, ids=None, goal="1*X = 2"):
+        text = re.sub(r"\b([prs])\(", lambda m: (names or {}).get(m[1], m[1]) + "(",
+                      cls.PROGRAM.replace("1*X = 2", goal))
+        text = re.sub(r"^c(\d)\.", lambda m: (ids or "c{}").format(m[1]) + ".",
+                      text, flags=re.M)
+        return driver._round_key(parse_program(text))
+
+    def test_an_order_preserving_renaming_with_new_ids_keeps_the_key(self):
+        renamed = self.key({"p": "g_1", "r": "h_2", "s": "h_3"}, ids="c{}_1_2")
+        assert renamed == self.key()
+
+    def test_a_renaming_that_swaps_the_order_of_two_predicates_changes_it(self):
+        # r and s change places in the sorted order: g < h < z
+        assert self.key({"p": "g", "r": "z", "s": "h"}) != self.key()
+
+    def test_a_renaming_that_reorders_the_query_and_answer_names_changes_it(self):
+        # p < p1 and p < q, but p1__a sorts before p__a and q__a after it
+        assert self.key({"r": "p1", "s": "t"}) != self.key({"r": "q", "s": "t"})
+
+    def test_a_changed_constraint_row_changes_it(self):
+        assert self.key(goal="1*X = 3") != self.key()
+
+    def test_no_key_is_built_before_the_first_refinement(self, monkeypatch):
+        keyed = []
+        real = driver._round_key
+        monkeypatch.setattr(driver, "_round_key",
+                            lambda program: keyed.append(program) or real(program))
+        verify(parse_program(SAFE_COUNTER))
+        verify(parse_program(UNSAFE_COUNTER))
+        assert keyed == []
+        # T4 is refined once: round 0's program and round 1's
+        given = parse_program(T4)
+        verdict = verify(given)
+        assert verdict.refinements == 1 and len(keyed) == 2 and keyed[0] is given
 
 
 class TestDumps:
@@ -384,6 +440,13 @@ class TestCli:
 
         assert main([str(unsafe), "--max-refinements", "0"]) == 2
         assert "reason:      refinement limit reached" in capsys.readouterr().out
+
+        boundary = tmp_path / "boundary.pl"
+        boundary.write_text(BOUNDARY_COUNTER)
+        assert main([str(boundary)]) == 2
+        out = capsys.readouterr().out
+        assert "refinements: 2" in out
+        assert "reason:      round 2 repeats round 1" in out
 
     def test_an_internal_error_exits_4(self, tmp_path, capsys, monkeypatch):
         # not 1, which means unsafe

@@ -27,6 +27,12 @@ where a set's satisfiability is decided. `is_satisfiable` asks whether it
 exists, `entails` maximises on it in place (a set without one entails
 everything), and `simplify` relaxes each row of a copy in turn and tests
 it against the rest, as `_semantic_prune` does on the tableau of its rows.
+Most queries ask about one of the tableau's own rows: whether the others
+entail it (`_drop_redundant`, `replaces_a_row`) or whether its reverse
+holds (`simplify`'s upgrade pass). Their objective is read off the row's
+own slack: the row a.x <= b reads a.x + s = b, so a.x - b is -s, one
+column to reduce instead of one per coefficient, and the reduced row is
+the one the coefficients give.
 A maximisation only pivots, which keeps the tableau feasible and its rows
 the same, so a query copies the tableau only when it relaxes a row or adds
 the negation at a strict tie.
@@ -422,8 +428,10 @@ class _Tableau:
 
     Adding or relaxing a row changes the rows, so a shared tableau is
     copied first. Optimising only pivots: the tableau stays feasible and
-    holds the same rows, so `implies` without `relax` runs on a shared
-    tableau in place.
+    holds the same rows, so `implies` and `reverse_holds` run on a shared
+    tableau in place, and `others_imply` copies it to relax the row it
+    asks about. The last two test one of the added rows, with the row's
+    slack as their objective.
     """
 
     __slots__ = ("rows", "basis", "kind", "col", "slacks", "strict")
@@ -544,41 +552,80 @@ class _Tableau:
         zrow = self._optimise(self._reduced([(self.col[_EPS], 1)]), 0)
         return zrow is None or zrow[0] < 0
 
-    def implies(self, c: LinearConstraint, relax: Optional[int] = None) -> bool:
-        """Do the rows, less the `relax`-th one, entail `c`? Leaves the rows
-        and their slacks as they are, though not the basis.
+    def implies(self, c: LinearConstraint) -> bool:
+        """Do the rows entail `c`? Leaves the rows and their slacks as they
+        are, though not the basis.
 
         Precondition: the rows are strictly satisfiable, as those of any
         tableau from `of` are. So `c` (a.x rel b) is entailed iff the maximum
-        of a.x - b is below 0, or is 0 and `c` is not strict. Each direction
-        of `c` is one maximisation, which stops once the value passes 0.
-        Primal pivots keep the tableau feasible and its rows the same, so
-        the maximisation runs on the tableau itself; a copy is taken only to
-        relax a row, or when a strict `c` at a tie, on a tableau with strict
-        rows, adds its negation to ask whether the boundary is reached. A
-        variable of `c` that no row mentions is free, so its maximum is
-        unbounded.
+        of a.x - b is below 0, or is 0 and `c` is not strict. A variable of
+        `c` that no row mentions is free, so its maximum is unbounded.
         """
         if not c.coeffs:
             return c.is_trivially_true()
         col = self.col
         if any(v not in col for v, _ in c.coeffs):
             return False
-        t = self
-        if relax is not None:
-            t = self.copy()
-            t.relax(relax)
+        return self._bounded(c, [(col[v], a) for v, a in c.coeffs], c.bound)
+
+    def others_imply(self, k: int, c: LinearConstraint) -> bool:
+        """Do the rows other than the k-th, `c`, entail it? Asked on a copy
+        with row k relaxed, with the objective read off row k's slack (see
+        `_row_objective`); the tableau itself is left as it is."""
+        if not c.coeffs:
+            return c.is_trivially_true()
+        t = self.copy()
+        t.relax(k)
+        return t._bounded(c, *t._row_objective(k, c), spare=True)
+
+    def reverse_holds(self, k: int, c: LinearConstraint) -> bool:
+        """Do the rows entail the reverse a.x >= b of the k-th, `c` (a.x <=
+        b, not constant): is the maximum of b - a.x, row k's slack, 0?
+        Pivots the tableau in place, as `implies` does."""
+        entries, rhs = self._row_objective(k, c)
+        zrow = self._optimise(self._reduced([(j, -a) for j, a in entries], -rhs), 0)
+        return zrow is not None and zrow[0] >= 0
+
+    def _row_objective(self, k: int, c: LinearConstraint
+                       ) -> Tuple[List[Tuple[int, int]], int]:
+        """The objective a.x - b of the k-th added row `c` (a.x rel b), as
+        `_reduced` takes it: the row reads a.x + s = b, or a.x + eps + s = b
+        when strict, so a.x - b is -s, or -s - eps. Reduced, that is the row
+        the coefficients give, in one or two columns instead of one per
+        coefficient. An equality row that kept its artificial (the column
+        after its slack) reads a.x + s - b = art / r for some r instead, so
+        it keeps its coefficients."""
+        s, strict = self.slacks[k]
+        kind = self.kind
+        if s + 1 < len(kind) and kind[s + 1] == _ART:  # its artificial
+            col = self.col
+            return [(col[v], a) for v, a in c.coeffs], c.bound
+        if strict:
+            return [(s, -1), (self.col[_EPS], -1)], 0
+        return [(s, -1)], 0
+
+    def _bounded(self, c: LinearConstraint, entries: Sequence[Tuple[int, int]],
+                 rhs: int, spare: bool = False) -> bool:
+        """Is `c` entailed, where  sum(a * x_j for j, a in entries) - rhs  is
+        its a.x - b over the columns?
+
+        Each direction of `c` is one maximisation, which stops once the value
+        passes 0. Primal pivots keep the tableau feasible and its rows the
+        same, so the maximisation runs on the tableau itself. A strict `c` at
+        a tie, on a tableau with strict rows, adds its negation to ask whether
+        the boundary is reached: to a copy, unless the tableau is a `spare`
+        one that the caller throws away.
+        """
         for s in ((1, -1) if c.rel == EQ else (1,)):
             # zrow[0] is -(a.x - b) at the basic point, times a positive factor.
-            zrow = t._optimise(t._reduced(
-                [(col[v], s * a) for v, a in c.coeffs], s * c.bound), 0)
+            zrow = self._optimise(self._reduced(
+                entries if s == 1 else [(j, -a) for j, a in entries], s * rhs), 0)
             if zrow is None or zrow[0] < 0:
                 return False
             if zrow[0] == 0 and c.rel == LT:
-                if not t.strict:
+                if not self.strict:
                     return False
-                if t is self:
-                    t = self.copy()
+                t = self if spare else self.copy()
                 return not (t.add(c.negations()[0]) and t.satisfiable())
         return True
 
@@ -688,8 +735,8 @@ def is_satisfiable(cs: ConstraintSet) -> bool:
 def _tableau_of(cs: ConstraintSet) -> Optional[_Tableau]:
     """The tableau of `cs` that all its queries share, or None when `cs` is
     not strictly satisfiable: the one place where a set's satisfiability is
-    decided. Its rows never change: `implies` only pivots it, and
-    `simplify` relaxes rows of a copy."""
+    decided. Its rows never change: `implies` and `reverse_holds` only
+    pivot it, and `simplify` relaxes rows of a copy."""
     return _Tableau.of(cs.constraints)
 
 
@@ -716,12 +763,12 @@ def replaces_a_row(rows: Tuple[LinearConstraint, ...], c: LinearConstraint
     Precondition: `rows` are strictly satisfiable and entail `c`, so each
     row relaxed leaves a strictly satisfiable set; ValueError when `rows`
     and `c` together are not strictly satisfiable. One tableau, of the rows
-    and c, answers for every row, asked with that row relaxed.
+    and c, answers for every row, asked with `others_imply`.
     """
     t = _Tableau.of(rows + (c,))
     if t is None:
         raise ValueError(f"replaces_a_row: the rows contradict {c}")
-    return any(t.implies(r, relax=k) for k, r in enumerate(rows))
+    return any(t.others_imply(k, r) for k, r in enumerate(rows))
 
 
 # ---------------------------------------------------------------------------
@@ -855,13 +902,15 @@ def _drop_redundant(rows: Sequence[LinearConstraint], order: Iterable[int],
     """`rows` less each row, visited in `order`, that the rows kept entail.
 
     `base` is the tableau of `rows`, added in order, from `_Tableau.of`; it
-    is changed. Every query is one `implies` on it: row i is relaxed for
-    its own query and stays relaxed once found redundant, so a parallel
-    twin or a duplicate goes the same way as any other entailed row.
+    is changed. Every query is one `others_imply(i, rows[i])` on it, which
+    relaxes row i on a copy and maximises the row's own slack. A row found
+    redundant is then relaxed on `base` too and stays relaxed, so a
+    parallel twin or a duplicate goes the same way as any other entailed
+    row.
     """
     kept = [True] * len(rows)
     for i in order:
-        if base.implies(rows[i], relax=i):
+        if base.others_imply(i, rows[i]):
             kept[i] = False
             base.relax(i)
     return [c for c, k in zip(rows, kept) if k]
@@ -878,23 +927,22 @@ _REL_RANK = {EQ: 0, LT: 1, LE: 2}
 def simplify(cs: ConstraintSet) -> ConstraintSet:
     """A logically equivalent, canonical, redundancy-free constraint set.
 
-    Detects implied equalities (an inequality whose reverse is entailed),
-    removes constraints entailed by the rest, and leaves every survivor in
-    the canonical coprime-integer scaling.
+    Detects implied equalities (an inequality whose reverse is entailed:
+    its slack's maximum on the tableau of `cs` is 0, see `reverse_holds`),
+    removes constraints entailed by the rest (`_drop_redundant`), and
+    leaves every survivor in the canonical coprime-integer scaling.
     """
     base = _tableau_of(cs)
     if base is None:
         return FALSE_SET
-    # Upgrade inequalities to equalities when the reverse direction holds.
+    # Upgrade inequalities to equalities when the reverse direction holds:
+    # row i of the tableau is cs.constraints[i].
     rows = list(cs.constraints)
     upgraded = False
     for i, c in enumerate(rows):
-        if c.rel == LE:
-            reverse = LinearConstraint(
-                tuple((v, -k) for v, k in c.coeffs), LE, -c.bound)
-            if base.implies(reverse):
-                rows[i] = LinearConstraint.make(dict(c.coeffs), EQ, c.bound)
-                upgraded = True
+        if c.rel == LE and base.reverse_holds(i, c):
+            rows[i] = LinearConstraint.make(dict(c.coeffs), EQ, c.bound)
+            upgraded = True
     # Drop anything the remaining constraints already imply, last first in
     # a deterministic order: equalities before strict before non-strict,
     # then constraint key, so the surviving basis is stable across runs. A

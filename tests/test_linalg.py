@@ -37,6 +37,13 @@ def S(*constraints):
     return ConstraintSet.make(constraints)
 
 
+def implies_without(t, c, k):
+    """Do the rows of `t`, less the k-th, entail `c`? Asked on a copy."""
+    t = t.copy()
+    t.relax(k)
+    return t.implies(c)
+
+
 class TestCanonicalForm:
     def test_coefficients_scaled_to_coprime_integers(self):
         c = LinearConstraint.make({"X": rat(2, 3), "Y": rat(-4, 3)}, LE, rat(2))
@@ -538,7 +545,7 @@ class TestIncrementalTableau:
         rows = [C({"X": 1, "Y": -1}, EQ, 0), C({"X": 1}, LE, 3)]
         t = linalg._Tableau.of(rows)
         assert t.implies(C({"Y": 1}, LE, 3))
-        assert not t.implies(C({"Y": 1}, LE, 3), relax=0)
+        assert not implies_without(t, C({"Y": 1}, LE, 3), 0)
         t.relax(0)
         assert not t.implies(rows[0])
         assert not t.implies(C({"Y": 1}, LE, 3))
@@ -552,7 +559,10 @@ class TestIncrementalTableau:
         t = linalg._Tableau.of(rows)
         assert [t.kind[b] for b in t.basis].count(linalg._ART) == 1
         # The other two rows still imply the first one.
-        assert t.implies(rows[0], relax=0)
+        assert implies_without(t, rows[0], 0)
+        assert t.others_imply(0, rows[0])
+        # ... and the third, the row that kept its artificial.
+        assert implies_without(t, rows[2], 2) and t.others_imply(2, rows[2])
         t.relax(0)
         assert linalg._ART not in [t.kind[b] for b in t.basis]
         assert t.implies(rows[0]) and t.implies(rows[2])
@@ -677,7 +687,8 @@ class TestImplies:
     tableau, with the negation added only for a strict query at a tie."""
 
     def implies(self, rows, c, relax=None):
-        return linalg._Tableau.of(rows).implies(c, relax)
+        t = linalg._Tableau.of(rows)
+        return t.implies(c) if relax is None else implies_without(t, c, relax)
 
     def test_strict_row_implies_itself(self):
         assert self.implies([C({"X": 1}, LT, 1)], C({"X": 1}, LT, 1))
@@ -728,6 +739,8 @@ class TestImplies:
         rows = [C({"X": 1, "Y": 1}, LE, 2), C({"X": 1}, LE, 1), C({"Y": 1}, LE, 1)]
         assert self.implies(rows, rows[0], relax=0)
         assert not self.implies(rows, rows[1], relax=1)
+        t = linalg._Tableau.of(rows)
+        assert t.others_imply(0, rows[0]) and not t.others_imply(1, rows[1])
 
     def test_relaxed_queries_inside_simplify(self):
         cs = S(C({"X": 1, "Y": 1}, LE, 2), C({"X": 1}, LE, 1), C({"Y": 1}, LE, 1))
@@ -844,9 +857,10 @@ class TestKernelAgainstOracles:
 
 
 class TestInPlaceQueries:
-    """`implies` without `relax` pivots the tableau it is asked on, the
-    cached one of a set included: every later query must still get the
-    answer of a fresh tableau, and no row may be added or relaxed."""
+    """`implies` and `reverse_holds` pivot the tableau they are asked on,
+    the cached one of a set included, and `others_imply` asks on a copy:
+    every later query must still get the answer of a fresh tableau, and no
+    row may be added or relaxed."""
 
     def test_random_query_streams(self, monkeypatch):
         ties = []
@@ -874,12 +888,21 @@ class TestInPlaceQueries:
             for _ in range(12):
                 q = rng.choice(queries)
                 k = rng.randrange(len(rows)) if rng.random() < 0.3 else None
-                want = linalg._Tableau.of(rows).implies(q, k)
                 if k is None:
+                    want = linalg._Tableau.of(rows).implies(q)
                     # a negation row added here is a strict query at a tie
                     monkeypatch.setattr(linalg._Tableau, "add", counting_add)
-                got = t.implies(q, k)
-                monkeypatch.setattr(linalg._Tableau, "add", add)
+                    got = t.implies(q)
+                    monkeypatch.setattr(linalg._Tableau, "add", add)
+                else:
+                    want = implies_without(linalg._Tableau.of(rows), q, k)
+                    got = implies_without(t, q, k)
+                    # the row's own test, on a copy that `t` does not see
+                    assert t.others_imply(k, rows[k]) == implies_without(
+                        linalg._Tableau.of(rows), rows[k], k)
+                    if rows[k].rel == LE and rows[k].coeffs:
+                        assert t.reverse_holds(k, rows[k]) == linalg._Tableau.of(
+                            rows).implies(rows[k].negations()[0].closure())
                 assert got == want, f"{rows} |= {q} less row {k}"
                 assert (t.slacks, len(t.rows), t.kind, t.strict) == shape
                 relaxed += k is not None
@@ -887,6 +910,114 @@ class TestInPlaceQueries:
             for q in queries:
                 assert t.implies(q) == linalg._Tableau.of(rows).implies(q)
         assert len(ties) >= 50 and relaxed >= 300 and strict_sets >= 40
+
+
+class TestOwnRowQueries:
+    """A test about one of the tableau's own rows reads its objective off
+    the row's slack: the reduced row must be the one the coefficients give,
+    and the answer that of a fresh tableau of the other rows."""
+
+    @staticmethod
+    def objectives(t, k, c):
+        """Row k's own objective row and its coefficient objective row, for
+        each direction, reduced on `t`."""
+        entries, rhs = t._row_objective(k, c)
+        coeffs = [(t.col[v], a) for v, a in c.coeffs]
+        for s in ((1, -1) if c.rel == EQ else (1,)):
+            yield (t._reduced([(j, s * a) for j, a in entries], s * rhs),
+                   t._reduced([(j, s * a) for j, a in coeffs], s * c.bound))
+
+    def test_random_rows(self):
+        rng = random.Random(2442)
+        sets = leftovers = strict = equalities = relaxed = redundant = 0
+        while sets < 200:
+            variables = ("W", "X", "Y", "Z")[:rng.randint(3, 4)]
+            rows = [random_row(rng, variables) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.4:
+                # two equalities and their sum: the last of the three to
+                # enter keeps its artificial
+                e, f = ({v: rng.randint(-3, 3) for v in variables} for _ in "ef")
+                be, bf = rng.randint(-4, 4), rng.randint(-4, 4)
+                rows += [C(e, EQ, be), C(f, EQ, bf)]
+                rows.insert(rng.randint(0, len(rows)),
+                            C({v: e[v] + f[v] for v in variables}, EQ, be + bf))
+            t = linalg._Tableau.of(rows)
+            if t is None:
+                continue
+            sets += 1
+            leftovers += linalg._ART in t.kind
+            # Some in-place queries move the basis, and some rows are
+            # dropped, as `_drop_redundant` leaves them.
+            for q in rng.sample(rows, min(2, len(rows))):
+                t.implies(q)
+            gone = {k for k in range(len(rows)) if rng.random() < 0.25}
+            for k in sorted(gone):
+                t.relax(k)
+            relaxed += len(gone)
+            for k, c in enumerate(rows):
+                if not c.coeffs:
+                    continue
+                strict += c.rel == LT
+                equalities += c.rel == EQ
+                u = t.copy()
+                u.relax(k)
+                for own, coefficients in (*self.objectives(t, k, c),
+                                          *self.objectives(u, k, c)):
+                    assert own == coefficients, f"{rows} row {k} less {gone}"
+            for k, c in enumerate(rows):
+                if k in gone:
+                    continue
+                others = [d for i, d in enumerate(rows) if i != k and i not in gone]
+                want = linalg._Tableau.of(others).implies(c)
+                assert t.others_imply(k, c) == want, f"{others} |= {c}"
+                redundant += want
+                if c.rel == LE and c.coeffs:
+                    reverse = c.negations()[0].closure()
+                    active = [d for i, d in enumerate(rows) if i not in gone]
+                    assert t.reverse_holds(k, c) == linalg._Tableau.of(
+                        active).implies(reverse), f"{active} |= {reverse}"
+        assert leftovers >= 40 and strict >= 80 and equalities >= 150
+        assert relaxed >= 100 and redundant >= 80
+
+
+def test_own_row_objective_keeps_every_pivot_on_t4(monkeypatch):
+    """A cold T4 run with every own-row test asked through the row's
+    coefficients instead: the same verdict, witness, events and pivots,
+    and more eliminations."""
+    from conftest import T4
+    from chcverify.chc_ast import parse_program
+    from chcverify.driver import verify
+
+    def run():
+        counts = {"pivots": 0, "eliminations": 0}
+        pivot, eliminate = linalg._Tableau._pivot, linalg._eliminate
+
+        def counting_pivot(*args):
+            counts["pivots"] += 1
+            return pivot(*args)
+
+        def counting_eliminate(*args):
+            counts["eliminations"] += 1
+            return eliminate(*args)
+
+        monkeypatch.setattr(linalg._Tableau, "_pivot", counting_pivot)
+        monkeypatch.setattr(linalg, "_eliminate", counting_eliminate)
+        verdict = verify(parse_program(T4))
+        monkeypatch.undo()
+        return (verdict.kind, verdict.refinements, verdict.trace,
+                verdict.events), counts
+
+    shipped, shipped_counts = run()
+
+    def coefficient_objective(t, k, c):
+        return [(t.col[v], a) for v, a in c.coeffs], c.bound
+
+    monkeypatch.setattr(linalg._Tableau, "_row_objective", coefficient_objective)
+    coefficients, coefficient_counts = run()
+    assert shipped == coefficients
+    assert shipped[0] == "unsafe"
+    assert shipped_counts["pivots"] == coefficient_counts["pivots"]
+    assert shipped_counts["eliminations"] < coefficient_counts["eliminations"]
 
 
 def test_reset_caches_reaches_every_kernel_cache():

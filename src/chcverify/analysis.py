@@ -38,12 +38,13 @@ Given a memo, `analyze` also reuses the fixpoints of cyclic components. A
 split changes only some predicates, so most components of the next round's
 program are earlier ones under new predicate names. The memo is keyed by
 everything a component's iteration reads (`_component_key`): per predicate,
-in the component's sorted order, its clauses' constraints and arguments,
-with each body predicate named by its index in the component or, outside
-it, by its current value. Predicate names and clause ids are not read. The
-iteration order, the widening thresholds (mined from the component's own
-clauses) and every kernel answer are functions of that key, so a hit sets
-each predicate's value and first clause to what iterating would have given.
+in the order the component lists them (first appearance in the program),
+its clauses' constraints and arguments, with each body predicate named by
+its index in the component or, outside it, by its current value.
+Predicate names and clause ids are not read. The iteration order, the
+widening thresholds (mined from the component's own clauses) and every
+kernel answer are functions of that key, so a hit sets each predicate's
+value and first clause to what iterating would have given.
 `driver.verify` keeps one memo per run and passes it from the first
 refinement on. `is_inductive_model` never reads it.
 """
@@ -295,14 +296,14 @@ def is_inductive_model(program: Program, model: AbstractModel) -> bool:
 
 
 def model_to_text(model: AbstractModel, program: Program) -> str:
-    """Non-bottom facts as numbered clauses, in head-appearance order."""
-    order = list(program.by_head)
-    for pred in sorted(model.facts):
-        if pred not in order:
-            order.append(pred)
+    """Non-bottom facts as numbered clauses, in head-appearance order.
+
+    Only predicates that head a clause of `program` are printed: in a model
+    of `program` from `analyze`, every other predicate is bottom.
+    """
     lines = []
     n = 0
-    for pred in order:
+    for pred in program.by_head:
         poly = model.facts.get(pred)
         if poly is None or poly.is_bottom:
             continue

@@ -452,15 +452,20 @@ def parse_program(text: str) -> Program:
 
 def components(program: Program) -> List[Tuple[Tuple[str, ...], bool]]:
     """The strongly connected components of the head-to-body dependencies,
-    callees before callers, each sorted and paired with whether it is
-    cyclic (more than one predicate, or one that depends on itself).
+    callees before callers, each paired with whether it is cyclic (more
+    than one predicate, or one that depends on itself).
 
-    Iterative Tarjan over the predicates in sorted order, visiting each
-    predicate's sorted successors; Tarjan finishes a component only after
-    everything it reaches, so it emits them in reverse topological order.
+    Iterative Tarjan over the predicates in `program.predicates` order,
+    visiting each predicate's successors in that order; Tarjan finishes a
+    component only after everything it reaches, so it emits them in reverse
+    topological order. Each component lists its predicates in that order
+    too, so a renaming of the predicates renames the result and changes
+    nothing else.
     """
-    succ = {p: sorted({b.pred for cl in program.clauses_for(p) for b in cl.body})
-            for p in program.predicates}
+    order = {p: i for i, p in enumerate(program.predicates)}
+    succ = {p: sorted({b.pred for cl in program.clauses_for(p) for b in cl.body},
+                      key=order.__getitem__)
+            for p in order}
     index: Dict[str, int] = {}
     low: Dict[str, int] = {}
     on_stack: Set[str] = set()
@@ -474,7 +479,7 @@ def components(program: Program) -> List[Tuple[Tuple[str, ...], bool]]:
         on_stack.add(node)
         work.append((node, iter(succ[node])))
 
-    for root in sorted(succ):
+    for root in succ:
         if root in index:
             continue
         visit(root)
@@ -496,7 +501,7 @@ def components(program: Program) -> List[Tuple[Tuple[str, ...], bool]]:
                     while not comp or comp[-1] != node:
                         comp.append(stack.pop())
                         on_stack.discard(comp[-1])
-                    out.append((tuple(sorted(comp)),
+                    out.append((tuple(sorted(comp, key=order.__getitem__)),
                                 len(comp) > 1 or node in succ[node]))
     return out
 

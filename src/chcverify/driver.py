@@ -28,7 +28,7 @@ from .analysis import (
 from .cex import TraceTerm, build_and_tree, extract_trace, feasible, tree_interpolants
 from .chc_ast import FALSE, ParseError, Program, parse_program, program_text
 from .linalg import ResourceLimitError, reset_caches
-from .qa import ANSWER_SUFFIX, QUERY_SUFFIX, qa_transform
+from .qa import qa_transform
 from .refine import polyvariant_specialise, split_facts
 from .specialise import early_safe, strengthen
 
@@ -83,17 +83,14 @@ def _round_key(program: Program) -> tuple:
 
     Each predicate, `false` included, is named by its index in
     `program.predicates` (first appearance, body atoms first), and the
-    key holds the clauses in program order, each as its head's index and
-    arguments, its constraint and its body atoms' indices and arguments.
-    It adds the index of `false` and the order in which the predicates'
-    names and their query and answer names (`qa`) sort. So two programs
-    have equal keys exactly when an order-preserving renaming that keeps
-    `false` turns one into the other, clause ids aside.
+    key holds the index of `false` and the clauses in program order, each
+    as its head's index and arguments, its constraint and its body atoms'
+    indices and arguments. So two programs have equal keys exactly when a
+    renaming of the predicates that keeps `false` turns one into the
+    other, clause ids aside.
     """
     index = {p: i for i, p in enumerate(program.predicates)}
-    names = [p + s for p in index for s in ("", QUERY_SUFFIX, ANSWER_SUFFIX)]
     return (index.get(FALSE.pred),
-            tuple(sorted(range(len(names)), key=names.__getitem__)),
             tuple((index[cl.head.pred], cl.head.args, cl.constraint,
                    tuple((index[b.pred], b.args) for b in cl.body))
                   for cl in program.clauses))
@@ -116,18 +113,16 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     round M had does not start.
 
     Stopping there loses no verdict. Round N's program is round M's under
-    an order-preserving renaming that keeps `false`, up to clause ids. A
-    round reads predicate names only through that order (the sorts in
-    `chc_ast.components`, on the program and on its query-answer
-    transform, and in `refine._version_names`) and clause ids only to make
-    new ids, and the fixpoint memo and the kernel caches are exact. So
-    round N would replay round M step for step: its counterexample is
-    spurious again, and its split gives round M + 1's program up to names
-    and ids. That renaming need not keep the sort order, so for the rounds
-    after N the argument rests on a run not depending on predicate names
-    at all, which `test_verdicts_do_not_depend_on_predicate_names_or_clause_order`
-    checks: they would repeat rounds M + 1 ... N until a budget ran out,
-    into `unknown` as well.
+    a renaming of the predicates that keeps `false`, up to clause ids. A
+    round reads predicate names only as identities, and clause ids only to
+    spell new ones: every order it puts predicates in is their first
+    appearance (`chc_ast.components`, on the program and on its
+    query-answer transform, and the versions of `refine`), and the
+    fixpoint memo and the kernel caches are exact. So round N would replay
+    round M step for step: its counterexample is spurious again, and its
+    split gives round M + 1's program up to names and ids. Each later
+    round would replay one of rounds M ... N - 1 in the same way, until a
+    budget ran out, into `unknown` as well.
     """
     cfg = config or Config()
     reset_caches()

@@ -91,13 +91,6 @@ def _fresh_name(base: str, numbers: Sequence[int], taken: Set[str]) -> str:
     return name
 
 
-def _version_names(program: Program, split: SplitModel) -> Dict[Tuple[str, int], str]:
-    taken = set(program.predicates)
-    return {(pred, k): _fresh_name(pred, (k + 1,), taken)
-            for pred in sorted(split.parts)
-            for k in range(len(split.parts[pred]) + 1)}
-
-
 # Versions one source clause may be specialised into before the run gives up.
 MAX_CLAUSES_PER_SOURCE = 512
 
@@ -106,10 +99,14 @@ def polyvariant_specialise(program: Program, split: SplitModel
                            ) -> Tuple[Program, Dict[str, Tuple[str, int]]]:
     """Split predicates into reachable versions, one per demanded cell.
 
-    Also returns, for each version, its source predicate and 1-based cell
-    index; the index one past the last cell denotes the undivided predicate.
+    A version is named when a body atom is first dispatched to it, so the
+    names follow first use, not the order in which the source names sort.
+    Also returns, for each version in that order, its source predicate and
+    1-based cell index; the index one past the last cell denotes the
+    undivided predicate.
     """
-    names = _version_names(program, split)
+    names: Dict[Tuple[str, int], str] = {}
+    taken = set(program.predicates)
 
     def cell_of(pred: str, k: int) -> Polyhedron:
         cells = split.parts[pred]
@@ -131,7 +128,6 @@ def polyvariant_specialise(program: Program, split: SplitModel
     # body-less false clause, specialised once, keeps its source's id.
     ids = {cl.id for cl in program.clauses_for(FALSE.pred) if not cl.body}
     source_index = {cl.id: i for i, cl in enumerate(program.clauses)}
-    defined: Set[Tuple[str, int]] = set()
     work: deque = deque()
 
     def specialise_clause(cl: Clause, head_version: Optional[int]) -> None:
@@ -142,6 +138,10 @@ def polyvariant_specialise(program: Program, split: SplitModel
         if known is None:
             return
         choices = tuple(dispatch(known, b) for b in cl.body)
+        for b, k in zip(cl.body, choices):
+            if (b.pred, k) not in names:
+                names[(b.pred, k)] = _fresh_name(b.pred, (k + 1,), taken)
+                work.append((b.pred, k))
         body = tuple(Atom(names[(b.pred, k)], b.args)
                      for b, k in zip(cl.body, choices))
         suffix = [k + 1 for k in choices]
@@ -159,10 +159,6 @@ def polyvariant_specialise(program: Program, split: SplitModel
                 f"{MAX_CLAUSES_PER_SOURCE} versions")
         key = (source_index[cl.id],) + tuple(suffix)
         emitted.append((key, Clause(new_id, head, simplify(known), body)))
-        for b, k in zip(cl.body, choices):
-            if (b.pred, k) not in defined:
-                defined.add((b.pred, k))
-                work.append((b.pred, k))
 
     for cl in program.clauses_for(FALSE.pred):
         specialise_clause(cl, None)
@@ -172,6 +168,5 @@ def polyvariant_specialise(program: Program, split: SplitModel
             specialise_clause(cl, k)
 
     emitted.sort(key=lambda pair: pair[0])
-    used = {(p, k) for (p, k) in names if (p, k) in defined}
-    origin = {names[(p, k)]: (p, k + 1) for p, k in sorted(used)}
+    origin = {name: (p, k + 1) for (p, k), name in names.items()}
     return Program(tuple(cl for _, cl in emitted)), origin

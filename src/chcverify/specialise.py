@@ -35,14 +35,14 @@ def strengthen(program: Program, qa_model: AbstractModel) -> Program:
         head_answer = qa_model.value(answer_pred(head.pred), head.arity)
         if head_answer.is_bottom:
             continue
-        strengthened = instantiate(cl, [TRUE] * len(cl.body),
-                                   head_answer.constraints)
-        if strengthened is None:
-            continue
         body_answers = [qa_model.value(answer_pred(b.pred), b.arity).constraints
                         for b in cl.body]
         if instantiate(cl, body_answers, head_answer.constraints) is None:
             continue
+        # Never None: these rows are a subset of those just found
+        # satisfiable, and `simplify` reuses the tableau that checks them.
+        strengthened = instantiate(cl, [TRUE] * len(cl.body),
+                                   head_answer.constraints)
         out.append(Clause(cl.id, cl.head, simplify(strengthened), cl.body))
     return Program(tuple(out))
 

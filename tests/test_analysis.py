@@ -245,7 +245,7 @@ class TestLazyThresholds:
 
 
 def _prefixed(prog, prefix):
-    # every predicate renamed; a common prefix keeps their sorted order
+    # every predicate renamed, the clauses in their order
     def atom(a):
         return Atom(prefix + a.pred, a.args)
 

@@ -297,7 +297,8 @@ class TestDependencyGraph:
             (("l_body",), False), (("l",), True), (("false",), False)]
 
     def test_sccs_list_callees_first(self):
-        # sorted order visits a first, but its callees finish before it
+        # b first appears first (in a's body), so the visit starts there,
+        # yet every component still follows the ones it calls
         prog = parse_program(
             "a(X) :- b(X).\nb(X) :- c(X).\nc(X) :- 1*X = 0.\nfalse :- a(X).")
         assert components(prog) == [
@@ -314,4 +315,5 @@ class TestDependencyGraph:
     def test_mutual_recursion_is_one_component(self):
         prog = parse_program(
             "p(X) :- 1*X =< 0, q(X).\nq(X) :- p(X).\nfalse :- p(X).")
-        assert components(prog) == [(("p", "q"), True), (("false",), False)]
+        # q first appears before p (body atoms first), so it is listed first
+        assert components(prog) == [(("q", "p"), True), (("false",), False)]

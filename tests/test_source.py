@@ -158,6 +158,18 @@ def test_every_module_level_definition_is_used():
     assert len(defined) > 50
 
 
+def test_only_chc_ast_and_qa_use_the_query_and_answer_suffixes():
+    # The parser reserves the suffixes and `qa` spells its names with them.
+    # Any other module that reads them depends on how `qa` names predicates,
+    # as a round key that copied their sort order once did.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if _references(tree) & {"QUERY_SUFFIX", "ANSWER_SUFFIX"}:
+            found.append(path.stem)
+    assert found == ["chc_ast", "qa"]
+
+
 def test_package_imports_only_the_standard_library():
     # The package declares no dependencies, so every absolute import must
     # resolve without installing anything.

@@ -17,16 +17,18 @@ Strict inequalities share one slack `$eps`: a mixed system is strictly
 satisfiable iff `$eps` can be made positive. Entailment adds no row: on the
 tableau of a strictly satisfiable set, `a.x rel b` is entailed iff the
 maximum of a.x - b is below 0, or is 0 and the query is not strict, and the
-maximisation stops as soon as the value passes 0. Only a strict query whose
-maximum is exactly 0 on a tableau with strict rows adds its negation, to ask
-whether the boundary is reached. `_Tableau.of` returns a tableau only for
-strictly satisfiable rows, so every tableau the kernel holds meets that
-precondition. The queries on one constraint set share a single phase 1:
-`_tableau_of` caches the tableau of a set, or None, and is the only place
-where a set's satisfiability is decided. `is_satisfiable` asks whether it
-exists, `entails` maximises on it in place (a set without one entails
-everything), and `simplify` relaxes each row of a copy in turn and tests
-it against the rest, as `_semantic_prune` does on the tableau of its rows.
+maximisation stops as soon as the value passes 0. A strict query whose
+maximum is exactly 0 is entailed iff the strict rows cannot hold strictly on
+the optimal face, asked of the same tableau with the columns that would
+lower the objective held at 0 for the moment. `_Tableau.of` returns a
+tableau only for strictly satisfiable rows, so every tableau the kernel
+holds meets that precondition. The queries on one constraint set share a
+single phase 1: `_tableau_of` caches the tableau of a set, or None, and is
+the only place where a set's satisfiability is decided. `is_satisfiable`
+asks whether it exists, `entails` maximises on it in place (a set without
+one entails everything), and `simplify` relaxes each row of a copy in turn
+and tests it against the rest, as `_semantic_prune` does on the tableau of
+its rows.
 Most queries ask about one of the tableau's own rows: whether the others
 entail it (`_drop_redundant`, `replaces_a_row`) or whether its reverse
 holds (`simplify`'s upgrade pass). Their objective is read off the row's
@@ -34,8 +36,9 @@ own slack: the row a.x <= b reads a.x + s = b, so a.x - b is -s, one
 column to reduce instead of one per coefficient, and the reduced row is
 the one the coefficients give.
 A maximisation only pivots, which keeps the tableau feasible and its rows
-the same, so a query copies the tableau only when it relaxes a row or adds
-the negation at a strict tie.
+the same, so a query copies the tableau only when it relaxes a row. After
+`_Tableau.of` no row is added: `simplify` makes an implied equality of a row
+by fixing its slack at 0 on its copy.
 The tableau is the only entailment procedure: no syntactic test answers
 first. Every row enters the tableau as a canonical `LinearConstraint`, the
 rows of an LP included, so a rational input is scaled to integers once, by
@@ -421,17 +424,18 @@ class _Tableau:
     the value of a basic column is rows[i][0] / rows[i][basis[i]]; it is
     non-negative unless the column is free. The k-th added row  a.x <= b  or
     a.x = b  reads  a.x + s = b  with its own slack column s, non-negative or
-    fixed at 0; `relax(k)` frees s, which drops the row. A strict row
+    fixed at 0; `relax(k)` frees s, which drops the row, and `fix(k)` fixes
+    it, which makes a.x <= b an equality. A strict row
     a.x < b  enters as  a.x + eps <= b  with the shared non-negative column
     `$eps`, and the rows hold with the strict ones strict iff eps can be
     made positive. A variable seen for the first time gets a free column.
 
-    Adding or relaxing a row changes the rows, so a shared tableau is
-    copied first. Optimising only pivots: the tableau stays feasible and
+    Adding, relaxing or fixing a row changes the tableau, so a shared one
+    is copied first. Optimising only pivots: the tableau stays feasible and
     holds the same rows, so `implies` and `reverse_holds` run on a shared
-    tableau in place, and `others_imply` copies it to relax the row it
-    asks about. The last two test one of the added rows, with the row's
-    slack as their objective.
+    tableau in place (a strict tie fixes columns only for the moment), and
+    `others_imply` copies it to relax the row it asks about. The last two
+    test one of the added rows, with the row's slack as their objective.
     """
 
     __slots__ = ("rows", "basis", "kind", "col", "slacks", "strict")
@@ -512,18 +516,10 @@ class _Tableau:
             raise RuntimeError("simplex: phase 1 objective is unbounded")
         if zrow[0]:
             return False
-        if art in basis:
-            # Basic at 0: pivot it out on any entry, which keeps the right-
-            # hand side 0. A row with none is a combination of equality rows
-            # over fixed columns only; its artificial stays basic at 0.
-            i = basis.index(art)
-            row = rows[i]
-            for j in range(1, art):
-                if row[j] and kind[j] <= _FREE:
-                    self._pivot(i, j)
-                    break
-            else:
-                return True
+        # Basic at 0, the artificial leaves the basis if it can. If not, its
+        # row is a combination of equality rows over fixed columns only.
+        if art in basis and not self._pivot_out(art):
+            return True
         for r in rows:  # the artificial is the last column
             r.pop()
         kind.pop()
@@ -536,14 +532,36 @@ class _Tableau:
         if not s or self.kind[s] == _FREE:
             return
         if self.kind[s] == _FIXED:
-            # A leftover artificial row would move with a free s: make s
-            # basic there first (the right-hand side is 0).
+            # A row with a basic artificial or fixed column holds fixed
+            # columns only, and would move with a free s: make s basic
+            # there first (the right-hand side is 0).
             for i, b in enumerate(self.basis):
-                if self.kind[b] == _ART and self.rows[i][s]:
+                if self.kind[b] >= _FIXED and self.rows[i][s]:
                     self._pivot(i, s)
                     break
         self.kind[s] = _FREE
         self.strict -= strict
+
+    def fix(self, k: int) -> None:
+        """Make the k-th added row, a.x <= b, the equality a.x = b by fixing
+        its slack at 0. Precondition: the rows entail a.x >= b, so the slack
+        is 0 at every point; basic, it leaves the basis if it can."""
+        s = self.slacks[k][0]
+        self.kind[s] = _FIXED
+        if s in self.basis:
+            self._pivot_out(s)
+
+    def _pivot_out(self, b: int) -> bool:
+        """Pivot the basic column `b`, at 0, out of the basis on an entry of
+        its row in a column that may move, which keeps the right-hand side
+        0; False when its row has none."""
+        i = self.basis.index(b)
+        row = self.rows[i]
+        for j in range(1, len(row)):
+            if row[j] and self.kind[j] <= _FREE:
+                self._pivot(i, j)
+                return True
+        return False
 
     def satisfiable(self) -> bool:
         """Do the rows hold, the strict ones strictly, at some point?"""
@@ -558,8 +576,10 @@ class _Tableau:
 
         Precondition: the rows are strictly satisfiable, as those of any
         tableau from `of` are. So `c` (a.x rel b) is entailed iff the maximum
-        of a.x - b is below 0, or is 0 and `c` is not strict. A variable of
-        `c` that no row mentions is free, so its maximum is unbounded.
+        of a.x - b is below 0, or is 0 and `c` is not strict or the strict
+        rows fail on the face where it is reached (see `_bounded`). A
+        variable of `c` that no row mentions is free, so its maximum is
+        unbounded.
         """
         if not c.coeffs:
             return c.is_trivially_true()
@@ -576,7 +596,7 @@ class _Tableau:
             return c.is_trivially_true()
         t = self.copy()
         t.relax(k)
-        return t._bounded(c, *t._row_objective(k, c), spare=True)
+        return t._bounded(c, *t._row_objective(k, c))
 
     def reverse_holds(self, k: int, c: LinearConstraint) -> bool:
         """Do the rows entail the reverse a.x >= b of the k-th, `c` (a.x <=
@@ -594,7 +614,9 @@ class _Tableau:
         the coefficients give, in one or two columns instead of one per
         coefficient. An equality row that kept its artificial (the column
         after its slack) reads a.x + s - b = art / r for some r instead, so
-        it keeps its coefficients."""
+        it keeps its coefficients. An equality that `fix` made of a.x <= b
+        may be -a.x = -b; its objective is then negated, which a query asked
+        both ways does not see."""
         s, strict = self.slacks[k]
         kind = self.kind
         if s + 1 < len(kind) and kind[s + 1] == _ART:  # its artificial
@@ -605,16 +627,18 @@ class _Tableau:
         return [(s, -1)], 0
 
     def _bounded(self, c: LinearConstraint, entries: Sequence[Tuple[int, int]],
-                 rhs: int, spare: bool = False) -> bool:
+                 rhs: int) -> bool:
         """Is `c` entailed, where  sum(a * x_j for j, a in entries) - rhs  is
         its a.x - b over the columns?
 
         Each direction of `c` is one maximisation, which stops once the value
         passes 0. Primal pivots keep the tableau feasible and its rows the
-        same, so the maximisation runs on the tableau itself. A strict `c` at
-        a tie, on a tableau with strict rows, adds its negation to ask whether
-        the boundary is reached: to a copy, unless the tableau is a `spare`
-        one that the caller throws away.
+        same, so the maximisation runs on the tableau itself. A strict `c`
+        whose maximum is 0 is entailed iff the strict rows cannot hold
+        strictly on the optimal face, where every nonbasic column with a
+        rate in the final objective row stays 0: asked, with those columns
+        fixed for the moment, of the same tableau. Without strict rows every
+        point of the face reaches the boundary.
         """
         for s in ((1, -1) if c.rel == EQ else (1,)):
             # zrow[0] is -(a.x - b) at the basic point, times a positive factor.
@@ -623,10 +647,12 @@ class _Tableau:
             if zrow is None or zrow[0] < 0:
                 return False
             if zrow[0] == 0 and c.rel == LT:
-                if not self.strict:
-                    return False
-                t = self if spare else self.copy()
-                return not (t.add(c.negations()[0]) and t.satisfiable())
+                saved = self.kind
+                self.kind = [_FIXED if d else k for d, k in zip(zrow, saved)]
+                try:
+                    return not self.satisfiable()
+                finally:
+                    self.kind = saved
         return True
 
     def _reduced(self, entries: Sequence[Tuple[int, int]], rhs: int = 0
@@ -735,8 +761,8 @@ def is_satisfiable(cs: ConstraintSet) -> bool:
 def _tableau_of(cs: ConstraintSet) -> Optional[_Tableau]:
     """The tableau of `cs` that all its queries share, or None when `cs` is
     not strictly satisfiable: the one place where a set's satisfiability is
-    decided. Its rows never change: `implies` and `reverse_holds` only
-    pivot it, and `simplify` relaxes rows of a copy."""
+    decided. Its rows never change: `implies` only pivots it, and
+    `simplify` fixes and relaxes rows of a copy."""
     return _Tableau.of(cs.constraints)
 
 
@@ -928,9 +954,10 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
     """A logically equivalent, canonical, redundancy-free constraint set.
 
     Detects implied equalities (an inequality whose reverse is entailed:
-    its slack's maximum on the tableau of `cs` is 0, see `reverse_holds`),
-    removes constraints entailed by the rest (`_drop_redundant`), and
-    leaves every survivor in the canonical coprime-integer scaling.
+    its slack's maximum on the tableau of `cs` is 0, see `reverse_holds`)
+    and fixes their slacks at 0 on a copy of that tableau, removes
+    constraints entailed by the rest (`_drop_redundant`) on the same copy,
+    and leaves every survivor in the canonical coprime-integer scaling.
     """
     base = _tableau_of(cs)
     if base is None:
@@ -938,21 +965,19 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
     # Upgrade inequalities to equalities when the reverse direction holds:
     # row i of the tableau is cs.constraints[i].
     rows = list(cs.constraints)
-    upgraded = False
+    t = base.copy()
     for i, c in enumerate(rows):
-        if c.rel == LE and base.reverse_holds(i, c):
+        if c.rel == LE and t.reverse_holds(i, c):
             rows[i] = LinearConstraint.make(dict(c.coeffs), EQ, c.bound)
-            upgraded = True
+            t.fix(i)
     # Drop anything the remaining constraints already imply, last first in
     # a deterministic order: equalities before strict before non-strict,
     # then constraint key, so the surviving basis is stable across runs. A
     # row that an upgrade made a duplicate of another goes, as entailed by
-    # its twin. Without upgrades the rows are those of the entailment
-    # tableau of `cs`.
+    # its twin.
     order = sorted(range(len(rows)), reverse=True,
                    key=lambda i: (_REL_RANK[rows[i].rel], _constraint_key(rows[i])))
-    base = _Tableau.of(rows) if upgraded else base.copy()
-    return ConstraintSet.make(_drop_redundant(rows, order, base))
+    return ConstraintSet.make(_drop_redundant(rows, order, t))
 
 
 # The cached functions themselves, so that `reset_caches` reaches their caches

@@ -684,7 +684,7 @@ class TestReplacesARow:
 
 class TestImplies:
     """Entailment as a bounded maximisation on a strictly satisfiable
-    tableau, with the negation added only for a strict query at a tie."""
+    tableau, with a face test only for a strict query at a tie."""
 
     def implies(self, rows, c, relax=None):
         t = linalg._Tableau.of(rows)
@@ -864,11 +864,11 @@ class TestInPlaceQueries:
 
     def test_random_query_streams(self, monkeypatch):
         ties = []
-        add = linalg._Tableau.add
+        satisfiable = linalg._Tableau.satisfiable
 
-        def counting_add(t, c):
-            ties.append(c)
-            return add(t, c)
+        def counting_satisfiable(t):
+            ties.append(t)
+            return satisfiable(t)
 
         rng = random.Random(1414)
         sets = relaxed = strict_sets = 0
@@ -890,10 +890,11 @@ class TestInPlaceQueries:
                 k = rng.randrange(len(rows)) if rng.random() < 0.3 else None
                 if k is None:
                     want = linalg._Tableau.of(rows).implies(q)
-                    # a negation row added here is a strict query at a tie
-                    monkeypatch.setattr(linalg._Tableau, "add", counting_add)
+                    # the face test of a strict query at a tie
+                    monkeypatch.setattr(linalg._Tableau, "satisfiable",
+                                        counting_satisfiable)
                     got = t.implies(q)
-                    monkeypatch.setattr(linalg._Tableau, "add", add)
+                    monkeypatch.setattr(linalg._Tableau, "satisfiable", satisfiable)
                 else:
                     want = implies_without(linalg._Tableau.of(rows), q, k)
                     got = implies_without(t, q, k)
@@ -1018,6 +1019,202 @@ def test_own_row_objective_keeps_every_pivot_on_t4(monkeypatch):
     assert shipped[0] == "unsafe"
     assert shipped_counts["pivots"] == coefficient_counts["pivots"]
     assert shipped_counts["eliminations"] < coefficient_counts["eliminations"]
+
+
+def negation_bounded(t, c, entries, rhs):
+    """`_Tableau._bounded` with the strict-tie step the kernel once took, the
+    reference for its face test: a strict `c` at a tie, on a tableau with
+    strict rows, adds its negation to a copy, and is entailed iff the strict
+    rows then cannot hold strictly."""
+    for s in ((1, -1) if c.rel == EQ else (1,)):
+        zrow = t._optimise(t._reduced(
+            entries if s == 1 else [(j, -a) for j, a in entries], s * rhs), 0)
+        if zrow is None or zrow[0] < 0:
+            return False
+        if zrow[0] == 0 and c.rel == LT:
+            if not t.strict:
+                return False
+            u = t.copy()
+            return not (u.add(c.negations()[0]) and u.satisfiable())
+    return True
+
+
+def rebuild_upgrades(patch):
+    """Make `simplify` build a new tableau of its rows when it upgrades one
+    to an equality, as it once did, instead of fixing the row's slack on
+    its copy; `patch` is a monkeypatch. The rows of each rebuild are listed
+    in the list returned."""
+    rebuilt, upgraded = [], set()
+    drop = linalg._drop_redundant
+
+    def rebuilding_drop(rows, order, base):
+        if id(base) in upgraded:
+            upgraded.discard(id(base))
+            rebuilt.append(tuple(rows))
+            base = linalg._Tableau.of(rows)
+        return drop(rows, order, base)
+
+    patch.setattr(linalg._Tableau, "fix", lambda t, k: upgraded.add(id(t)))
+    patch.setattr(linalg, "_drop_redundant", rebuilding_drop)
+    return rebuilt
+
+
+class TestStrictTies:
+    """A strict query whose maximum is 0 is decided on the optimal face of
+    the tableau it is asked on, which gets its column kinds back; the query's
+    negation added to a copy, as the kernel once did, is the reference."""
+
+    def test_face_test_agrees_with_the_negation_row(self, monkeypatch):
+        rng = random.Random(2626)
+        satisfiable = linalg._Tableau.satisfiable
+        strict = []  # per face test: does the tableau have strict rows?
+        faces = []  # per face test: (strict rows?, entailed?)
+
+        def counting_satisfiable(t):
+            strict.append(bool(t.strict))
+            return satisfiable(t)
+
+        def check(rows, t, ask, tag):
+            with monkeypatch.context() as m:
+                m.setattr(linalg._Tableau, "_bounded", negation_bounded)
+                want = ask(linalg._Tableau.of(rows))
+            kind, n = t.kind[:], len(strict)
+            with monkeypatch.context() as m:
+                m.setattr(linalg._Tableau, "satisfiable", counting_satisfiable)
+                got = ask(t)
+            assert got == want, tag
+            assert t.kind == kind, tag
+            faces.extend((s, got) for s in strict[n:])
+
+        sets = 0
+        while sets < 200:
+            variables = ("W", "X", "Y", "Z")[:rng.randint(3, 4)]
+            rows = [random_row(rng, variables) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.5:
+                # a twin of a row, strict or not: a tie for `others_imply`
+                c = rng.choice(rows)
+                rows.append(rng.choice((c.strict(), c.closure())))
+            t = linalg._Tableau.of(rows)
+            if t is None:
+                continue
+            sets += 1
+            queries = [q for c in rows for q in
+                       (c, c.closure(), c.strict(), *c.split_equality())]
+            queries += [random_row(rng, variables) for _ in range(2)]
+            for q in queries:
+                check(rows, t, lambda u: u.implies(q), f"{rows} |= {q}")
+            for k, c in enumerate(rows):
+                check(rows, t, lambda u: u.others_imply(k, c),
+                      f"{rows} less row {k} |= {c}")
+        assert faces.count((True, True)) >= 250
+        assert faces.count((True, False)) >= 50
+        assert faces.count((False, False)) >= 75
+        assert (False, True) not in faces
+
+
+class TestImpliedEqualities:
+    """`simplify` makes an implied equality by fixing its row's slack at 0
+    on a copy of the set's tableau; a new tableau of the upgraded rows, as
+    `simplify` once built, is the reference."""
+
+    def test_a_basic_slack_leaves_the_basis_when_fixed(self):
+        # Every slack enters basic. Held at 0 but left basic, the slack of
+        # X + Y =< 0 would still rise as X falls, so with row 1 relaxed the
+        # tableau would miss that X + Y = 0 and -Y =< 0 give X + 2Y >= 0.
+        rows = [C({"X": 1, "Y": 1}, LE, 0), C({"X": -1}, LE, 0),
+                C({"Y": -1}, LE, 0)]
+        t = linalg._Tableau.of(rows)
+        assert all(t.slacks[k][0] in t.basis for k in range(3))
+        t.fix(0)
+        assert t.slacks[0][0] not in t.basis
+        t.relax(1)
+        assert t.implies(C({"X": 1, "Y": 2}, ">=", 0))
+
+    def test_a_relaxed_row_takes_the_row_of_a_fixed_slack_left_basic(self):
+        # -A+I =< 0 and A-2I =< 0 are upgraded. Both slacks are basic on
+        # rows over fixed columns only, so they stay basic. A slack freed
+        # later must become basic on such a row, as on a leftover
+        # artificial's, or the row moves with it and A-I = 0 is kept though
+        # redundant. The caches go first: T4 holds these rows, and queries
+        # that pivot the cached tableau can leave the slacks nonbasic.
+        linalg.reset_caches()
+        cs = S(C({"A": -1, "I": 1}, LE, 0), C({"A": 1}, EQ, 0),
+               C({"A": 1, "B": 1, "I": -3}, EQ, 0), C({"A": 1, "I": -2}, LE, 0),
+               C({"B": 1}, EQ, 0), C({"I": 1}, EQ, 0),
+               C({"I": 1, "N": -1}, LT, 1), C({"N": -1}, LT, 0))
+        t = linalg._Tableau.of(cs.constraints)
+        for k in (0, 3):
+            assert t.reverse_holds(k, cs.constraints[k])
+            t.fix(k)
+            s = t.slacks[k][0]
+            assert s in t.basis and t.kind[s] == linalg._FIXED
+        assert simplify(cs) == S(
+            C({"A": 1}, EQ, 0), C({"A": 1, "B": 1, "I": -3}, EQ, 0),
+            C({"A": 1, "I": -2}, EQ, 0), C({"N": -1}, LT, 0))
+
+    def test_fixing_in_place_agrees_with_a_rebuilt_tableau(self, monkeypatch):
+        rng = random.Random(3131)
+        rebuilds = 0
+        for case in range(300):
+            variables = ("W", "X", "Y", "Z")[:rng.randint(3, 4)]
+            rows = [random_row(rng, variables) for _ in range(rng.randint(1, 4))]
+            if rng.random() < 0.6:
+                # the reverse of a combination of rows: each row of the
+                # combination that is a <= row is an implied equality
+                picked = rng.sample(rows, min(len(rows), rng.randint(1, 2)))
+                total = {}
+                for c in picked:
+                    for v, k in c.coeffs:
+                        total[v] = total.get(v, 0) - k
+                rows.append(C(total, LE, -sum(c.bound for c in picked)))
+            cs = S(*rows)
+            got = simplify.__wrapped__(cs)
+            with monkeypatch.context() as m:
+                rebuilt = rebuild_upgrades(m)
+                want = simplify.__wrapped__(cs)
+            assert got == want, f"case {case}: {cs}"
+            rebuilds += len(rebuilt)
+        assert rebuilds >= 45
+
+
+def test_no_query_adds_a_row_on_t4_and_updown(monkeypatch):
+    """Cold T4 and updown runs with the strict-tie negation and the rebuild
+    after upgrades put back: the same verdict, witness, reason and events,
+    and the shipped runs add fewer rows and build fewer tableaux."""
+    from conftest import REPO, T4
+    from chcverify.chc_ast import parse_program
+    from chcverify.driver import verify
+
+    def run(text, old):
+        counts = {"adds": 0, "builds": 0}
+        add, of = linalg._Tableau.add, linalg._Tableau.of
+
+        def counting_add(t, c):
+            counts["adds"] += 1
+            return add(t, c)
+
+        def counting_of(constraints):
+            counts["builds"] += 1
+            return of(constraints)
+
+        with monkeypatch.context() as m:
+            if old:
+                m.setattr(linalg._Tableau, "_bounded", negation_bounded)
+                rebuild_upgrades(m)
+            m.setattr(linalg._Tableau, "add", counting_add)
+            m.setattr(linalg._Tableau, "of", staticmethod(counting_of))
+            verdict = verify(parse_program(text))
+        return (verdict.kind, verdict.refinements, verdict.trace, verdict.reason,
+                verdict.events), counts
+
+    updown = (REPO / "bench" / "corpus" / "updown.pl").read_text()
+    for text, kind in ((T4, "unsafe"), (updown, "unknown")):
+        shipped, shipped_counts = run(text, old=False)
+        old, old_counts = run(text, old=True)
+        assert shipped == old
+        assert shipped[0] == kind
+        assert shipped_counts["adds"] < old_counts["adds"]
+        assert shipped_counts["builds"] < old_counts["builds"]
 
 
 def test_reset_caches_reaches_every_kernel_cache():

@@ -11,7 +11,10 @@ Satisfiability, entailment and redundancy are decided by one incremental
 simplex with Bland's rule on a fraction-free integer tableau (`_Tableau`).
 It is kept feasible while rows are added one at a time: a `<=` row whose
 reduced right-hand side is non-negative enters with its slack basic, any
-other row gets one artificial and a phase 1 over that row alone. A free
+other row gets one artificial and a phase 1 over that row alone. The
+artificial ends with that phase 1. When it cannot be pivoted out, its row is
+an equality the other rows entail, and the row's own fixed slack takes its
+basic place at 0. So every row is read through its own slack. A free
 variable is one free column. A row is dropped again by freeing its slack.
 Strict inequalities share one slack `$eps`: a mixed system is strictly
 satisfiable iff `$eps` can be made positive. Entailment adds no row: on the
@@ -388,8 +391,9 @@ FALSE_SET = ConstraintSet((FALSE_CONSTRAINT,))
 
 # Column kinds. A free column may enter the basis in either direction and,
 # once basic, never blocks the ratio test. A fixed column (the slack of an
-# equality row) stays nonbasic at 0 until its row is relaxed. An artificial
-# column never enters; basic, it blocks like a non-negative one.
+# equality row) never enters and stays at 0 until its row is relaxed;
+# basic, it blocks like a non-negative one. An artificial column lives only
+# inside the `_Tableau.add` call that made it, and never enters either.
 _NONNEG, _FREE, _FIXED, _ART = range(4)
 
 # The shared slack of the strict rows.
@@ -424,11 +428,13 @@ class _Tableau:
     the value of a basic column is rows[i][0] / rows[i][basis[i]]; it is
     non-negative unless the column is free. The k-th added row  a.x <= b  or
     a.x = b  reads  a.x + s = b  with its own slack column s, non-negative or
-    fixed at 0; `relax(k)` frees s, which drops the row, and `fix(k)` fixes
-    it, which makes a.x <= b an equality. A strict row
-    a.x < b  enters as  a.x + eps <= b  with the shared non-negative column
-    `$eps`, and the rows hold with the strict ones strict iff eps can be
-    made positive. A variable seen for the first time gets a free column.
+    fixed at 0, and `slacks[k]` holds s with the row's relation; `relax(k)`
+    frees s, which drops the row, and `fix(k)` fixes it, which makes a.x <=
+    b an equality. A strict row  a.x < b  enters as  a.x + eps <= b  with the
+    shared non-negative column `$eps`, and the rows hold with the strict
+    ones strict iff eps can be made positive. A variable seen for the first
+    time gets a free column. A fixed slack is basic, at 0, only on a row
+    over fixed columns, as a dependent equality or `fix` leaves it.
 
     Adding, relaxing or fixing a row changes the tableau, so a shared one
     is copied first. Optimising only pivots: the tableau stays feasible and
@@ -445,8 +451,8 @@ class _Tableau:
         self.basis: List[int] = []
         self.kind: List[int] = [_FIXED]  # column 0 holds the right-hand side
         self.col: Dict[str, int] = {}
-        # Per added row: its slack column (0 for a constant row), strict?
-        self.slacks: List[Tuple[int, bool]] = []
+        # Per added row: its slack column (0 for a constant row), relation
+        self.slacks: List[Tuple[int, str]] = []
         self.strict = 0  # strict rows not relaxed
 
     @staticmethod
@@ -486,7 +492,7 @@ class _Tableau:
         """Add one constraint; False (and an unusable tableau) when the
         closure of the rows becomes empty."""
         if not c.coeffs:
-            self.slacks.append((0, False))
+            self.slacks.append((0, c.rel))
             return c.is_trivially_true()
         rows, basis, kind = self.rows, self.basis, self.kind
         entries = [(self.column(v), a) for v, a in c.coeffs]
@@ -494,7 +500,7 @@ class _Tableau:
         if strict:
             entries.append((self.column(_EPS, _NONNEG), 1))
         s = self._new_column(_FIXED if c.rel == EQ else _NONNEG)
-        self.slacks.append((s, strict))
+        self.slacks.append((s, c.rel))
         self.strict += strict
         row = self._reduced([*entries, (s, 1)], c.bound)
         if c.rel != EQ and row[0] >= 0:
@@ -517,9 +523,10 @@ class _Tableau:
         if zrow[0]:
             return False
         # Basic at 0, the artificial leaves the basis if it can. If not, its
-        # row is a combination of equality rows over fixed columns only.
+        # row holds fixed columns only, a dependent equality, and the row's
+        # own fixed slack takes the basic place at 0.
         if art in basis and not self._pivot_out(art):
-            return True
+            self._pivot(basis.index(art), s)
         for r in rows:  # the artificial is the last column
             r.pop()
         kind.pop()
@@ -528,25 +535,27 @@ class _Tableau:
     def relax(self, k: int) -> None:
         """Drop the k-th added row by freeing its slack; the basis stays
         feasible."""
-        s, strict = self.slacks[k]
-        if not s or self.kind[s] == _FREE:
+        s, rel = self.slacks[k]
+        kind = self.kind
+        if not s or kind[s] == _FREE:
             return
-        if self.kind[s] == _FIXED:
-            # A row with a basic artificial or fixed column holds fixed
-            # columns only, and would move with a free s: make s basic
-            # there first (the right-hand side is 0).
+        if kind[s] == _FIXED and s not in self.basis:
+            # A row whose basic column is fixed holds fixed columns only,
+            # and would move with a free s: make s basic there first (the
+            # right-hand side is 0). A basic s is freed in place.
             for i, b in enumerate(self.basis):
-                if self.kind[b] >= _FIXED and self.rows[i][s]:
+                if kind[b] == _FIXED and self.rows[i][s]:
                     self._pivot(i, s)
                     break
-        self.kind[s] = _FREE
-        self.strict -= strict
+        kind[s] = _FREE
+        self.strict -= rel == LT
 
     def fix(self, k: int) -> None:
         """Make the k-th added row, a.x <= b, the equality a.x = b by fixing
         its slack at 0. Precondition: the rows entail a.x >= b, so the slack
         is 0 at every point; basic, it leaves the basis if it can."""
         s = self.slacks[k][0]
+        self.slacks[k] = (s, EQ)
         self.kind[s] = _FIXED
         if s in self.basis:
             self._pivot_out(s)
@@ -586,67 +595,58 @@ class _Tableau:
         col = self.col
         if any(v not in col for v, _ in c.coeffs):
             return False
-        return self._bounded(c, [(col[v], a) for v, a in c.coeffs], c.bound)
+        return self._bounded(c.rel, [(col[v], a) for v, a in c.coeffs], c.bound)
 
-    def others_imply(self, k: int, c: LinearConstraint) -> bool:
-        """Do the rows other than the k-th, `c`, entail it? Asked on a copy
-        with row k relaxed, with the objective read off row k's slack (see
+    def others_imply(self, k: int) -> bool:
+        """Do the rows other than the k-th entail it? Asked on a copy with
+        row k relaxed, with the objective read off row k's slack (see
         `_row_objective`); the tableau itself is left as it is."""
-        if not c.coeffs:
-            return c.is_trivially_true()
+        s, rel = self.slacks[k]
+        if not s:
+            return True  # a constant row that `add` accepted holds
         t = self.copy()
         t.relax(k)
-        return t._bounded(c, *t._row_objective(k, c))
+        return t._bounded(rel, t._row_objective(k), 0)
 
-    def reverse_holds(self, k: int, c: LinearConstraint) -> bool:
-        """Do the rows entail the reverse a.x >= b of the k-th, `c` (a.x <=
-        b, not constant): is the maximum of b - a.x, row k's slack, 0?
-        Pivots the tableau in place, as `implies` does."""
-        entries, rhs = self._row_objective(k, c)
-        zrow = self._optimise(self._reduced([(j, -a) for j, a in entries], -rhs), 0)
+    def reverse_holds(self, k: int) -> bool:
+        """Do the rows entail the reverse a.x >= b of the k-th row (a.x <= b,
+        not constant): is the maximum of b - a.x, row k's slack, 0? Pivots
+        the tableau in place, as `implies` does."""
+        zrow = self._optimise(self._reduced([(self.slacks[k][0], 1)]), 0)
         return zrow is not None and zrow[0] >= 0
 
-    def _row_objective(self, k: int, c: LinearConstraint
-                       ) -> Tuple[List[Tuple[int, int]], int]:
-        """The objective a.x - b of the k-th added row `c` (a.x rel b), as
-        `_reduced` takes it: the row reads a.x + s = b, or a.x + eps + s = b
-        when strict, so a.x - b is -s, or -s - eps. Reduced, that is the row
-        the coefficients give, in one or two columns instead of one per
-        coefficient. An equality row that kept its artificial (the column
-        after its slack) reads a.x + s - b = art / r for some r instead, so
-        it keeps its coefficients. An equality that `fix` made of a.x <= b
-        may be -a.x = -b; its objective is then negated, which a query asked
-        both ways does not see."""
-        s, strict = self.slacks[k]
-        kind = self.kind
-        if s + 1 < len(kind) and kind[s + 1] == _ART:  # its artificial
-            col = self.col
-            return [(col[v], a) for v, a in c.coeffs], c.bound
-        if strict:
-            return [(s, -1), (self.col[_EPS], -1)], 0
-        return [(s, -1)], 0
+    def _row_objective(self, k: int) -> List[Tuple[int, int]]:
+        """The objective a.x - b of the k-th added row (a.x rel b), as
+        `_reduced` takes it with right-hand side 0: the row reads a.x + s =
+        b, or a.x + eps + s = b when strict, so a.x - b is -s, or -s - eps.
+        Reduced, that is the row the coefficients give, in one or two
+        columns instead of one per coefficient."""
+        s, rel = self.slacks[k]
+        if rel == LT:
+            return [(s, -1), (self.col[_EPS], -1)]
+        return [(s, -1)]
 
-    def _bounded(self, c: LinearConstraint, entries: Sequence[Tuple[int, int]],
+    def _bounded(self, rel: str, entries: Sequence[Tuple[int, int]],
                  rhs: int) -> bool:
-        """Is `c` entailed, where  sum(a * x_j for j, a in entries) - rhs  is
-        its a.x - b over the columns?
+        """Is  a.x rel b  entailed, where  sum(a * x_j for j, a in entries) -
+        rhs  is its a.x - b over the columns?
 
-        Each direction of `c` is one maximisation, which stops once the value
-        passes 0. Primal pivots keep the tableau feasible and its rows the
-        same, so the maximisation runs on the tableau itself. A strict `c`
-        whose maximum is 0 is entailed iff the strict rows cannot hold
-        strictly on the optimal face, where every nonbasic column with a
-        rate in the final objective row stays 0: asked, with those columns
-        fixed for the moment, of the same tableau. Without strict rows every
-        point of the face reaches the boundary.
+        Each direction of an equality is one maximisation, which stops once
+        the value passes 0. Primal pivots keep the tableau feasible and its
+        rows the same, so the maximisation runs on the tableau itself. A
+        strict query whose maximum is 0 is entailed iff the strict rows
+        cannot hold strictly on the optimal face, where every nonbasic
+        column with a rate in the final objective row stays 0: asked, with
+        those columns fixed for the moment, of the same tableau. Without
+        strict rows every point of the face reaches the boundary.
         """
-        for s in ((1, -1) if c.rel == EQ else (1,)):
+        for s in ((1, -1) if rel == EQ else (1,)):
             # zrow[0] is -(a.x - b) at the basic point, times a positive factor.
             zrow = self._optimise(self._reduced(
                 entries if s == 1 else [(j, -a) for j, a in entries], s * rhs), 0)
             if zrow is None or zrow[0] < 0:
                 return False
-            if zrow[0] == 0 and c.rel == LT:
+            if zrow[0] == 0 and rel == LT:
                 saved = self.kind
                 self.kind = [_FIXED if d else k for d, k in zip(zrow, saved)]
                 try:
@@ -672,16 +672,16 @@ class _Tableau:
                 row = _eliminate(row, row[j], prow, prow[j], _support(prow))
         return row
 
-    def _optimise(self, zrow: List[int], stop_below: Optional[int] = None
+    def _optimise(self, zrow: List[int], stop_below: int
                   ) -> Optional[List[int]]:
         """Maximise the objective row; the final row, or None if unbounded.
 
         zrow[j] is the rate at which nonbasic column j raises the objective
         and zrow[0] the negated objective value, both times one positive
-        factor. With `stop_below` set, stop once zrow[0] < stop_below.
+        factor. Stop once zrow[0] < stop_below.
         """
         rows, basis, kind = self.rows, self.basis, self.kind
-        while stop_below is None or zrow[0] >= stop_below:
+        while zrow[0] >= stop_below:
             pcol = 0
             for j in range(1, len(zrow)):
                 d = zrow[j]
@@ -794,7 +794,7 @@ def replaces_a_row(rows: Tuple[LinearConstraint, ...], c: LinearConstraint
     t = _Tableau.of(rows + (c,))
     if t is None:
         raise ValueError(f"replaces_a_row: the rows contradict {c}")
-    return any(t.others_imply(k, r) for k, r in enumerate(rows))
+    return any(t.others_imply(k) for k in range(len(rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -928,15 +928,15 @@ def _drop_redundant(rows: Sequence[LinearConstraint], order: Iterable[int],
     """`rows` less each row, visited in `order`, that the rows kept entail.
 
     `base` is the tableau of `rows`, added in order, from `_Tableau.of`; it
-    is changed. Every query is one `others_imply(i, rows[i])` on it, which
-    relaxes row i on a copy and maximises the row's own slack. A row found
+    is changed. Every query is one `others_imply(i)` on it, which relaxes
+    row i on a copy and maximises the row's own slack. A row found
     redundant is then relaxed on `base` too and stays relaxed, so a
     parallel twin or a duplicate goes the same way as any other entailed
     row.
     """
     kept = [True] * len(rows)
     for i in order:
-        if base.others_imply(i, rows[i]):
+        if base.others_imply(i):
             kept[i] = False
             base.relax(i)
     return [c for c, k in zip(rows, kept) if k]
@@ -967,7 +967,7 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
     rows = list(cs.constraints)
     t = base.copy()
     for i, c in enumerate(rows):
-        if c.rel == LE and t.reverse_holds(i, c):
+        if c.rel == LE and t.reverse_holds(i):
             rows[i] = LinearConstraint.make(dict(c.coeffs), EQ, c.bound)
             t.fix(i)
     # Drop anything the remaining constraints already imply, last first in

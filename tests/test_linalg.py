@@ -538,8 +538,8 @@ class TestSetRename:
 
 
 class TestIncrementalTableau:
-    """Targeted cases of the shared tableau: relaxing rows and leftover
-    artificials."""
+    """Targeted cases of the shared tableau: relaxing rows and dependent
+    equalities."""
 
     def test_relaxing_an_equality_drops_it(self):
         rows = [C({"X": 1, "Y": -1}, EQ, 0), C({"X": 1}, LE, 3)]
@@ -551,20 +551,22 @@ class TestIncrementalTableau:
         assert not t.implies(C({"Y": 1}, LE, 3))
         assert t.implies(rows[1])
 
-    def test_dependent_equality_leaves_its_artificial_basic(self):
+    def test_dependent_equality_leaves_its_fixed_slack_basic(self):
         # X = Z is the sum of X = Y and Y = Z: no variable column is left to
-        # pivot its artificial out on.
+        # pivot its artificial out on, so the row's fixed slack takes the
+        # artificial's basic place.
         rows = [C({"X": 1, "Y": -1}, EQ, 0), C({"Y": 1, "Z": -1}, EQ, 0),
                 C({"X": 1, "Z": -1}, EQ, 0)]
         t = linalg._Tableau.of(rows)
-        assert [t.kind[b] for b in t.basis].count(linalg._ART) == 1
+        assert linalg._ART not in t.kind
+        assert [b for b in t.basis if t.kind[b] == linalg._FIXED] == [t.slacks[2][0]]
         # The other two rows still imply the first one.
         assert implies_without(t, rows[0], 0)
-        assert t.others_imply(0, rows[0])
-        # ... and the third, the row that kept its artificial.
-        assert implies_without(t, rows[2], 2) and t.others_imply(2, rows[2])
+        assert t.others_imply(0)
+        # ... and the third, the row whose fixed slack is basic.
+        assert implies_without(t, rows[2], 2) and t.others_imply(2)
         t.relax(0)
-        assert linalg._ART not in [t.kind[b] for b in t.basis]
+        assert linalg._FIXED not in [t.kind[b] for b in t.basis]
         assert t.implies(rows[0]) and t.implies(rows[2])
         t.relax(1)
         assert not t.implies(rows[0]) and t.implies(rows[2])
@@ -740,7 +742,7 @@ class TestImplies:
         assert self.implies(rows, rows[0], relax=0)
         assert not self.implies(rows, rows[1], relax=1)
         t = linalg._Tableau.of(rows)
-        assert t.others_imply(0, rows[0]) and not t.others_imply(1, rows[1])
+        assert t.others_imply(0) and not t.others_imply(1)
 
     def test_relaxed_queries_inside_simplify(self):
         cs = S(C({"X": 1, "Y": 1}, LE, 2), C({"X": 1}, LE, 1), C({"Y": 1}, LE, 1))
@@ -810,7 +812,7 @@ class TestKernelAgainstOracles:
 
     def test_random_sets(self):
         rng = random.Random(2006)
-        unsat = leftovers = 0
+        unsat = dependent = 0
         for case in range(300):
             variables = ("W", "X", "Y", "Z")[:rng.randint(3, 4)]
             rows = [random_row(rng, variables) for _ in range(rng.randint(1, 4))]
@@ -822,7 +824,7 @@ class TestKernelAgainstOracles:
                     for v, k in c.coeffs:
                         total[v] = total.get(v, 0) + k
                 rows.append(C(total, EQ, eqs[0].bound + eqs[1].bound))
-                leftovers += 1
+                dependent += 1
             cs = S(*rows)
             tag = f"case {case}: {cs}"
             sat = oracle_sat(cs)
@@ -853,7 +855,7 @@ class TestKernelAgainstOracles:
             else:
                 assert all(oracle_entails(S(*pruned), c)
                            for c in rows if c not in pruned), tag
-        assert unsat >= 30 and leftovers >= 10
+        assert unsat >= 30 and dependent >= 10
 
 
 class TestInPlaceQueries:
@@ -899,10 +901,10 @@ class TestInPlaceQueries:
                     want = implies_without(linalg._Tableau.of(rows), q, k)
                     got = implies_without(t, q, k)
                     # the row's own test, on a copy that `t` does not see
-                    assert t.others_imply(k, rows[k]) == implies_without(
+                    assert t.others_imply(k) == implies_without(
                         linalg._Tableau.of(rows), rows[k], k)
                     if rows[k].rel == LE and rows[k].coeffs:
-                        assert t.reverse_holds(k, rows[k]) == linalg._Tableau.of(
+                        assert t.reverse_holds(k) == linalg._Tableau.of(
                             rows).implies(rows[k].negations()[0].closure())
                 assert got == want, f"{rows} |= {q} less row {k}"
                 assert (t.slacks, len(t.rows), t.kind, t.strict) == shape
@@ -922,31 +924,52 @@ class TestOwnRowQueries:
     def objectives(t, k, c):
         """Row k's own objective row and its coefficient objective row, for
         each direction, reduced on `t`."""
-        entries, rhs = t._row_objective(k, c)
+        entries = t._row_objective(k)
         coeffs = [(t.col[v], a) for v, a in c.coeffs]
         for s in ((1, -1) if c.rel == EQ else (1,)):
-            yield (t._reduced([(j, s * a) for j, a in entries], s * rhs),
+            yield (t._reduced([(j, s * a) for j, a in entries]),
                    t._reduced([(j, s * a) for j, a in coeffs], s * c.bound))
 
-    def test_random_rows(self):
-        rng = random.Random(2442)
-        sets = leftovers = strict = equalities = relaxed = redundant = 0
-        while sets < 200:
+    @staticmethod
+    def tableaux(rng, count):
+        """`count` random sets with their tableaux, the sets that are not
+        strictly satisfiable skipped; 40 % of them hold two equalities and
+        their sum, the last of the three to enter a dependent equality."""
+        sets = 0
+        while sets < count:
             variables = ("W", "X", "Y", "Z")[:rng.randint(3, 4)]
             rows = [random_row(rng, variables) for _ in range(rng.randint(1, 4))]
             if rng.random() < 0.4:
-                # two equalities and their sum: the last of the three to
-                # enter keeps its artificial
                 e, f = ({v: rng.randint(-3, 3) for v in variables} for _ in "ef")
                 be, bf = rng.randint(-4, 4), rng.randint(-4, 4)
                 rows += [C(e, EQ, be), C(f, EQ, bf)]
                 rows.insert(rng.randint(0, len(rows)),
                             C({v: e[v] + f[v] for v in variables}, EQ, be + bf))
             t = linalg._Tableau.of(rows)
-            if t is None:
-                continue
-            sets += 1
-            leftovers += linalg._ART in t.kind
+            if t is not None:
+                sets += 1
+                yield rows, t
+
+    def test_no_artificial_outlives_add(self):
+        # A dependent equality leaves its own fixed slack basic, at 0 on a
+        # row over fixed columns only, where `relax` looks for it.
+        basic_slacks = 0
+        for rows, t in self.tableaux(random.Random(2442), 200):
+            assert linalg._ART not in t.kind, rows
+            slacks = {s for s, _ in t.slacks}
+            for row, b in zip(t.rows, t.basis):
+                if t.kind[b] == linalg._FIXED:
+                    basic_slacks += 1
+                    assert b in slacks and row[0] == 0, rows
+                    assert all(t.kind[j] == linalg._FIXED
+                               for j, x in enumerate(row) if x and j), rows
+        assert basic_slacks >= 40
+
+    def test_random_rows(self):
+        basic_slacks = strict = equalities = relaxed = redundant = 0
+        rng = random.Random(2442)
+        for rows, t in self.tableaux(rng, 200):
+            basic_slacks += sum(t.kind[b] == linalg._FIXED for b in t.basis)
             # Some in-place queries move the basis, and some rows are
             # dropped, as `_drop_redundant` leaves them.
             for q in rng.sample(rows, min(2, len(rows))):
@@ -970,21 +993,21 @@ class TestOwnRowQueries:
                     continue
                 others = [d for i, d in enumerate(rows) if i != k and i not in gone]
                 want = linalg._Tableau.of(others).implies(c)
-                assert t.others_imply(k, c) == want, f"{others} |= {c}"
+                assert t.others_imply(k) == want, f"{others} |= {c}"
                 redundant += want
                 if c.rel == LE and c.coeffs:
                     reverse = c.negations()[0].closure()
                     active = [d for i, d in enumerate(rows) if i not in gone]
-                    assert t.reverse_holds(k, c) == linalg._Tableau.of(
+                    assert t.reverse_holds(k) == linalg._Tableau.of(
                         active).implies(reverse), f"{active} |= {reverse}"
-        assert leftovers >= 40 and strict >= 80 and equalities >= 150
+        assert basic_slacks >= 40 and strict >= 80 and equalities >= 150
         assert relaxed >= 100 and redundant >= 80
 
 
 def test_own_row_objective_keeps_every_pivot_on_t4(monkeypatch):
     """A cold T4 run with every own-row test asked through the row's
-    coefficients instead: the same verdict, witness, events and pivots,
-    and more eliminations."""
+    coefficients instead, as they were added: the same verdict, witness,
+    events and pivots, and more eliminations."""
     from conftest import T4
     from chcverify.chc_ast import parse_program
     from chcverify.driver import verify
@@ -1010,10 +1033,45 @@ def test_own_row_objective_keeps_every_pivot_on_t4(monkeypatch):
 
     shipped, shipped_counts = run()
 
-    def coefficient_objective(t, k, c):
+    # The constraints added to each tableau, by its id, kept across copies.
+    given = {}
+    init, add, copy = (linalg._Tableau.__init__, linalg._Tableau.add,
+                       linalg._Tableau.copy)
+
+    def recording_init(t):
+        init(t)
+        given[id(t)] = []
+
+    def recording_add(t, c):
+        given[id(t)].append(c)
+        return add(t, c)
+
+    def recording_copy(t):
+        u = copy(t)
+        given[id(u)] = given[id(t)][:]
+        return u
+
+    def coefficient_objective(t, k):
+        c = given[id(t)][k]
         return [(t.col[v], a) for v, a in c.coeffs], c.bound
 
-    monkeypatch.setattr(linalg._Tableau, "_row_objective", coefficient_objective)
+    def others_imply(t, k):
+        s, rel = t.slacks[k]
+        if not s:
+            return True
+        u = t.copy()
+        u.relax(k)
+        return u._bounded(rel, *coefficient_objective(u, k))
+
+    def reverse_holds(t, k):
+        entries, rhs = coefficient_objective(t, k)
+        zrow = t._optimise(t._reduced([(j, -a) for j, a in entries], -rhs), 0)
+        return zrow is not None and zrow[0] >= 0
+
+    for name, fn in (("__init__", recording_init), ("add", recording_add),
+                     ("copy", recording_copy), ("others_imply", others_imply),
+                     ("reverse_holds", reverse_holds)):
+        monkeypatch.setattr(linalg._Tableau, name, fn)
     coefficients, coefficient_counts = run()
     assert shipped == coefficients
     assert shipped[0] == "unsafe"
@@ -1021,21 +1079,28 @@ def test_own_row_objective_keeps_every_pivot_on_t4(monkeypatch):
     assert shipped_counts["eliminations"] < coefficient_counts["eliminations"]
 
 
-def negation_bounded(t, c, entries, rhs):
+def negation_bounded(t, rel, entries, rhs):
     """`_Tableau._bounded` with the strict-tie step the kernel once took, the
-    reference for its face test: a strict `c` at a tie, on a tableau with
+    reference for its face test: a strict query at a tie, on a tableau with
     strict rows, adds its negation to a copy, and is entailed iff the strict
-    rows then cannot hold strictly."""
-    for s in ((1, -1) if c.rel == EQ else (1,)):
+    rows then cannot hold strictly. The negation is written over the
+    objective's columns: a column without a variable, such as a row's
+    slack, gets a name on the copy."""
+    for s in ((1, -1) if rel == EQ else (1,)):
         zrow = t._optimise(t._reduced(
             entries if s == 1 else [(j, -a) for j, a in entries], s * rhs), 0)
         if zrow is None or zrow[0] < 0:
             return False
-        if zrow[0] == 0 and c.rel == LT:
+        if zrow[0] == 0 and rel == LT:
             if not t.strict:
                 return False
             u = t.copy()
-            return not (u.add(c.negations()[0]) and u.satisfiable())
+            names = {j: v for v, j in u.col.items()}
+            for j, _ in entries:
+                u.col[names.setdefault(j, f"$column{j}")] = j
+            negation = LinearConstraint.make(
+                {names[j]: -a for j, a in entries}, LE, -rhs)
+            return not (u.add(negation) and u.satisfiable())
     return True
 
 
@@ -1104,7 +1169,7 @@ class TestStrictTies:
             for q in queries:
                 check(rows, t, lambda u: u.implies(q), f"{rows} |= {q}")
             for k, c in enumerate(rows):
-                check(rows, t, lambda u: u.others_imply(k, c),
+                check(rows, t, lambda u: u.others_imply(k),
                       f"{rows} less row {k} |= {c}")
         assert faces.count((True, True)) >= 250
         assert faces.count((True, False)) >= 50
@@ -1130,11 +1195,21 @@ class TestImpliedEqualities:
         t.relax(1)
         assert t.implies(C({"X": 1, "Y": 2}, ">=", 0))
 
+    def test_a_fixed_row_is_asked_both_ways(self):
+        # Fixed, X =< 0 reads X = 0: with X >= 0 relaxed, its twin X =< 0
+        # entails it one way only.
+        rows = [C({"X": 1}, LE, 0), C({"X": -1}, LE, 0), C({"X": 1}, LE, 0)]
+        t = linalg._Tableau.of(rows)
+        assert t.others_imply(0)
+        t.fix(0)
+        t.relax(1)
+        assert not t.others_imply(0) and t.others_imply(2)
+
     def test_a_relaxed_row_takes_the_row_of_a_fixed_slack_left_basic(self):
         # -A+I =< 0 and A-2I =< 0 are upgraded. Both slacks are basic on
-        # rows over fixed columns only, so they stay basic. A slack freed
-        # later must become basic on such a row, as on a leftover
-        # artificial's, or the row moves with it and A-I = 0 is kept though
+        # rows over fixed columns only, so they stay basic, as a dependent
+        # equality's slack does. A slack freed later must become basic on
+        # such a row, or the row moves with it and A-I = 0 is kept though
         # redundant. The caches go first: T4 holds these rows, and queries
         # that pivot the cached tableau can leave the slacks nonbasic.
         linalg.reset_caches()
@@ -1144,7 +1219,7 @@ class TestImpliedEqualities:
                C({"I": 1, "N": -1}, LT, 1), C({"N": -1}, LT, 0))
         t = linalg._Tableau.of(cs.constraints)
         for k in (0, 3):
-            assert t.reverse_holds(k, cs.constraints[k])
+            assert t.reverse_holds(k)
             t.fix(k)
             s = t.slacks[k][0]
             assert s in t.basis and t.kind[s] == linalg._FIXED
@@ -1215,6 +1290,30 @@ def test_no_query_adds_a_row_on_t4_and_updown(monkeypatch):
         assert shipped[0] == kind
         assert shipped_counts["adds"] < old_counts["adds"]
         assert shipped_counts["builds"] < old_counts["builds"]
+
+
+def test_no_pivot_is_a_no_op_on_t4_and_updown(monkeypatch):
+    """Cold T4 and updown runs never pivot a column onto the row where it
+    is already basic: `relax` frees a basic fixed slack in place."""
+    from conftest import REPO, T4
+    from chcverify.chc_ast import parse_program
+    from chcverify.driver import verify
+
+    pivot = linalg._Tableau._pivot
+    pivots, no_ops = [], []
+
+    def counting_pivot(t, i, j, *args):
+        pivots.append(j)
+        if t.basis[i] == j:
+            no_ops.append(j)
+        return pivot(t, i, j, *args)
+
+    monkeypatch.setattr(linalg._Tableau, "_pivot", counting_pivot)
+    updown = (REPO / "bench" / "corpus" / "updown.pl").read_text()
+    for text, kind in ((T4, "unsafe"), (updown, "unknown")):
+        del pivots[:]
+        assert verify(parse_program(text)).kind == kind
+        assert len(pivots) > 1000 and not no_ops
 
 
 def test_reset_caches_reaches_every_kernel_cache():

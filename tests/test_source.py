@@ -170,6 +170,24 @@ def test_only_chc_ast_and_qa_use_the_query_and_answer_suffixes():
     assert found == ["chc_ast", "qa"]
 
 
+def test_only_tableau_add_reads_the_artificial_column_kind():
+    # An artificial column lives only inside the `_Tableau.add` call that
+    # made it. Code anywhere else that reads `_ART` would treat a second
+    # row form, one not held through its own slack.
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            owner = f"{stmt.name}." if isinstance(stmt, ast.ClassDef) else ""
+            for node in stmt.body if owner else [stmt]:
+                if any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                       and n.id == "_ART" or isinstance(n, ast.Attribute)
+                       and n.attr == "_ART" for n in ast.walk(node)):
+                    name = getattr(node, "name", f"line {node.lineno}")
+                    found.append(f"{path.stem}.{owner}{name}")
+    assert found == ["linalg._Tableau.add"]
+
+
 def test_package_imports_only_the_standard_library():
     # The package declares no dependencies, so every absolute import must
     # resolve without installing anything.

@@ -196,8 +196,9 @@ def analyze(program: Program, memo: Optional[Dict[tuple, tuple]] = None
     Raises ResourceLimitError if an SCC fails to stabilise within
     `MAX_ITERATIONS` rounds (a hard backstop: every cyclic component is
     widened after `WIDEN_DELAY` rounds, and widening up to finitely many
-    thresholds stabilises), or if a projection exceeds `linalg.FM_LIMIT`,
-    mining the thresholds of a predicate that is widened included.
+    thresholds stabilises), or if a projection or a hull's double
+    description exceeds `linalg.FM_LIMIT`, mining the thresholds of a
+    predicate that is widened included.
 
     `memo`, when given, maps a component's key (`_component_key`) to its
     predicates' values and the (predicate index, clause index) of each first

@@ -105,9 +105,10 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     analysis reads and fills (`analysis.analyze`) and that ends with the
     run. Four budgets bound a run, and each ends it in `unknown` with a
     reason: `cfg.max_refinements` splitting rounds, `linalg.FM_LIMIT` rows
-    in one projection, `analysis.MAX_ITERATIONS` rounds of one component's
-    fixpoint, and `refine.MAX_CLAUSES_PER_SOURCE` versions of one clause
-    in a split. A loop ends it in `unknown` too, with the reason
+    in one projection or rays in one step of a hull's double description,
+    `analysis.MAX_ITERATIONS` rounds of one component's fixpoint, and
+    `refine.MAX_CLAUSES_PER_SOURCE` versions of one clause in a split. A
+    loop ends it in `unknown` too, with the reason
     "round N repeats round M": from the first refinement on, each round's
     program is keyed (`_round_key`), and a round whose key an earlier
     round M had does not start.

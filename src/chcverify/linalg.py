@@ -1,5 +1,5 @@
 """Exact linear rational arithmetic: constraints, satisfiability, projection,
-entailment, simplification and Farkas certificates.
+convex hull, entailment, simplification and Farkas certificates.
 
 Everything in this module is exact. A constraint with variables is stored in
 its canonical form: coprime Python `int` coefficients and bound. Rationals
@@ -55,12 +55,24 @@ made canonical as `LinearConstraint.make` makes its rows (`_canonical`). The
 number of intermediate constraints is capped (`FM_LIMIT`) and exceeding
 the cap raises ResourceLimitError so callers can degrade to an "unknown"
 verdict instead of diverging.
+
+The closed convex hull of two sets is computed by double description
+(Motzkin et al. 1953; Fukuda & Prodon 1996), in integers throughout. Each
+set's closure, homogenised with a variable t >= 0, is a cone, converted to
+its lines and extreme rays (`_generators`, cached per set). The cone that
+the generators of both sets span is converted back by the same method on
+its polar: polar lines are the hull's equalities and polar rays its
+facets, so the result has no redundant row. The facets are reduced modulo
+the equalities, so the rows do not depend on the order in which the
+generators were found. `FM_LIMIT` caps the rays of every intermediate step
+too.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from fractions import Fraction as Rat
 from functools import lru_cache
 from typing import (Container, Dict, Iterable, List, Mapping, NamedTuple, Optional,
@@ -81,6 +93,7 @@ __all__ = [
     "entails_all",
     "replaces_a_row",
     "project",
+    "closed_hull",
     "simplify",
     "farkas_refutation",
     "reset_caches",
@@ -102,13 +115,15 @@ def rat(num, den=1) -> Rat:
 
 
 class ResourceLimitError(Exception):
-    """A resource cap was exceeded: the rows of one projection (`FM_LIMIT`),
-    the rounds of one component's fixpoint (`analysis.MAX_ITERATIONS`) or
-    the versions of one clause in a split (`refine.MAX_CLAUSES_PER_SOURCE`).
+    """A resource cap was exceeded: the rows of one projection or the rays
+    of one double-description step (`FM_LIMIT`), the rounds of one
+    component's fixpoint (`analysis.MAX_ITERATIONS`) or the versions of one
+    clause in a split (`refine.MAX_CLAUSES_PER_SOURCE`).
     """
 
 
-# Cap on the number of constraints a single projection may build up.
+# Cap on the number of constraints a single projection may build up, and on
+# the number of rays a single step of a hull's double description may keep.
 FM_LIMIT = 10_000
 
 
@@ -943,6 +958,131 @@ def _drop_redundant(rows: Sequence[LinearConstraint], order: Iterable[int],
 
 
 # ---------------------------------------------------------------------------
+# Double description: constraints to generators and back.
+# ---------------------------------------------------------------------------
+
+
+def _mix(a: int, u: Tuple[int, ...], b: int, v: Tuple[int, ...]
+         ) -> Tuple[int, ...]:
+    """a*u + b*v, divided by its gcd."""
+    w = [a * x + b * y for x, y in zip(u, v)]
+    g = math.gcd(*w)
+    return tuple(x // g for x in w) if g > 1 else tuple(w)
+
+
+def _double_description(n: int, rows: Sequence[Tuple[Tuple[int, ...], bool]]
+                        ) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The lines and extreme rays of the cone of the y in Z^n with r.y = 0
+    for each row (r, True) and r.y <= 0 for each row (r, False).
+
+    The rows are added one at a time to the whole space, whose lines are the
+    unit vectors. A row that a line crosses turns that line into a ray and
+    moves the other generators onto the row's hyperplane. Otherwise the rays
+    on the row's wrong side go, and each pair of adjacent rays on opposite
+    sides gives one ray on the hyperplane. Two rays are adjacent when no
+    third ray is tight on every row they are both tight on, the
+    combinatorial test; each ray carries its tight rows as a bit mask. A
+    pair tight together on fewer than n - 2 rows less the number of lines
+    is not adjacent, which is checked first. Raises ResourceLimitError when
+    the rays exceed `FM_LIMIT`.
+    """
+    mul = operator.mul
+    lines = [(0,) * j + (1,) + (0,) * (n - j - 1) for j in range(n)]
+    rays: List[Tuple[Tuple[int, ...], int]] = []  # (ray, mask of tight rows)
+    for k, (row, eq) in enumerate(rows):
+        bit = 1 << k
+        dots = [sum(map(mul, row, line)) for line in lines]
+        pick = next((i for i, d in enumerate(dots) if d), None)
+        if pick is not None:
+            line, s = lines.pop(pick), dots.pop(pick)
+            if s > 0:
+                line, s = tuple(-a for a in line), -s
+            lines = [_mix(-s, l, d, line) if d else l for l, d in zip(lines, dots)]
+            rays = [(_mix(-s, r, d, line) if (d := sum(map(mul, row, r))) else r,
+                     m | bit) for r, m in rays]
+            if not eq:
+                rays.append((line, bit - 1))  # tight on every earlier row
+        else:
+            pos, neg, kept = [], [], []
+            for r, m in rays:
+                d = sum(map(mul, row, r))
+                if d > 0:
+                    pos.append((r, m, d))
+                elif d < 0:
+                    neg.append((r, m, d))
+                    if not eq:
+                        kept.append((r, m))
+                else:
+                    kept.append((r, m | bit))
+            masks = [m for _, m in rays]
+            need = n - len(lines) - 2
+            for p, mp, dp in pos:
+                for q, mq, dq in neg:
+                    m = mp & mq
+                    if m.bit_count() >= need and sum(
+                            1 for o in masks if o & m == m) == 2:
+                        kept.append((_mix(-dq, p, dp, q), m | bit))
+            rays = kept
+        if len(rays) > FM_LIMIT:
+            raise ResourceLimitError(
+                f"double description exceeded {FM_LIMIT} generators")
+    return tuple(lines), tuple(r for r, _ in rays)
+
+
+@lru_cache(maxsize=65536)
+def _generators(cs: ConstraintSet, space: Tuple[str, ...]
+                ) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
+    """The lines and rays of the closure of `cs` homogenised over `space`
+    and t: a row a.x <= b (or < b, or = b) reads a.x - b*t <= 0 (or = 0),
+    and t >= 0. Equalities go first."""
+    index = {v: i for i, v in enumerate(space)}
+    rows = []
+    for c in sorted(cs, key=lambda c: c.rel != EQ):
+        vec = [0] * (len(space) + 1)
+        for v, a in c.coeffs:
+            vec[index[v]] = a
+        vec[-1] = -c.bound
+        rows.append((tuple(vec), c.rel == EQ))
+    rows.append(((0,) * len(space) + (-1,), False))
+    return _double_description(len(space) + 1, rows)
+
+
+def closed_hull(p: ConstraintSet, q: ConstraintSet,
+                space: Tuple[str, ...]) -> ConstraintSet:
+    """The closed convex hull of two satisfiable sets over `space`, the
+    closure of their union's convex hull, with no redundant row and every
+    implied equality an equality.
+
+    Its cone is generated by the generators of both closures
+    (`_generators`), and its rows are the generators of the polar cone:
+    each polar line c reads c.(x, t) = 0 at t = 1, an equality, and each
+    polar ray an inequality. Each equality in turn eliminates its last
+    variable from every other row, so that an inequality is read modulo the
+    equalities; the ray of t >= 0 then reads 0 <= 1 and is dropped.
+    """
+    lines_p, rays_p = _generators(p, space)
+    lines_q, rays_q = _generators(q, space)
+    eqs, rows = _double_description(
+        len(space) + 1, [(g, True) for g in dict.fromkeys(lines_p + lines_q)]
+        + [(g, False) for g in dict.fromkeys(rays_p + rays_q)])
+    for i in range(len(eqs)):
+        e = eqs[i]
+        k = max(j for j in range(len(space)) if e[j])
+        if e[k] < 0:
+            e = tuple(-a for a in e)
+        eqs = [_mix(e[k], g, -g[k], e) if g[k] and j != i else g
+               for j, g in enumerate(eqs)]
+        rows = [_mix(e[k], g, -g[k], e) if g[k] else g for g in rows]
+    out = []
+    for rel, gens in ((EQ, eqs), (LE, rows)):
+        for g in gens:
+            items = sorted((v, a) for v, a in zip(space, g) if a)
+            if items:
+                out.append(_canonical(items, rel, -g[-1]))
+    return ConstraintSet.make(out)
+
+
+# ---------------------------------------------------------------------------
 # Simplification.
 # ---------------------------------------------------------------------------
 
@@ -983,13 +1123,13 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
 # The cached functions themselves, so that `reset_caches` reaches their caches
 # even when the module attributes are rebound (by a tracer, say).
 _CACHED = (is_satisfiable, _entails_cached, _tableau_of, _project_cached,
-           simplify, replaces_a_row)
+           simplify, replaces_a_row, _generators)
 
 
 def reset_caches() -> None:
     """Empty the kernel's caches and their counts: satisfiability,
-    entailment, the entailment tableaux, projection, `simplify` and the
-    widening's row replacements.
+    entailment, the entailment tableaux, projection, `simplify`, the
+    widening's row replacements and the hull's generators.
 
     `verify` calls this when a run starts, so that what a run costs does
     not depend on what ran before it in the process. The entries stay until

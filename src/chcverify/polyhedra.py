@@ -4,21 +4,21 @@ A `Polyhedron` is a satisfiable constraint set over a fixed variable tuple
 (its space), or bottom. Polyhedra support the not-necessarily-closed
 operations needed by the analysis: meet, inclusion, convex hull and widening.
 
-The hull of two polyhedra is computed with the standard mixing encoding
-(lambda-scaled copies of each operand, summed and projected). The encoding
-itself works on topological closures; a post-pass re-strengthens a resulting
-inequality to strict whenever both operands entail the strict form, which is
-sound because a convex combination of two points satisfying a strict
-inequality satisfies it too. The result therefore contains the union and is
-exact on closed operands.
+The hull of two polyhedra is their closed convex hull, computed by double
+description (`linalg.closed_hull`): each operand's closure is converted to
+generators, and the generators of both back to constraints. A post-pass
+re-strengthens a resulting inequality to strict whenever both operands
+entail the strict form, which is sound because a convex combination of two
+points satisfying a strict inequality satisfies it too. The result
+therefore contains the union and is exact on closed operands.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .linalg import (EQ, LE, ConstraintSet, FALSE_SET, LinearConstraint,
-                     entails, entails_all, project, replaces_a_row,
+from .linalg import (LE, ConstraintSet, FALSE_SET, LinearConstraint,
+                     closed_hull, entails, entails_all, replaces_a_row,
                      simplify)
 
 __all__ = [
@@ -108,6 +108,11 @@ class Polyhedron:
         return entails_all(self.constraints, other.constraints)
 
     def hull(self, other: "Polyhedron") -> "Polyhedron":
+        """The closed convex hull of both, with each facet strict where
+        both operands entail it strictly; the operand itself when one
+        includes the other. The double description leaves no redundant row
+        and no unmarked implied equality, and making a facet strict adds
+        neither, so the rows need no `simplify`."""
         if self.space != other.space:
             raise ValueError("hull of polyhedra over different spaces")
         if self.is_bottom:
@@ -118,37 +123,14 @@ class Polyhedron:
             return other
         if other.leq(self):
             return self
-        # The mixing rows, built canonical: each operand row a.x rel b
-        # becomes a.h - b*lam rel 0 over its copy h of the space, whose
-        # integers are those of the coprime row, in the same name order
-        # ("$h1", "$h2" sort before "$lam"); `$` sorts before every name of
-        # the space, so each linking row reads  h1 + h2 - v = 0.
-        space = self.space
-        rows = []
-        lams = ("$lam1", "$lam2")
-        copies = ({v: f"$h1{v}" for v in space}, {v: f"$h2{v}" for v in space})
-        for cs, lam, copy in ((self.constraints, lams[0], copies[0]),
-                              (other.constraints, lams[1], copies[1])):
-            for c in cs.closure():
-                coeffs = tuple((copy[v], k) for v, k in c.coeffs)
-                if c.bound:
-                    coeffs += ((lam, -c.bound),)
-                rows.append(LinearConstraint(coeffs, c.rel, 0))
-        rows.append(LinearConstraint(((lams[0], 1), (lams[1], 1)), EQ, 1))
-        rows.append(LinearConstraint(((lams[0], -1),), LE, 0))
-        rows.append(LinearConstraint(((lams[1], -1),), LE, 0))
-        for v in space:
-            rows.append(LinearConstraint(
-                ((copies[0][v], 1), (copies[1][v], 1), (v, -1)), EQ, 0))
-        projected = project(ConstraintSet.make(rows), space)
         out = []
-        for c in projected:
+        for c in closed_hull(self.constraints, other.constraints, self.space):
             if c.rel == LE:
                 s = c.strict()
                 if entails(self.constraints, s) and entails(other.constraints, s):
                     c = s
             out.append(c)
-        return Polyhedron.of(space, ConstraintSet.make(out))
+        return Polyhedron(self.space, ConstraintSet.make(out))
 
     def widen(self, other: "Polyhedron",
               thresholds: Iterable[LinearConstraint] = ()) -> "Polyhedron":

@@ -1,5 +1,6 @@
-"""Shared test fixtures: the worked example T4, random program generation,
-deep derivation chains, the trace of an AND-tree, and the property suites.
+"""Shared test fixtures: the worked example T4 and its k-accumulator family
+T4-k, random program generation, deep derivation chains, the trace of an
+AND-tree, and the property suites.
 
 The six property suites are session-scoped fixtures so that the per-module
 tests and the acceptance tests share one run.  Each suite raises on the
@@ -34,6 +35,32 @@ def chain_program(n: int, goal: str) -> str:
     lines = ["p0(X) :- 1*X = 0."]
     lines += [f"p{i}(Y) :- 1*Y+ -1*X = 1, p{i - 1}(X)." for i in range(1, n)]
     lines.append(f"false :- {goal}, p{n - 1}(X).")
+    return "\n".join(lines) + "\n"
+
+
+def t4k_program(k: int) -> str:
+    """T4 with k accumulators A0..A(k-1): the loop predicate is
+    l(I, A0, ..., A(k-1), N), and body choice j (clause c(5+j)) adds 2 to
+    Aj and 1 to every other accumulator. The exits compare the sum with
+    (k+1)*N both ways, and the goal starts every accumulator at 0. Unsafe
+    over the rationals for T4's reason: N = 1/2 runs the loop once and
+    leaves the sum at k + 1 > (k+1)/2. k = 2 is T4 with c5 and c6 swapped."""
+    acc = [f"A{j}" for j in range(k)]
+    nxt = [f"B{j}" for j in range(k)]
+    args, next_args, total = ", ".join(acc), ", ".join(nxt), " + ".join(acc)
+    lines = [
+        "c1. false :- N > 0, I = 0, " + ", ".join(f"{a} = 0" for a in acc)
+        + f", l(I, {args}, N).",
+        f"c2. l(I, {args}, N) :- I < N, l_body({args}, {next_args}), "
+        f"I1 = I + 1, l(I1, {next_args}, N).",
+        f"c3. l(I, {args}, N) :- I >= N, {total} > {k + 1} * N.",
+        f"c4. l(I, {args}, N) :- I >= N, {total} < {k + 1} * N.",
+    ]
+    for j in range(k):
+        steps = (f"{b} = {a} + {2 if i == j else 1}"
+                 for i, (a, b) in enumerate(zip(acc, nxt)))
+        lines.append(f"c{5 + j}. l_body({args}, {next_args}) :- "
+                     + ", ".join(steps) + ".")
     return "\n".join(lines) + "\n"
 
 

@@ -2,7 +2,9 @@
 
 Everything here works over `fractions.Fraction` with Gaussian elimination
 and exhaustive vertex enumeration, sharing no code with the simplex or the
-projection in chcverify.linalg.
+projection in chcverify.linalg. The one exception is `mixing_hull`, the
+reference for the double-description hull: it projects the mixing encoding
+with `linalg.project`, which shares no code with the double description.
 
 Strict inequalities are tightened by the fixed rational EPS before the
 closed-polyhedron check.  That is exact when EPS is below every breakpoint
@@ -20,7 +22,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
-from chcverify.linalg import EQ, LE, ConstraintSet, LinearConstraint
+from chcverify.linalg import (EQ, LE, ConstraintSet, LinearConstraint, entails,
+                              project, simplify)
 
 MAX_DIM = 4
 BOX = Fraction(10 ** 10)
@@ -195,3 +198,35 @@ def in_hull_2d(hull: Sequence[Tuple[Fraction, Fraction]],
         if (ax - ox) * (point[1] - oy) - (ay - oy) * (point[0] - ox) < 0:
             return False
     return True
+
+
+def mixing_hull(p: ConstraintSet, q: ConstraintSet,
+                space: Sequence[str]) -> ConstraintSet:
+    """The hull of two satisfiable sets over `space` by the mixing encoding
+    (Benoy, King & Mesnard, TPLP 2005), projected with `linalg.project`.
+
+    Each row a.x rel b of an operand's closure becomes a.h - b*lam rel 0
+    over its own copy h of the space, with lam1 + lam2 = 1, both lam >= 0,
+    and each variable the sum of its two copies. The projection is the
+    closed convex hull of the union; `simplify` leaves its facets and
+    equalities. A facet is made strict when both operands entail its strict
+    form. (Strictness is asked of facets only: a redundant row that
+    Fourier-Motzkin happens to keep may hold strictly on both operands
+    while touching the closed hull in a lower-dimensional face.)
+    """
+    rows = [LinearConstraint.make({"$lam1": 1, "$lam2": 1}, EQ, 1),
+            LinearConstraint.make({"$lam1": -1}, LE, 0),
+            LinearConstraint.make({"$lam2": -1}, LE, 0)]
+    rows += [LinearConstraint.make({f"$h1{v}": 1, f"$h2{v}": 1, v: -1}, EQ, 0)
+             for v in space]
+    for k, cs in ((1, p), (2, q)):
+        for c in cs.closure():
+            coeffs = {f"$h{k}{v}": a for v, a in c.coeffs}
+            coeffs[f"$lam{k}"] = -c.bound
+            rows.append(LinearConstraint.make(coeffs, c.rel, 0))
+    out = []
+    for c in simplify(project(ConstraintSet.make(rows), space)):
+        if c.rel == LE and entails(p, c.strict()) and entails(q, c.strict()):
+            c = c.strict()
+        out.append(c)
+    return ConstraintSet.make(out)

@@ -15,7 +15,8 @@ from chcverify.analysis import (
     is_inductive_model,
     model_to_text,
 )
-from chcverify.chc_ast import FALSE, Atom, Clause, Program, components, parse_program
+from chcverify.chc_ast import (FALSE, Atom, Clause, Program, components, parse_clause,
+                               parse_program)
 from chcverify.linalg import (EQ, LE, TRUE, ConstraintSet, LinearConstraint,
                               entails_all, project, simplify)
 from chcverify.polyhedra import Polyhedron, canonical_args
@@ -49,9 +50,11 @@ class TestModels:
         prog = parse_program(T4)
         model, _ = analyze(prog)
         assert model.value("l", 4).is_top
-        assert str(model.value("l_body", 4)) == (
-            "-1*A+ 2*B+ 1*C+ -2*D =< 0, 1*A+ 1*B+ -1*C+ -1*D = -3, "
-            "2*A+ -1*B+ -2*C+ 1*D =< 0")
+        body = model.value("l_body", 4).constraints
+        reference = parse_clause(
+            "l_body(A,B,C,D) :- -1*A+ 2*B+ 1*C+ -2*D =< 0, "
+            "1*A+ 1*B+ -1*C+ -1*D = -3, 2*A+ -1*B+ -2*C+ 1*D =< 0.").constraint
+        assert entails_all(body, reference) and entails_all(reference, body)
         assert not check_safety(model)
         assert is_inductive_model(prog, model)
 

@@ -9,14 +9,16 @@ import sys
 
 import pytest
 
-from conftest import DATA, REPO, T4, chain_program, random_program, shallow_stack
+from conftest import (DATA, REPO, T4, chain_program, random_program, shallow_stack,
+                      t4k_program)
 from chcverify import analysis, driver, linalg
 from chcverify.analysis import AbstractModel, analyze, check_safety, is_inductive_model
 from chcverify.cex import build_and_tree, extract_trace, feasible, tree_interpolants
 from chcverify.chc_ast import (FALSE, Atom, Program, components, parse_program,
                                program_text)
 from chcverify.driver import Config, Verdict, main, verify
-from chcverify.linalg import _entails_cached, _tableau_of, is_satisfiable, simplify
+from chcverify.linalg import (_entails_cached, _generators, _tableau_of,
+                              is_satisfiable, simplify)
 from chcverify.qa import answer_pred, qa_transform, query_pred
 from chcverify.refine import polyvariant_specialise, split_facts
 
@@ -38,6 +40,14 @@ BOUNDARY_COUNTER = """\
 p(X) :- 1*X = 0.
 p(Y) :- 1*X+ -1*Y = -1, p(X).
 false :- 1*X = 2, p(X).
+"""
+
+# With FM_LIMIT = 1 round 0 fits the cap and round 1 exceeds it, in the
+# projection that eliminates Z.
+CAPPED_AFTER_A_SPLIT = """\
+c1. q(X) :- -2*X+ 3*Z =< -2, q(Y).
+c2. q(X) :- 2*X+ 3*Z = 0, -1*Y+ -1*Z =< 3, 1*Z =< 1.
+c3. false :- 1*X =< -4, q(X).
 """
 
 # A source label that a specialised id also spells: c1 with versions 1, 1
@@ -87,7 +97,8 @@ class TestVerify:
     def test_a_run_costs_the_same_whatever_ran_before(self, monkeypatch):
         def cache_counts():
             return (is_satisfiable.cache_info(), _entails_cached.cache_info(),
-                    simplify.cache_info(), _tableau_of.cache_info())
+                    simplify.cache_info(), _tableau_of.cache_info(),
+                    _generators.cache_info())
 
         evaluations = _count_evaluations(monkeypatch)
 
@@ -101,7 +112,7 @@ class TestVerify:
         after_other_runs = cache_counts()
         runs()
         assert cache_counts() == after_other_runs
-        assert after_other_runs[0].misses > 0
+        assert after_other_runs[0].misses > 0 and after_other_runs[4].misses > 0
         assert evaluations[:2] == evaluations[2:] and evaluations[1] > 0
 
     def test_an_early_safe_model_is_re_checked(self, monkeypatch):
@@ -167,6 +178,23 @@ class TestVerify:
         verdict = verify(parse_program(T4))
         assert verdict.kind == "unknown"
         assert "gave up" in verdict.events[-1]
+
+    def test_hull_budget_exhaustion_is_unknown(self, monkeypatch):
+        # round 0 joins the points A = 2 and A = 1, and the segment's two
+        # facets are one more than the cap allows
+        monkeypatch.setattr(linalg, "FM_LIMIT", 1)
+        verdict = verify(parse_program(BOUNDARY_COUNTER))
+        assert (verdict.kind, verdict.refinements) == ("unknown", 0)
+        assert verdict.reason == "double description exceeded 1 generators"
+        assert verdict.events[-1] == (
+            "round 0: gave up: double description exceeded 1 generators")
+
+    @pytest.mark.parametrize("k", [3, 5])
+    def test_t4k_is_unsafe_after_one_split(self, k):
+        verdict = verify(parse_program(t4k_program(k)))
+        assert (verdict.kind, verdict.refinements) == ("unsafe", 1)
+        assert str(verdict.trace) == "c1_2(c2_2_1_3(c5_1,c3_3))"
+        assert feasible(build_and_tree(verdict.program, verdict.trace))
 
     def test_events_tell_the_refinement_story(self):
         verdict = verify(parse_program(T4))
@@ -354,7 +382,7 @@ class TestFixpointMemo:
         # the limit comes before round 2, which would repeat round 1
         (BOUNDARY_COUNTER, Config(max_refinements=1), None, "unknown", 1,
          "refinement limit reached"),
-        (UPDOWN, Config(), 8, "unknown", 1, "projection"),
+        (CAPPED_AFTER_A_SPLIT, Config(), 1, "unknown", 1, "projection"),
     ], ids=["safe", "unsafe", "refinement-limit", "fm-step-limit"])
     def test_open_from_the_first_refinement_to_the_verdict(
             self, monkeypatch, text, config, fm_limit, kind, refinements, reason):

@@ -210,6 +210,59 @@ class TestProjection:
         assert (info.misses, info.hits) == (1, 1)
 
 
+class TestDoubleDescription:
+    def test_the_orthant_has_the_unit_rays(self):
+        rows = [((-1, 0, 0), False), ((0, -1, 0), False), ((0, 0, -1), False)]
+        lines, rays = linalg._double_description(3, rows)
+        assert lines == () and sorted(rays) == [(0, 0, 1), (0, 1, 0), (1, 0, 0)]
+
+    def test_a_half_plane_keeps_a_line(self):
+        lines, rays = linalg._double_description(2, [((1, 1), False)])
+        assert lines == ((-1, 1),) and rays == ((-1, 0),)
+
+    def test_an_equality_leaves_no_ray(self):
+        lines, rays = linalg._double_description(2, [((1, -1), True)])
+        assert lines == ((1, 1),) and rays == ()
+
+    # x, y, z in [-t, t]: the cone over a cube, with z <= t given twice
+    CUBE = [((1, 0, 0, -1), False), ((-1, 0, 0, -1), False),
+            ((0, 1, 0, -1), False), ((0, -1, 0, -1), False),
+            ((0, 0, 1, -1), False), ((0, 0, 2, -2), False),
+            ((0, 0, -1, -1), False)]
+
+    def test_the_cube_has_its_corners(self):
+        lines, rays = linalg._double_description(4, self.CUBE)
+        assert lines == ()
+        assert sorted(rays) == sorted(
+            (x, y, z, 1) for x in (-1, 1) for y in (-1, 1) for z in (-1, 1))
+
+    def test_a_cut_across_a_face_adds_no_ray(self):
+        # x + y <= 0 cuts the top face along its diagonal. The two corners
+        # on either side share two rows, the top face's, which is as many
+        # as an edge needs here; only the two other corners of that face,
+        # tight on both rows too, show that the pair is not an edge.
+        cut = ((1, 1, 0, 0), False)
+        lines, rays = linalg._double_description(4, self.CUBE + [cut])
+        assert lines == ()
+        assert sorted(rays) == sorted(
+            (x, y, z, 1) for x, y in ((-1, -1), (-1, 1), (1, -1)) for z in (-1, 1))
+
+    def test_the_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(linalg, "FM_LIMIT", 7)
+        with pytest.raises(ResourceLimitError, match="double description"):
+            linalg._double_description(4, self.CUBE)
+
+    def test_generators_are_cached_per_set_and_space(self):
+        linalg.reset_caches()
+        cs = S(C({"X": 1}, LE, 2), C({"X": -1}, LT, 0))
+        first = linalg._generators(cs, ("X",))
+        assert linalg._generators(cs, ("X",)) is first
+        assert sorted(first[1]) == [(0, 1), (2, 1)]  # the points 0 and 2
+        assert linalg._generators(cs, ("X", "Y"))[0] == ((0, 1, 0),)
+        info = linalg._generators.cache_info()
+        assert (info.misses, info.hits) == (2, 1)
+
+
 class TestSimplify:
     def test_entailed_rows_are_removed(self):
         cs = S(C({"X": 1}, LE, 1), C({"X": 1}, LE, 2), C({"X": 2}, LE, 2))

@@ -1,11 +1,16 @@
 """Convex polyhedra: lattice operations, hull, widening."""
 
+import random
 from fractions import Fraction
 
-from chcverify.linalg import EQ, LE, LT, ConstraintSet, LinearConstraint, rat
+import pytest
+
+from chcverify import linalg
+from chcverify.linalg import (EQ, LE, LT, ConstraintSet, LinearConstraint,
+                              ResourceLimitError, entails_all, rat, simplify)
 from chcverify.polyhedra import Polyhedron, canonical_args
 
-from oracles import convex_hull_2d, in_hull_2d, vertices
+from oracles import convex_hull_2d, in_hull_2d, mixing_hull, vertices
 
 
 def C(coeffs, rel, b):
@@ -92,6 +97,66 @@ class TestHull:
         assert sorted(expect) == sorted(tuple(v) for v in got)
         for p in pts:
             assert in_hull_2d(expect, (Fraction(p[0]), Fraction(p[1])))
+
+
+    def test_a_hull_with_a_line(self):
+        # two parallel lines: the strip between them keeps their direction
+        a = P(("X", "Y"), C({"X": 1, "Y": -1}, EQ, 0))
+        b = P(("X", "Y"), C({"X": 1, "Y": -1}, EQ, 2))
+        assert str(a.hull(b)) == "-1*X+ 1*Y =< 0, 1*X+ -1*Y =< 2"
+        lines, rays = linalg._generators(a.constraints, ("X", "Y"))
+        assert lines == ((1, 1, 0),) and rays == ((0, 0, 1),)
+
+    def test_two_rays_span_a_cone(self):
+        # the half-lines X >= 0 on Y = 0 and Y > 0 on X = 0: their hull is
+        # the quadrant, strict only where both operands are
+        a = P(("X", "Y"), C({"X": -1}, LE, 0), C({"Y": 1}, EQ, 0))
+        b = P(("X", "Y"), C({"Y": -1}, LT, 0), C({"X": 1}, EQ, 0))
+        assert str(a.hull(b)) == "-1*X =< 0, -1*Y =< 0"
+        lines, rays = linalg._generators(a.constraints, ("X", "Y"))
+        assert lines == () and sorted(rays) == [(0, 0, 1), (1, 0, 0)]
+
+    def test_a_tiny_limit_stops_the_double_description(self, monkeypatch):
+        a = P(("X", "Y"), C({"X": 1}, EQ, 0), C({"Y": 1}, EQ, 0))
+        b = P(("X", "Y"), C({"X": 1}, EQ, 1), C({"Y": 1}, EQ, 2))
+        linalg.reset_caches()
+        monkeypatch.setattr(linalg, "FM_LIMIT", 1)
+        with pytest.raises(ResourceLimitError, match="double description"):
+            a.hull(b)
+
+    # (relations drawn from, fewest and most rows per operand)
+    SHAPES = {
+        "mixed": ((LE, LE, LT, EQ), 1, 4),
+        "equality-heavy": ((EQ, EQ, EQ, LE), 1, 4),
+        "unbounded": ((LE, LT), 1, 2),
+        "strict": ((LT, LT, LE, EQ), 1, 4),
+    }
+
+    @pytest.mark.parametrize("shape", sorted(SHAPES))
+    def test_random_pairs_match_the_mixing_encoding(self, shape):
+        # The double description against the projected mixing encoding,
+        # as not-necessarily-closed sets; and no row of the result is
+        # redundant or an unmarked implied equality.
+        rels, fewest, most = self.SHAPES[shape]
+        rng = random.Random(f"hull {shape}")
+
+        def operand(space):
+            return P(space, *(LinearConstraint.make(
+                {v: rng.randint(-3, 3) for v in space if rng.random() < 0.7},
+                rng.choice(rels), rng.randint(-4, 4))
+                for _ in range(rng.randint(fewest, most))))
+
+        compared = 0
+        while compared < 150:
+            space = canonical_args(rng.randint(1, 4))
+            p, q = operand(space), operand(space)
+            if p.is_bottom or q.is_bottom:
+                continue
+            h = p.hull(q).constraints
+            ref = mixing_hull(p.constraints, q.constraints, space)
+            assert entails_all(h, ref) and entails_all(ref, h), (p, q)
+            assert simplify(h) == h, (p, q)
+            compared += 1
 
 
 class TestWidening:

@@ -14,11 +14,11 @@ from chcverify.specialise import strengthen
 
 SPECIALISED_T4 = """\
 c1_2. false :- 1*A = 0, 1*A+ 1*B+ -3*I = 0, 1*A+ -2*I = 0, -1*N < 0, l_2(I,A,B,N).
-c2_2_1_3. l_2(I,A,B,N) :- -2*A+ 1*B =< 0, -1*A+ 1*A1+ 2*B+ -2*B1 =< 0, 1*A+ -1*A1+ 1*B+ -1*B1 = -3, 1*A+ -2*B =< 0, 1*A+ 1*B+ -3*I = 0, 2*A+ -2*A1+ -1*B+ 1*B1 =< 0, 1*A1+ 1*B1+ -3*I1 = 0, 1*I+ -1*N < 0, l_body_1(A,B,A1,B1), l_3(I1,A1,B1,N).
-c2_3_1_3. l_3(I,A,B,N) :- -2*A+ 1*B =< 0, -1*A+ 1*A1+ 2*B+ -2*B1 =< 0, 1*A+ -1*A1+ 1*B+ -1*B1 = -3, 1*A+ -2*B =< 0, 1*A+ 1*B+ -3*I = 0, 2*A+ -2*A1+ -1*B+ 1*B1 =< 0, 1*A1+ 1*B1+ -3*I1 = 0, 1*I+ -1*N < 0, l_body_1(A,B,A1,B1), l_3(I1,A1,B1,N).
+c2_2_1_3. l_2(I,A,B,N) :- -2*A+ 1*B =< 0, -1*A+ 1*A1 =< 2, 1*A+ -1*A1 =< -1, 1*A+ -1*A1+ 1*B+ -1*B1 = -3, 1*A+ -2*B =< 0, 1*A+ 1*B+ -3*I = 0, 1*A1+ 1*B1+ -3*I1 = 0, 1*I+ -1*N < 0, l_body_1(A,B,A1,B1), l_3(I1,A1,B1,N).
+c2_3_1_3. l_3(I,A,B,N) :- -2*A+ 1*B =< 0, -1*A+ 1*A1 =< 2, 1*A+ -1*A1 =< -1, 1*A+ -1*A1+ 1*B+ -1*B1 = -3, 1*A+ -2*B =< 0, 1*A+ 1*B+ -3*I = 0, 1*A1+ 1*B1+ -3*I1 = 0, 1*I+ -1*N < 0, l_body_1(A,B,A1,B1), l_3(I1,A1,B1,N).
 c3_3. l_3(I,A,B,N) :- -1*A+ -1*B+ 3*N < 0, -1*A+ 1*I =< 0, 1*A+ 1*B+ -3*I = 0, 1*A+ -2*I =< 0, 1*I+ -1*N < 1, -1*N < 0.
 c5_1. l_body_1(A0,B0,A1,B1) :- -2*A0+ 1*B0 =< 0, 1*A0+ -1*A1 = -1, 1*A0+ -1*A1+ 1*B0+ -1*B1 = -3, 1*A0+ -2*B0 =< 0.
-c6_1. l_body_1(A0,B0,A1,B1) :- -2*A0+ 1*B0 =< 0, 1*A0+ -1*A1 = -2, 1*A0+ -1*A1+ -2*B0+ 2*B1 = 0, 1*A0+ -2*B0 =< 0.
+c6_1. l_body_1(A0,B0,A1,B1) :- -2*A0+ 1*B0 =< 0, 1*A0+ -1*A1 = -2, 1*A0+ -1*A1+ 1*B0+ -1*B1 = -3, 1*A0+ -2*B0 =< 0.
 """
 
 

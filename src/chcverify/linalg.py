@@ -1034,7 +1034,8 @@ def _generators(cs: ConstraintSet, space: Tuple[str, ...]
                 ) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     """The lines and rays of the closure of `cs` homogenised over `space`
     and t: a row a.x <= b (or < b, or = b) reads a.x - b*t <= 0 (or = 0),
-    and t >= 0. Equalities go first."""
+    and t >= 0. Equalities go first. Cached because a round's program
+    analysis joins the sets that its query-answer analysis joined."""
     index = {v: i for i, v in enumerate(space)}
     rows = []
     for c in sorted(cs, key=lambda c: c.rel != EQ):

@@ -201,7 +201,7 @@ def in_hull_2d(hull: Sequence[Tuple[Fraction, Fraction]],
 
 
 def mixing_hull(p: ConstraintSet, q: ConstraintSet,
-                space: Sequence[str]) -> ConstraintSet:
+                space: Sequence[str], simplified: bool = True) -> ConstraintSet:
     """The hull of two satisfiable sets over `space` by the mixing encoding
     (Benoy, King & Mesnard, TPLP 2005), projected with `linalg.project`.
 
@@ -213,6 +213,10 @@ def mixing_hull(p: ConstraintSet, q: ConstraintSet,
     form. (Strictness is asked of facets only: a redundant row that
     Fourier-Motzkin happens to keep may hold strictly on both operands
     while touching the closed hull in a lower-dimensional face.)
+
+    With `simplified=False` strictness is asked of every projected row, as
+    the hull did when it projected this encoding itself; such a row can
+    then cut that face off.
     """
     rows = [LinearConstraint.make({"$lam1": 1, "$lam2": 1}, EQ, 1),
             LinearConstraint.make({"$lam1": -1}, LE, 0),
@@ -225,7 +229,8 @@ def mixing_hull(p: ConstraintSet, q: ConstraintSet,
             coeffs[f"$lam{k}"] = -c.bound
             rows.append(LinearConstraint.make(coeffs, c.rel, 0))
     out = []
-    for c in simplify(project(ConstraintSet.make(rows), space)):
+    projected = project(ConstraintSet.make(rows), space)
+    for c in simplify(projected) if simplified else projected:
         if c.rel == LE and entails(p, c.strict()) and entails(q, c.strict()):
             c = c.strict()
         out.append(c)

@@ -115,6 +115,15 @@ class TestVerify:
         assert after_other_runs[0].misses > 0 and after_other_runs[4].misses > 0
         assert evaluations[:2] == evaluations[2:] and evaluations[1] > 0
 
+    def test_updown_hulls_most_operands_again(self):
+        # A round analyses the query-answer transform, then the program,
+        # whose hulls join the same sets again; later rounds meet earlier
+        # rounds' sets too. So most generator lookups of a run hit (51 of
+        # 92 on updown), which is what the generator cache is for.
+        verify(parse_program(UPDOWN))
+        info = _generators.cache_info()
+        assert info.hits > info.misses > 0
+
     def test_an_early_safe_model_is_re_checked(self, monkeypatch):
         # No integrity clause: safe before any analysis, but the model that
         # ships must still be inductive. Here p is bottom although c1

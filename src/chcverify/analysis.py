@@ -33,20 +33,6 @@ its body predicates was already non-empty, so the body predicates' first
 clauses were kept earlier, and chasing first clauses from any predicate
 terminates: this is the derivation skeleton for FALSE that `extract_trace`
 rebuilds.
-
-Given a memo, `analyze` also reuses the fixpoints of cyclic components. A
-split changes only some predicates, so most components of the next round's
-program are earlier ones under new predicate names. The memo is keyed by
-everything a component's iteration reads (`_component_key`): per predicate,
-in the order the component lists them (first appearance in the program),
-its clauses' constraints and arguments, with each body predicate named by
-its index in the component or, outside it, by its current value.
-Predicate names and clause ids are not read. The iteration order, the
-widening thresholds (mined from the component's own clauses) and every
-kernel answer are functions of that key, so a hit sets each predicate's
-value and first clause to what iterating would have given.
-`driver.verify` keeps one memo per run and passes it from the first
-refinement on. `is_inductive_model` never reads it.
 """
 
 from __future__ import annotations
@@ -167,24 +153,7 @@ WIDEN_DELAY = 2
 MAX_ITERATIONS = 1000
 
 
-def _component_key(program: Program, scc: Tuple[str, ...],
-                   values: Mapping[str, Polyhedron]) -> tuple:
-    """Everything the fixpoint of the cyclic component `scc` reads, up to
-    predicate names: per predicate in `scc` order, its clauses in
-    `clauses_for` order, each as its constraint, its head arguments and, per
-    body atom, the atom's arguments with the body predicate's index in `scc`
-    or, outside it, its current value's constraints (None for bottom)."""
-    index = {p: i for i, p in enumerate(scc)}
-    return tuple(
-        tuple((cl.constraint, cl.head.args,
-               tuple((b.args, index[b.pred] if b.pred in index
-                      else values[b.pred].constraints) for b in cl.body))
-              for cl in program.clauses_for(pred))
-        for pred in scc)
-
-
-def analyze(program: Program, memo: Optional[Dict[tuple, tuple]] = None
-            ) -> Tuple[AbstractModel, Dict[str, Clause]]:
+def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
     """Over-approximate the least model; keep each predicate's first clause.
 
     Returns the model and, for every predicate that became non-empty, the
@@ -199,12 +168,6 @@ def analyze(program: Program, memo: Optional[Dict[tuple, tuple]] = None
     thresholds stabilises), or if a projection or a hull's double
     description exceeds `linalg.FM_LIMIT`, mining the thresholds of a
     predicate that is widened included.
-
-    `memo`, when given, maps a component's key (`_component_key`) to its
-    predicates' values and the (predicate index, clause index) of each first
-    clause, in the order they were kept. A cyclic component whose key is in
-    it takes its values and first clauses from there instead of iterating,
-    and one that iterates to stability is stored.
     """
     thresholds: Dict[str, Tuple[LinearConstraint, ...]] = {}
     values: Dict[str, Polyhedron] = {
@@ -217,19 +180,6 @@ def analyze(program: Program, memo: Optional[Dict[tuple, tuple]] = None
     evaluated: Dict[Clause, Tuple[int, ...]] = {}
 
     for scc, cyclic in components(program):
-        key = None
-        if cyclic and memo is not None:
-            key = _component_key(program, scc, values)
-            hit = memo.get(key)
-            if hit is not None:
-                facts, grown = hit
-                for pred, fact in zip(scc, facts):
-                    values[pred] = fact
-                    version[pred] += 1
-                for i, k in grown:
-                    first[scc[i]] = program.clauses_for(scc[i])[k]
-                continue
-        kept = len(first)
         iteration = 0
         while True:
             iteration += 1
@@ -270,11 +220,6 @@ def analyze(program: Program, memo: Optional[Dict[tuple, tuple]] = None
                 first.setdefault(pred, grower)
             if version == snapshot_version:
                 break
-        if key is not None:
-            memo[key] = (
-                tuple(values[p] for p in scc),
-                tuple((scc.index(p), program.clauses_for(p).index(cl))
-                      for p, cl in list(first.items())[kept:]))
     return AbstractModel(values), first
 
 

@@ -228,7 +228,8 @@ def _term(toks: List[str], i: int) -> Tuple[Dict[str, _Num], _Num, int]:
 
     A term is a sum of products of primaries (a number, a variable, a
     signed primary or a parenthesised term), and only one factor of a
-    product may have variables.
+    product may have variables. Parentheses nested deeper than the stack
+    allows raise ParseError.
     """
     coeffs: Optional[Dict[str, _Num]] = None
     scale: _Num = 1  # the sign and the constant factors of the product
@@ -248,7 +249,10 @@ def _term(toks: List[str], i: int) -> Tuple[Dict[str, _Num], _Num, int]:
             elif c.isdecimal():
                 fc, fk = None, rat(tok) if "." in tok else int(tok)
             elif c == "(":
-                fc, fk, i = _term(toks, i)
+                try:
+                    fc, fk, i = _term(toks, i)
+                except RecursionError:
+                    raise ParseError("term nested too deeply") from None
                 tok = toks[i]
                 i += 1
                 if tok != ")":

@@ -100,12 +100,10 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     """Decide whether `program` derives `false`.
 
     A run starts by emptying the kernel's caches (`linalg.reset_caches`),
-    so what it costs does not depend on what ran before it. From the first
-    refinement on it keeps a fixpoint memo, a local that every later
-    analysis reads and fills (`analysis.analyze`) and that ends with the
-    run. Four budgets bound a run, and each ends it in `unknown` with a
-    reason: `cfg.max_refinements` splitting rounds, `linalg.FM_LIMIT` rows
-    in one projection or rays in one step of a hull's double description,
+    so what it costs does not depend on what ran before it. Four budgets
+    bound a run, and each ends it in `unknown` with a reason:
+    `cfg.max_refinements` splitting rounds, `linalg.FM_LIMIT` rows in one
+    projection or rays in one step of a hull's double description,
     `analysis.MAX_ITERATIONS` rounds of one component's fixpoint, and
     `refine.MAX_CLAUSES_PER_SOURCE` versions of one clause in a split. A
     loop ends it in `unknown` too, with the reason
@@ -118,21 +116,21 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     round reads predicate names only as identities, and clause ids only to
     spell new ones: every order it puts predicates in is their first
     appearance (`chc_ast.components`, on the program and on its
-    query-answer transform, and the versions of `refine`), and the
-    fixpoint memo and the kernel caches are exact. So round N would replay
-    round M step for step: its counterexample is spurious again, and its
-    split gives round M + 1's program up to names and ids. Each later
-    round would replay one of rounds M ... N - 1 in the same way, until a
-    budget ran out, into `unknown` as well.
+    query-answer transform, and the versions of `refine`), and the kernel
+    caches are exact. So round N would replay round M step for step: its
+    counterexample is spurious again, and its split gives round M + 1's
+    program up to names and ids. Each later round would replay one of
+    rounds M ... N - 1 in the same way, until a budget ran out, into
+    `unknown` as well.
     """
     cfg = config or Config()
     reset_caches()
     events: List[str] = []
     rounds = 0
     given = program
-    # Kept from the first refinement on: before it, components and
-    # programs rarely recur, and keying them costs more than the hits save.
-    memo = seen = None
+    # Kept from the first refinement on: before it, programs rarely recur,
+    # and keying them costs more than the hits save.
+    seen = None
     try:
         while True:
             if early_safe(program):
@@ -140,7 +138,7 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
             else:
                 qa = qa_transform(program, FALSE)
                 _dump(cfg, f"round{rounds}.qa", "qa", program_text, qa)
-                qa_model, _ = analyze(qa, memo)
+                qa_model, _ = analyze(qa)
                 program = strengthen(program, qa_model)
                 _dump(cfg, f"round{rounds}.spec", "spec", program_text, program)
                 events.append(f"round {rounds}: propagation kept "
@@ -148,7 +146,7 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
                 proof = ("propagation removed every false clause"
                          if early_safe(program)
                          else "model proves false unreachable")
-            model, first = analyze(program, memo)
+            model, first = analyze(program)
             _dump(cfg, f"round{rounds}.model", "model", model_to_text, model,
                   program)
             if check_safety(model):
@@ -177,7 +175,7 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
                 f"predicates, {len(program.clauses)} clauses")
             rounds += 1
             if seen is None:
-                memo, seen = {}, {_round_key(given): 0}
+                seen = {_round_key(given): 0}
             key = _round_key(program)
             if key in seen:
                 repeats = f"round {rounds} repeats round {seen[key]}"
@@ -214,6 +212,8 @@ def main(argv: Optional[List[str]] = None) -> int:
         args = ap.parse_args(argv)
         if args.max_refinements < 0:
             ap.error("--max-refinements must not be negative")
+        if args.dump and args.dump_dir is None:
+            ap.error("--dump needs --dump-dir")
     except SystemExit as exc:
         # argparse exits 2 on a usage error, which would read as "unknown".
         return 3 if exc.code else 0

@@ -57,15 +57,15 @@ the cap raises ResourceLimitError so callers can degrade to an "unknown"
 verdict instead of diverging.
 
 The closed convex hull of two sets is computed by double description
-(Motzkin et al. 1953; Fukuda & Prodon 1996), in integers throughout. Each
-set's closure, homogenised with a variable t >= 0, is a cone, converted to
-its lines and extreme rays (`_generators`, cached per set). The cone that
-the generators of both sets span is converted back by the same method on
-its polar: polar lines are the hull's equalities and polar rays its
-facets, so the result has no redundant row. The facets are reduced modulo
-the equalities, so the rows do not depend on the order in which the
-generators were found. `FM_LIMIT` caps the rays of every intermediate step
-too.
+(Motzkin et al. 1953; Fukuda & Prodon 1996), in integers throughout, and
+cached per pair of sets (`closed_hull`). Each set's closure, homogenised
+with a variable t >= 0, is a cone, converted to its lines and extreme rays
+(`_generators`). The cone that the generators of both sets span is
+converted back by the same method on its polar: polar lines are the hull's
+equalities and polar rays its facets, so the result has no redundant row.
+The facets are reduced modulo the equalities, so the rows do not depend on
+the order in which the generators were found. `FM_LIMIT` caps the rays of
+every intermediate step too.
 """
 
 from __future__ import annotations
@@ -1029,13 +1029,11 @@ def _double_description(n: int, rows: Sequence[Tuple[Tuple[int, ...], bool]]
     return tuple(lines), tuple(r for r, _ in rays)
 
 
-@lru_cache(maxsize=65536)
 def _generators(cs: ConstraintSet, space: Tuple[str, ...]
                 ) -> Tuple[Tuple[Tuple[int, ...], ...], ...]:
     """The lines and rays of the closure of `cs` homogenised over `space`
     and t: a row a.x <= b (or < b, or = b) reads a.x - b*t <= 0 (or = 0),
-    and t >= 0. Equalities go first. Cached because a round's program
-    analysis joins the sets that its query-answer analysis joined."""
+    and t >= 0. Equalities go first."""
     index = {v: i for i, v in enumerate(space)}
     rows = []
     for c in sorted(cs, key=lambda c: c.rel != EQ):
@@ -1048,11 +1046,14 @@ def _generators(cs: ConstraintSet, space: Tuple[str, ...]
     return _double_description(len(space) + 1, rows)
 
 
+@lru_cache(maxsize=65536)
 def closed_hull(p: ConstraintSet, q: ConstraintSet,
                 space: Tuple[str, ...]) -> ConstraintSet:
     """The closed convex hull of two satisfiable sets over `space`, the
     closure of their union's convex hull, with no redundant row and every
-    implied equality an equality.
+    implied equality an equality. Cached, because a round's program
+    analysis joins pairs that its query-answer analysis joined, and a later
+    round joins pairs that an earlier one did.
 
     Its cone is generated by the generators of both closures
     (`_generators`), and its rows are the generators of the polar cone:
@@ -1124,13 +1125,13 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
 # The cached functions themselves, so that `reset_caches` reaches their caches
 # even when the module attributes are rebound (by a tracer, say).
 _CACHED = (is_satisfiable, _entails_cached, _tableau_of, _project_cached,
-           simplify, replaces_a_row, _generators)
+           simplify, replaces_a_row, closed_hull)
 
 
 def reset_caches() -> None:
     """Empty the kernel's caches and their counts: satisfiability,
     entailment, the entailment tableaux, projection, `simplify`, the
-    widening's row replacements and the hull's generators.
+    widening's row replacements and the closed hulls.
 
     `verify` calls this when a run starts, so that what a run costs does
     not depend on what ran before it in the process. The entries stay until

@@ -15,8 +15,7 @@ from chcverify.analysis import (
     is_inductive_model,
     model_to_text,
 )
-from chcverify.chc_ast import (FALSE, Atom, Clause, Program, components, parse_clause,
-                               parse_program)
+from chcverify.chc_ast import FALSE, Atom, Clause, parse_clause, parse_program
 from chcverify.linalg import (EQ, LE, TRUE, ConstraintSet, LinearConstraint,
                               entails_all, project, simplify)
 from chcverify.polyhedra import Polyhedron, canonical_args
@@ -245,81 +244,6 @@ class TestLazyThresholds:
             "false :- p(X, Y), 1*Y < 0."))
         assert widened == {("A", "B"): 3}
         assert calls == {"p": 1}
-
-
-def _prefixed(prog, prefix):
-    # every predicate renamed, the clauses in their order
-    def atom(a):
-        return Atom(prefix + a.pred, a.args)
-
-    return Program(tuple(cl._replace(head=atom(cl.head),
-                                     body=tuple(map(atom, cl.body)))
-                         for cl in prog.clauses))
-
-
-class TestFixpointMemo:
-    @staticmethod
-    def _standalone(progs, memo=None):
-        out = []
-        for prog in progs:
-            model, first = analyze(prog, memo)
-            out.append((model.facts, [(p, cl.id) for p, cl in first.items()]))
-        return out
-
-    @staticmethod
-    def _renamed(expected, prefix):
-        facts, first = expected
-        return ({prefix + p: v for p, v in facts.items()},
-                [(prefix + p, cid) for p, cid in first])
-
-    def test_an_open_memo_iterates_each_component_once(self, monkeypatch):
-        # with one memo: each program, the program again and a copy
-        # with every predicate renamed give what a standalone analysis
-        # gives, and the last two iterate no cyclic component
-        progs = [parse_program(T4)]
-        for attempt in range(1, 101):
-            rng = random.Random(606 * 1_000_000 + attempt)
-            prog = random_program(rng, max_clauses=5)
-            progs += [prog, qa_transform(prog, FALSE)]
-        expected = self._standalone(progs)
-        heads = []
-        contribution = analysis._contribution
-
-        def counting(cl, model):
-            heads.append(cl.head.pred)
-            return contribution(cl, model)
-
-        monkeypatch.setattr(analysis, "_contribution", counting)
-        memoized = 0
-        memo = {}
-        for prog, want in zip(progs, expected):
-            cyclic = {p for scc, is_cyclic in components(prog)
-                      if is_cyclic for p in scc}
-            memoized += bool(cyclic)
-            for n, prefix in enumerate(("", "", "r_")):
-                heads.clear()
-                model, first = analyze(_prefixed(prog, prefix), memo)
-                assert (model.facts, [(p, cl.id) for p, cl in first.items()]
-                        ) == self._renamed(want, prefix)
-                if n > 0:
-                    assert not {prefix + p for p in cyclic} & set(heads)
-        assert memoized > 100
-
-    def test_components_that_read_different_inputs_share_no_fixpoint(self):
-        # the same loop over q, varied in one thing the fixpoint reads:
-        # p's value, q's head arguments, its body arguments
-        base = ("p(X) :- 1*X = 0.\n"
-                "q(X,Y) :- 1*Y = 1, p(X).\n"
-                "q(X1,Y) :- 1*X1+ -1*X = 1, 1*X1 =< 3, q(X,Y).\n"
-                "false :- q(X,Y).\n")
-        progs = [parse_program(text) for text in (
-            base,
-            base.replace("1*X = 0", "1*X = 2"),
-            base.replace("q(X1,Y) :-", "q(Y,X1) :-"),
-            base.replace("q(X,Y).\nfalse", "q(Y,X).\nfalse"))]
-        expected = self._standalone(progs)
-        assert len({str(sorted(facts.items())) for facts, _ in expected}) == 4
-        assert self._standalone(progs, {}) == expected
 
 
 def _cs(*rows):

@@ -98,6 +98,9 @@ PARSE_ERRORS = [
     (parse_clause, "p(X) :- 1*X = 0. q(X).", "trailing input after clause"),
     (parse_clause, "", "expected a clause"),
     (parse_program, "p(X) :- 1*X = 0 q(X).", "expected ',' or '.', found 'q'"),
+    # deeper than the stack: a RecursionError's traceback would exit 1
+    (parse_program, "false :- " + "(" * 3000 + "1*X" + ")" * 3000 + " < 0.",
+     "term nested too deeply"),
     (parse_program, "p(X) q(X).", "expected ':-' or '.', found 'q'"),
     (parse_clause, "1*X = 0 :- p(X).", "an equality head gives two clauses"),
 ]

@@ -17,7 +17,7 @@ from chcverify.cex import build_and_tree, extract_trace, feasible, tree_interpol
 from chcverify.chc_ast import (FALSE, Atom, Program, components, parse_program,
                                program_text)
 from chcverify.driver import Config, Verdict, main, verify
-from chcverify.linalg import (_entails_cached, _generators, _tableau_of,
+from chcverify.linalg import (_entails_cached, _tableau_of, closed_hull,
                               is_satisfiable, simplify)
 from chcverify.qa import answer_pred, qa_transform, query_pred
 from chcverify.refine import polyvariant_specialise, split_facts
@@ -98,7 +98,7 @@ class TestVerify:
         def cache_counts():
             return (is_satisfiable.cache_info(), _entails_cached.cache_info(),
                     simplify.cache_info(), _tableau_of.cache_info(),
-                    _generators.cache_info())
+                    closed_hull.cache_info())
 
         evaluations = _count_evaluations(monkeypatch)
 
@@ -115,21 +115,23 @@ class TestVerify:
         assert after_other_runs[0].misses > 0 and after_other_runs[4].misses > 0
         assert evaluations[:2] == evaluations[2:] and evaluations[1] > 0
 
-    def test_updown_hulls_most_operands_again(self):
-        # A round analyses the query-answer transform, then the program,
-        # whose hulls join the same sets again; later rounds meet earlier
-        # rounds' sets too. So most generator lookups of a run hit (51 of
-        # 92 on updown), which is what the generator cache is for.
-        verify(parse_program(UPDOWN))
-        info = _generators.cache_info()
+    def test_updown_hulls_most_operands_again(self, tmp_path):
+        # The analyses of a run join many pairs of sets again, most of all
+        # in the rounds after a split. So most hull lookups of a run hit
+        # (34 of 60 on updown), which is what the hull cache is for.
+        verdict = verify(parse_program(UPDOWN), Config(dump_dir=str(tmp_path)))
+        info = closed_hull.cache_info()
         assert info.hits > info.misses > 0
+        assert (verdict.kind, verdict.refinements) == ("unknown", 5)
+        assert verdict.reason == "round 5 repeats round 4"
+        assert len(os.listdir(tmp_path)) == 20  # 4 kinds in rounds 0-4
 
     def test_an_early_safe_model_is_re_checked(self, monkeypatch):
         # No integrity clause: safe before any analysis, but the model that
         # ships must still be inductive. Here p is bottom although c1
         # derives p(0).
         monkeypatch.setattr(driver, "analyze",
-                            lambda program, memo=None: (AbstractModel({}), None))
+                            lambda program: (AbstractModel({}), None))
         with pytest.raises(RuntimeError, match="non-inductive"):
             verify(parse_program("p(X) :- 1*X = 0.\n"))
 
@@ -139,10 +141,10 @@ class TestVerify:
         real = driver.analyze
         calls = []
 
-        def analyze(program, memo=None):
+        def analyze(program):
             calls.append(program)
             if len(calls) == 1:
-                return real(program, memo)
+                return real(program)
             return AbstractModel({}), None
 
         monkeypatch.setattr(driver, "analyze", analyze)
@@ -175,6 +177,25 @@ class TestVerify:
         assert verdict.events[-1] == "round 2: stopped: round 2 repeats round 1"
         assert all("feasible" not in e or "spurious" in e
                    for e in verdict.events)
+
+    @pytest.mark.parametrize("text, config, fm_limit, kind, refinements, reason", [
+        (SAFE_COUNTER, Config(), None, "safe", 0, None),
+        (T4, Config(), None, "unsafe", 1, None),
+        # the limit comes before round 2, which would repeat round 1
+        (BOUNDARY_COUNTER, Config(max_refinements=1), None, "unknown", 1,
+         "refinement limit reached"),
+        (CAPPED_AFTER_A_SPLIT, Config(), 1, "unknown", 1, "projection"),
+    ], ids=["safe", "unsafe", "refinement-limit", "fm-step-limit"])
+    def test_each_way_a_run_ends(self, monkeypatch, text, config, fm_limit,
+                                 kind, refinements, reason):
+        if fm_limit is not None:
+            monkeypatch.setattr(linalg, "FM_LIMIT", fm_limit)
+        # a second run of the same program ends as the first did
+        for _ in range(2):
+            verdict = verify(parse_program(text), config)
+            assert (verdict.kind, verdict.refinements) == (kind, refinements)
+            assert (verdict.reason is None) == (reason is None)
+            assert reason is None or reason in verdict.reason
 
     def test_refinement_budget_exhaustion_is_unknown(self):
         verdict = verify(parse_program(T4), Config(max_refinements=0))
@@ -292,8 +313,9 @@ def _scrambled_names(program, rng):
 
 
 def _one_round(program):
-    # the split and the specialisation that one refinement of `program`
-    # makes, and whether a spurious counterexample gave an interpolant
+    # the analysis, the split and the specialisation that one refinement of
+    # `program` makes, and whether a spurious counterexample gave an
+    # interpolant
     model, first = analyze(program)
     interpolant = None
     if not check_safety(model):
@@ -301,7 +323,8 @@ def _one_round(program):
         if not feasible(tree):
             interpolant = tree_interpolants(tree)
     split = split_facts(program, model, interpolant)
-    return split, polyvariant_specialise(program, split), interpolant is not None
+    return ((model.facts, [(p, cl.id) for p, cl in first.items()]), split,
+            polyvariant_specialise(program, split), interpolant is not None)
 
 
 def test_a_round_commutes_with_renaming_the_predicates():
@@ -333,8 +356,12 @@ def test_a_round_commutes_with_renaming_the_predicates():
             with pytest.raises(linalg.ResourceLimitError):
                 _one_round(renamed)
             continue
-        split, (out, origin), has_interpolant = want
-        got_split, (got, got_origin), got_interpolant = _one_round(renamed)
+        (facts, first), split, (out, origin), has_interpolant = want
+        ((got_facts, got_first), got_split, (got, got_origin),
+         got_interpolant) = _one_round(renamed)
+        # the analysis of the renamed program is the renamed analysis
+        assert got_facts == {names[p]: v for p, v in facts.items()}, attempt
+        assert got_first == [(names[p], cid) for p, cid in first], attempt
         assert got_interpolant == has_interpolant, attempt
         assert got_split.parts == {names[p]: c for p, c in split.parts.items()}
         assert got_split.wholes == {names[p]: c for p, c in split.wholes.items()}
@@ -370,70 +397,6 @@ def test_reversing_the_name_order_changes_only_names(tmp_path, text, config):
     assert {f: base.sub(lambda m: back[m[1]], dump)
             for f, dump in got_dumps.items()} == want_dumps
     assert any(f.endswith(".ps") for f in want_dumps)
-
-
-class TestFixpointMemo:
-    @staticmethod
-    def _memo_per_analysis(monkeypatch):
-        seen = []
-        real = driver.analyze
-
-        def analyze(program, memo=None):
-            seen.append(memo)
-            return real(program, memo)
-
-        monkeypatch.setattr(driver, "analyze", analyze)
-        return seen
-
-    @pytest.mark.parametrize("text, config, fm_limit, kind, refinements, reason", [
-        (SAFE_COUNTER, Config(), None, "safe", 0, None),
-        (T4, Config(), None, "unsafe", 1, None),
-        # the limit comes before round 2, which would repeat round 1
-        (BOUNDARY_COUNTER, Config(max_refinements=1), None, "unknown", 1,
-         "refinement limit reached"),
-        (CAPPED_AFTER_A_SPLIT, Config(), 1, "unknown", 1, "projection"),
-    ], ids=["safe", "unsafe", "refinement-limit", "fm-step-limit"])
-    def test_open_from_the_first_refinement_to_the_verdict(
-            self, monkeypatch, text, config, fm_limit, kind, refinements, reason):
-        if fm_limit is not None:
-            monkeypatch.setattr(linalg, "FM_LIMIT", fm_limit)
-        seen = self._memo_per_analysis(monkeypatch)
-        verify(parse_program(text), config)
-        before = len(seen)
-        verdict = verify(parse_program(text), config)
-        assert (verdict.kind, verdict.refinements) == (kind, refinements)
-        assert (verdict.reason is None) == (reason is None)
-        assert reason is None or reason in verdict.reason
-        # round 0 analyses the query-answer transform and the program; every
-        # later analysis of the run shares one memo, which no run shares
-        first, later = seen[:before], seen[before:]
-        assert later[:2] == [None] * min(2, len(later))
-        assert all(type(m) is dict for m in later[2:])
-        assert len({id(m) for m in later[2:]}) == min(1, len(later[2:]))
-        assert not {id(m) for m in later[2:]} & {id(m) for m in first}
-
-    def test_updown_reuses_fixpoints_with_the_same_results(
-            self, monkeypatch, tmp_path):
-        evaluations = _count_evaluations(monkeypatch)
-
-        def run(name):
-            evaluations.append(0)
-            out = tmp_path / name
-            verdict = verify(parse_program(UPDOWN), Config(dump_dir=str(out)))
-            return verdict, {p.name: p.read_text() for p in out.iterdir()}
-
-        memoized = run("memoized")
-        # an analysis that drops the memo: every component iterates
-        real = driver.analyze
-        monkeypatch.setattr(driver, "analyze",
-                            lambda program, memo=None: real(program))
-        iterated = run("iterated")
-        assert memoized == iterated
-        assert memoized[0].kind == "unknown" and memoized[0].refinements == 5
-        assert memoized[0].reason == "round 5 repeats round 4"
-        assert len(memoized[1]) == 20  # 4 kinds in rounds 0-4; round 5 repeats
-        # 448: updown's evaluations before components were memoized
-        assert evaluations[0] < evaluations[1] and evaluations[0] < 448
 
 
 class TestRoundKey:
@@ -633,6 +596,11 @@ class TestCli:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "--max-refinements must not be negative" in captured.err
+        # without a dump directory it would write nothing and say nothing
+        assert main([str(f), "--dump", "qa"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "--dump needs --dump-dir" in captured.err
         assert main(["--help"]) == 0
         assert "usage: chcverify" in capsys.readouterr().out
 
@@ -641,6 +609,10 @@ class TestCli:
         bad.write_text("p(X :- .")
         assert main([str(bad)]) == 3
         assert "error:" in capsys.readouterr().err
+        # not 1 from a RecursionError's traceback, which would read as unsafe
+        bad.write_text("false :- " + "(" * 3000 + "1*X" + ")" * 3000 + " < 0.")
+        assert main([str(bad)]) == 3
+        assert capsys.readouterr().err == f"error: {bad}: term nested too deeply\n"
 
     def test_reserved_predicate_suffix_is_rejected(self, tmp_path, capsys):
         bad = tmp_path / "bad.pl"

@@ -252,15 +252,21 @@ class TestDoubleDescription:
         with pytest.raises(ResourceLimitError, match="double description"):
             linalg._double_description(4, self.CUBE)
 
-    def test_generators_are_cached_per_set_and_space(self):
-        linalg.reset_caches()
+    def test_generators_per_space_and_hulls_cached_per_pair(self):
         cs = S(C({"X": 1}, LE, 2), C({"X": -1}, LT, 0))
-        first = linalg._generators(cs, ("X",))
-        assert linalg._generators(cs, ("X",)) is first
-        assert sorted(first[1]) == [(0, 1), (2, 1)]  # the points 0 and 2
+        lines, rays = linalg._generators(cs, ("X",))
+        assert lines == () and sorted(rays) == [(0, 1), (2, 1)]  # 0 and 2
         assert linalg._generators(cs, ("X", "Y"))[0] == ((0, 1, 0),)
-        info = linalg._generators.cache_info()
-        assert (info.misses, info.hits) == (2, 1)
+        # the hull is cached per ordered pair of sets and space
+        linalg.reset_caches()
+        five = S(C({"X": 1}, EQ, 5))
+        first = linalg.closed_hull(cs, five, ("X",))
+        assert linalg.closed_hull(cs, five, ("X",)) is first
+        assert str(first) == "-1*X =< 0, 1*X =< 5"
+        assert linalg.closed_hull(cs, five, ("X", "Y")) == first
+        assert linalg.closed_hull(five, cs, ("X",)) == first
+        info = linalg.closed_hull.cache_info()
+        assert (info.misses, info.hits) == (3, 1)
 
 
 class TestSimplify:

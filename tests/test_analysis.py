@@ -15,7 +15,8 @@ from chcverify.analysis import (
     is_inductive_model,
     model_to_text,
 )
-from chcverify.chc_ast import FALSE, Atom, Clause, parse_clause, parse_program
+from chcverify.chc_ast import (FALSE, Atom, Clause, Program, components, parse_clause,
+                               parse_program)
 from chcverify.linalg import (EQ, LE, TRUE, ConstraintSet, LinearConstraint,
                               entails_all, project, simplify)
 from chcverify.polyhedra import Polyhedron, canonical_args
@@ -244,6 +245,63 @@ class TestLazyThresholds:
             "false :- p(X, Y), 1*Y < 0."))
         assert widened == {("A", "B"): 3}
         assert calls == {"p": 1}
+
+
+def _prefixed(prog, prefix):
+    # every predicate renamed, the clauses in their order
+    def atom(a):
+        return Atom(prefix + a.pred, a.args)
+
+    return Program(tuple(cl._replace(head=atom(cl.head),
+                                     body=tuple(map(atom, cl.body)))
+                         for cl in prog.clauses))
+
+
+class TestFixpointMemo:
+    # Analyses once shared the fixpoints of their components through a memo.
+    # No fixpoint outlives an analysis now: each one iterates every component
+    # itself, once, and its result depends on the program alone.
+
+    def test_an_open_memo_iterates_each_component_once(self, monkeypatch):
+        # each program, the program again and a copy with every predicate
+        # renamed: the same (renamed) model and first clauses, the same
+        # clause evaluations, each component's in one run, in the order of
+        # `components`, and each clause of an acyclic component once
+        progs = [parse_program(T4)]
+        for attempt in range(1, 101):
+            rng = random.Random(606 * 1_000_000 + attempt)
+            prog = random_program(rng, max_clauses=5)
+            progs += [prog, qa_transform(prog, FALSE)]
+        evaluated = []
+        contribution = analysis._contribution
+
+        def counting(cl, model):
+            evaluated.append((cl.head.pred, cl.id))
+            return contribution(cl, model)
+
+        monkeypatch.setattr(analysis, "_contribution", counting)
+        loops = 0
+        for prog in progs:
+            order = {p: n for n, (scc, _) in enumerate(components(prog))
+                     for p in scc}
+            acyclic = {p for scc, is_cyclic in components(prog)
+                       if not is_cyclic for p in scc}
+            loops += len(acyclic) < len(order)
+            want = None
+            for prefix in ("", "", "r_"):
+                evaluated.clear()
+                model, first = analyze(_prefixed(prog, prefix))
+                got = ({p[len(prefix):]: v for p, v in model.facts.items()},
+                       [(p[len(prefix):], cl.id) for p, cl in first.items()],
+                       [(p[len(prefix):], cid) for p, cid in evaluated])
+                if want is None:
+                    want = got
+                assert got == want
+                steps = [order[p] for p, _ in got[2]]
+                assert steps == sorted(steps)
+                once = [e for e in got[2] if e[0] in acyclic]
+                assert len(once) == len(set(once))
+        assert loops > 100
 
 
 def _cs(*rows):

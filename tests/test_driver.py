@@ -9,8 +9,8 @@ import sys
 
 import pytest
 
-from conftest import (DATA, REPO, T4, chain_program, random_program, shallow_stack,
-                      t4k_program)
+from conftest import (BOUNDARY_COUNTER, DATA, REPO, T4, chain_program,
+                      random_program, shallow_stack, t4k_program)
 from chcverify import analysis, driver, linalg
 from chcverify.analysis import AbstractModel, analyze, check_safety, is_inductive_model
 from chcverify.cex import build_and_tree, extract_trace, feasible, tree_interpolants
@@ -34,12 +34,6 @@ UNSAFE_COUNTER = """\
 p(X) :- 1*X = 0.
 p(Y) :- 1*X+ -1*Y = -1, p(X).
 false :- 1*X =< 0, p(X).
-"""
-
-BOUNDARY_COUNTER = """\
-p(X) :- 1*X = 0.
-p(Y) :- 1*X+ -1*Y = -1, p(X).
-false :- 1*X = 2, p(X).
 """
 
 # With FM_LIMIT = 1 round 0 fits the cap and round 1 exceeds it, in the

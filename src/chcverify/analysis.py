@@ -10,10 +10,13 @@ productive pass. The iteration is semi-naive: every predicate carries a
 version that goes up whenever its value is replaced, and a clause is
 re-evaluated only when its body predicates' versions differ from those it was
 last evaluated under. A contribution is a pure function of the body values,
-and a predicate's value only grows, so a skipped clause adds nothing; of the
-contributions that are evaluated, only those not already below the value are
-hulled in. The widening thresholds are the head bounds that each clause's own
-constraint implies. `analyze` mines a predicate's bounds from its clauses
+and a predicate's value only grows, so a skipped clause adds nothing. An
+update starts from the predicate's value and folds in each evaluated
+contribution: one below the value is skipped, one above it replaces it, and
+any other is hulled in, so each direction of inclusion is asked once per
+contribution and no hull has an operand that includes the other. The
+widening thresholds are the head bounds that each clause's own constraint
+implies. `analyze` mines a predicate's bounds from its clauses
 (`compute_thresholds`) the first time it widens that predicate, and keeps
 them for the rest of the call; a predicate that no cyclic component widens
 is never mined.
@@ -190,8 +193,7 @@ def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
             snapshot = AbstractModel(dict(values))
             snapshot_version = dict(version)
             for pred in scc:
-                old = values[pred]
-                joined = Polyhedron.bottom(old.space)
+                old = new = values[pred]
                 grower: Optional[Clause] = None
                 for cl in program.clauses_for(pred):
                     stamp = tuple(snapshot_version[b.pred] for b in cl.body)
@@ -199,16 +201,15 @@ def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
                         continue
                     evaluated[cl] = stamp
                     contrib = _contribution(cl, snapshot)
-                    if contrib.leq(old):
+                    if contrib.leq(new):
                         continue
                     if grower is None:
                         grower = cl
-                    joined = joined.hull(contrib)
+                    new = contrib if new.leq(contrib) else new.hull(contrib)
                 if grower is None:
                     continue
-                # The hull contains the grower's contribution, and widening
+                # `new` contains the grower's contribution, and widening
                 # contains its second operand, so `new` is strictly above old.
-                new = old.hull(joined)
                 if cyclic and iteration > WIDEN_DELAY:
                     bounds = thresholds.get(pred)
                     if bounds is None:

@@ -99,6 +99,10 @@ def _round_key(program: Program) -> tuple:
 def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     """Decide whether `program` derives `false`.
 
+    Raises ValueError for a `config` that the command line would reject: a
+    negative `max_refinements`, or a `dump_kinds` entry outside
+    `DUMP_KINDS`, which a bare string such as "qa" has too.
+
     A run starts by emptying the kernel's caches (`linalg.reset_caches`),
     so what it costs does not depend on what ran before it. Four budgets
     bound a run, and each ends it in `unknown` with a reason:
@@ -124,6 +128,12 @@ def verify(program: Program, config: Optional[Config] = None) -> Verdict:
     `unknown` as well.
     """
     cfg = config or Config()
+    if cfg.max_refinements < 0:
+        raise ValueError(f"max_refinements must not be negative, "
+                         f"not {cfg.max_refinements}")
+    if not set(cfg.dump_kinds) <= set(DUMP_KINDS):
+        raise ValueError(f"dump_kinds must hold kinds from {DUMP_KINDS}, "
+                         f"not {cfg.dump_kinds!r}")
     reset_caches()
     events: List[str] = []
     rounds = 0

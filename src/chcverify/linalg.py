@@ -56,16 +56,18 @@ number of intermediate constraints is capped (`FM_LIMIT`) and exceeding
 the cap raises ResourceLimitError so callers can degrade to an "unknown"
 verdict instead of diverging.
 
-The closed convex hull of two sets is computed by double description
-(Motzkin et al. 1953; Fukuda & Prodon 1996), in integers throughout, and
-cached per pair of sets (`closed_hull`). Each set's closure, homogenised
-with a variable t >= 0, is a cone, converted to its lines and extreme rays
+The convex hull of two sets is computed by double description (Motzkin et
+al. 1953; Fukuda & Prodon 1996), in integers throughout, and cached per
+pair of sets (`convex_hull`). Each set's closure, homogenised with a
+variable t >= 0, is a cone, converted to its lines and extreme rays
 (`_generators`). The cone that the generators of both sets span is
 converted back by the same method on its polar: polar lines are the hull's
 equalities and polar rays its facets, so the result has no redundant row.
 The facets are reduced modulo the equalities, so the rows do not depend on
-the order in which the generators were found. `FM_LIMIT` caps the rays of
-every intermediate step too.
+the order in which the generators were found. A facet is then made strict
+when both sets entail it strictly; a strict row that is no facet of the
+closed hull is lost. `FM_LIMIT` caps the rays of every intermediate step
+too.
 """
 
 from __future__ import annotations
@@ -93,7 +95,7 @@ __all__ = [
     "entails_all",
     "replaces_a_row",
     "project",
-    "closed_hull",
+    "convex_hull",
     "simplify",
     "farkas_refutation",
     "reset_caches",
@@ -358,22 +360,13 @@ class ConstraintSet:
         return out
 
     def rename(self, mapping: Mapping[str, str]) -> "ConstraintSet":
-        renamed = [c.rename(mapping) for c in self.constraints]
-        names = {v for c in self.constraints for v, _ in c.coeffs}
-        if len({mapping.get(v, v) for v in names}) < len(names):
-            return ConstraintSet.make(renamed)
-        # Injective on the variables: every row stays non-trivial and the
-        # rows stay distinct, so only their order can change.
-        return ConstraintSet(tuple(sorted(renamed, key=_constraint_key)))
+        return ConstraintSet.make(c.rename(mapping) for c in self.constraints)
 
     def evaluate(self, point: Mapping[str, Rat]) -> bool:
         return all(c.evaluate(point) for c in self.constraints)
 
     def closure(self) -> "ConstraintSet":
         return ConstraintSet.make(c.closure() for c in self.constraints)
-
-    def has_trivially_false(self) -> bool:
-        return any(c.is_trivially_false() for c in self.constraints)
 
     def __str__(self) -> str:
         if not self.constraints:
@@ -833,11 +826,6 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
 
 @lru_cache(maxsize=65536)
 def _project_cached(cs: ConstraintSet, keep: frozenset) -> ConstraintSet:
-    drop = sorted(cs.variables() - keep)
-    if not drop:
-        if cs.has_trivially_false():
-            return FALSE_SET
-        return cs
     work: List[LinearConstraint] = list(cs.constraints)
 
     # Gaussian pass: use equalities to substitute eliminable variables away.
@@ -1047,20 +1035,24 @@ def _generators(cs: ConstraintSet, space: Tuple[str, ...]
 
 
 @lru_cache(maxsize=65536)
-def closed_hull(p: ConstraintSet, q: ConstraintSet,
+def convex_hull(p: ConstraintSet, q: ConstraintSet,
                 space: Tuple[str, ...]) -> ConstraintSet:
-    """The closed convex hull of two satisfiable sets over `space`, the
-    closure of their union's convex hull, with no redundant row and every
-    implied equality an equality. Cached, because a round's program
+    """The convex hull of two satisfiable sets over `space`: the closure of
+    their union's convex hull, with each facet strict where both sets
+    entail it strictly, no redundant row and every implied equality an
+    equality. A convex combination of two points that satisfy a strict row
+    satisfies it too, so the result contains the union, and it is exact on
+    closed sets. Cached, strictness included, because a round's program
     analysis joins pairs that its query-answer analysis joined, and a later
     round joins pairs that an earlier one did.
 
-    Its cone is generated by the generators of both closures
+    The closed hull's cone is generated by the generators of both closures
     (`_generators`), and its rows are the generators of the polar cone:
     each polar line c reads c.(x, t) = 0 at t = 1, an equality, and each
     polar ray an inequality. Each equality in turn eliminates its last
     variable from every other row, so that an inequality is read modulo the
-    equalities; the ray of t >= 0 then reads 0 <= 1 and is dropped.
+    equalities; the ray of t >= 0 then reads 0 <= 1 and is dropped. Making
+    a facet strict adds no redundant row and no implied equality.
     """
     lines_p, rays_p = _generators(p, space)
     lines_q, rays_q = _generators(q, space)
@@ -1079,8 +1071,14 @@ def closed_hull(p: ConstraintSet, q: ConstraintSet,
     for rel, gens in ((EQ, eqs), (LE, rows)):
         for g in gens:
             items = sorted((v, a) for v, a in zip(space, g) if a)
-            if items:
-                out.append(_canonical(items, rel, -g[-1]))
+            if not items:
+                continue
+            c = _canonical(items, rel, -g[-1])
+            if rel == LE:
+                s = c.strict()
+                if _entails_cached(p, s) and _entails_cached(q, s):
+                    c = s
+            out.append(c)
     return ConstraintSet.make(out)
 
 
@@ -1125,13 +1123,13 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
 # The cached functions themselves, so that `reset_caches` reaches their caches
 # even when the module attributes are rebound (by a tracer, say).
 _CACHED = (is_satisfiable, _entails_cached, _tableau_of, _project_cached,
-           simplify, replaces_a_row, closed_hull)
+           simplify, replaces_a_row, convex_hull)
 
 
 def reset_caches() -> None:
     """Empty the kernel's caches and their counts: satisfiability,
     entailment, the entailment tableaux, projection, `simplify`, the
-    widening's row replacements and the closed hulls.
+    widening's row replacements and the convex hulls.
 
     `verify` calls this when a run starts, so that what a run costs does
     not depend on what ran before it in the process. The entries stay until

@@ -4,22 +4,17 @@ A `Polyhedron` is a satisfiable constraint set over a fixed variable tuple
 (its space), or bottom. Polyhedra support the not-necessarily-closed
 operations needed by the analysis: meet, inclusion, convex hull and widening.
 
-The hull of two polyhedra is their closed convex hull, computed by double
-description (`linalg.closed_hull`): each operand's closure is converted to
-generators, and the generators of both back to constraints. A post-pass
-re-strengthens a resulting inequality to strict whenever both operands
-entail the strict form, which is sound because a convex combination of two
-points satisfying a strict inequality satisfies it too. The result
-therefore contains the union and is exact on closed operands.
+The hull of two polyhedra is `linalg.convex_hull`: the closed convex hull
+by double description, with each facet strict where both operands entail
+it strictly. It contains the union and is exact on closed operands.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Optional, Sequence, Tuple
 
-from .linalg import (LE, ConstraintSet, FALSE_SET, LinearConstraint,
-                     closed_hull, entails, entails_all, replaces_a_row,
-                     simplify)
+from .linalg import (ConstraintSet, FALSE_SET, LinearConstraint, convex_hull,
+                     entails, entails_all, replaces_a_row, simplify)
 
 __all__ = [
     "Polyhedron",
@@ -108,29 +103,21 @@ class Polyhedron:
         return entails_all(self.constraints, other.constraints)
 
     def hull(self, other: "Polyhedron") -> "Polyhedron":
-        """The closed convex hull of both, with each facet strict where
-        both operands entail it strictly; the operand itself when one
-        includes the other. The double description leaves no redundant row
-        and no unmarked implied equality, and making a facet strict adds
-        neither, so the rows need no `simplify`."""
+        """The convex hull of both (`linalg.convex_hull`), the other
+        operand when one is bottom. The double description leaves no
+        redundant row and no unmarked implied equality, so the rows need
+        no `simplify`. A strict row that is no facet of the closed hull is
+        lost, also when one operand includes the other: the hull of
+        X >= 0, Y >= 0, X + Y > 0 with itself keeps the origin. So
+        `analysis.analyze` decides inclusion before it asks for a hull."""
         if self.space != other.space:
             raise ValueError("hull of polyhedra over different spaces")
         if self.is_bottom:
             return other
         if other.is_bottom:
             return self
-        if self.leq(other):
-            return other
-        if other.leq(self):
-            return self
-        out = []
-        for c in closed_hull(self.constraints, other.constraints, self.space):
-            if c.rel == LE:
-                s = c.strict()
-                if entails(self.constraints, s) and entails(other.constraints, s):
-                    c = s
-            out.append(c)
-        return Polyhedron(self.space, ConstraintSet.make(out))
+        return Polyhedron(self.space, convex_hull(
+            self.constraints, other.constraints, self.space))
 
     def widen(self, other: "Polyhedron",
               thresholds: Iterable[LinearConstraint] = ()) -> "Polyhedron":

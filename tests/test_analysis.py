@@ -257,12 +257,12 @@ def _prefixed(prog, prefix):
                          for cl in prog.clauses))
 
 
-class TestFixpointMemo:
-    # Analyses once shared the fixpoints of their components through a memo.
-    # No fixpoint outlives an analysis now: each one iterates every component
+class TestDeterminism:
+    # No fixpoint outlives an analysis: each one iterates every component
     # itself, once, and its result depends on the program alone.
 
-    def test_an_open_memo_iterates_each_component_once(self, monkeypatch):
+    def test_each_component_is_iterated_once_and_renaming_commutes(
+            self, monkeypatch):
         # each program, the program again and a copy with every predicate
         # renamed: the same (renamed) model and first clauses, the same
         # clause evaluations, each component's in one run, in the order of

@@ -17,7 +17,7 @@ from chcverify.cex import build_and_tree, extract_trace, feasible, tree_interpol
 from chcverify.chc_ast import (FALSE, Atom, Program, components, parse_program,
                                program_text)
 from chcverify.driver import Config, Verdict, main, verify
-from chcverify.linalg import (_entails_cached, _tableau_of, closed_hull,
+from chcverify.linalg import (_entails_cached, _tableau_of, convex_hull,
                               is_satisfiable, simplify)
 from chcverify.qa import answer_pred, qa_transform, query_pred
 from chcverify.refine import polyvariant_specialise, split_facts
@@ -92,7 +92,7 @@ class TestVerify:
         def cache_counts():
             return (is_satisfiable.cache_info(), _entails_cached.cache_info(),
                     simplify.cache_info(), _tableau_of.cache_info(),
-                    closed_hull.cache_info())
+                    convex_hull.cache_info())
 
         evaluations = _count_evaluations(monkeypatch)
 
@@ -114,7 +114,7 @@ class TestVerify:
         # in the rounds after a split. So most hull lookups of a run hit
         # (34 of 60 on updown), which is what the hull cache is for.
         verify(parse_program(UPDOWN))
-        info = closed_hull.cache_info()
+        info = convex_hull.cache_info()
         assert info.hits > info.misses > 0
 
     def test_an_early_safe_model_is_re_checked(self, monkeypatch):
@@ -187,6 +187,20 @@ class TestVerify:
             assert (verdict.kind, verdict.refinements) == (kind, refinements)
             assert (verdict.reason is None) == (reason is None)
             assert reason is None or reason in verdict.reason
+
+    def test_a_negative_refinement_budget_raises(self):
+        # the command line rejects --max-refinements -1 as a usage error
+        with pytest.raises(ValueError, match="max_refinements"):
+            verify(parse_program(T4), Config(max_refinements=-1))
+
+    @pytest.mark.parametrize("kinds", [("modle",), ("qa", "spec", "x"), "qa"])
+    def test_an_unknown_dump_kind_raises(self, tmp_path, kinds):
+        # a misspelt kind would dump nothing, and a bare string is no tuple
+        # of kinds, whatever substrings it holds
+        with pytest.raises(ValueError, match="dump_kinds"):
+            verify(parse_program(T4),
+                   Config(dump_dir=str(tmp_path), dump_kinds=kinds))
+        assert not any(tmp_path.iterdir())
 
     def test_refinement_budget_exhaustion_is_unknown(self):
         verdict = verify(parse_program(T4), Config(max_refinements=0))
@@ -390,12 +404,12 @@ def test_reversing_the_name_order_changes_only_names(tmp_path, text, config):
     assert any(f.endswith(".ps") for f in want_dumps)
 
 
-class TestFixpointMemo:
-    # Analyses once shared the fixpoints of their components through a memo.
-    # No fixpoint outlives an analysis now; what a second run reuses is the
-    # caches of linalg, and it must end as the first did.
+class TestRepeatedRuns:
+    # No fixpoint outlives an analysis; what a second run of the process
+    # could reuse is the caches of linalg, which each run empties first, and
+    # it must end as the first did.
 
-    def test_updown_reuses_fixpoints_with_the_same_results(
+    def test_updown_twice_gives_the_same_verdict_dumps_and_evaluations(
             self, monkeypatch, tmp_path):
         evaluations = _count_evaluations(monkeypatch)
 
@@ -644,6 +658,6 @@ class TestCli:
 
 
 
-def test_verdict_dataclass_shape():
+def test_verdict_fields_default_to_none_and_no_events():
     v = Verdict("safe", 0)
     assert v.trace is None and v.reason is None and v.events == ()

@@ -94,8 +94,10 @@ class TestConstraintSet:
         assert len(S(C({"X": 0}, LT, 1))) == 0
 
     def test_trivially_false_row_is_kept(self):
-        assert S(C({}, LE, -1)).has_trivially_false()
-        assert FALSE_SET.has_trivially_false()
+        false = C({}, LE, -1)
+        assert false.is_trivially_false()
+        assert S(false).constraints == (false,)
+        assert FALSE_SET.constraints == (false,)
 
     def test_rename_is_simultaneous(self):
         cs = S(C({"X": 1, "Y": -1}, LE, 0))
@@ -260,12 +262,12 @@ class TestDoubleDescription:
         # the hull is cached per ordered pair of sets and space
         linalg.reset_caches()
         five = S(C({"X": 1}, EQ, 5))
-        first = linalg.closed_hull(cs, five, ("X",))
-        assert linalg.closed_hull(cs, five, ("X",)) is first
-        assert str(first) == "-1*X =< 0, 1*X =< 5"
-        assert linalg.closed_hull(cs, five, ("X", "Y")) == first
-        assert linalg.closed_hull(five, cs, ("X",)) == first
-        info = linalg.closed_hull.cache_info()
+        first = linalg.convex_hull(cs, five, ("X",))
+        assert linalg.convex_hull(cs, five, ("X",)) is first
+        assert str(first) == "-1*X < 0, 1*X =< 5"  # both entail X > 0
+        assert linalg.convex_hull(cs, five, ("X", "Y")) == first
+        assert linalg.convex_hull(five, cs, ("X",)) == first
+        info = linalg.convex_hull.cache_info()
         assert (info.misses, info.hits) == (3, 1)
 
 

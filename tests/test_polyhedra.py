@@ -139,6 +139,14 @@ class TestHull:
         raw = mixing_hull(p.constraints, q.constraints, sp, simplified=False)
         assert row in raw and entails(raw, row) and entails_all(raw, h)
 
+    def test_hull_with_itself_loses_a_strict_non_facet_row(self):
+        # X + Y > 0 only cuts off the origin, a vertex of the closure, so
+        # it is no facet, and the hull of p with itself keeps the origin;
+        # `analyze` asks inclusion first and never hulls such a pair
+        p = P(("X", "Y"), C({"X": -1}, LE, 0), C({"Y": -1}, LE, 0),
+              C({"X": -1, "Y": -1}, LT, 0))
+        assert str(p.hull(p)) == "-1*X =< 0, -1*Y =< 0"
+
     def test_a_tiny_limit_stops_the_double_description(self, monkeypatch):
         a = P(("X", "Y"), C({"X": 1}, EQ, 0), C({"Y": 1}, EQ, 0))
         b = P(("X", "Y"), C({"X": 1}, EQ, 1), C({"Y": 1}, EQ, 2))

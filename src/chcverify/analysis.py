@@ -44,7 +44,8 @@ from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .chc_ast import Atom, Clause, FALSE, Program, components
 from .linalg import (FALSE_SET, TRUE, ConstraintSet, LinearConstraint,
-                     ResourceLimitError, is_satisfiable, project, simplify)
+                     ResourceLimitError, is_satisfiable, project, renamed,
+                     simplify)
 from .polyhedra import Polyhedron, canonical_args
 
 __all__ = [
@@ -85,10 +86,7 @@ def _place(clause: Clause,
     for atom, fact in placed:
         if fact is None:
             return None
-        # Atom arguments are distinct, so the renaming is injective: every
-        # renamed row stays canonical, and `make` sorts the rows once.
-        onto = dict(zip(canonical_args(atom.arity), atom.args))
-        rows.extend(c.rename(onto) for c in fact)
+        rows.extend(renamed(fact, canonical_args(atom.arity), atom.args))
     return ConstraintSet.make(rows)
 
 
@@ -117,8 +115,8 @@ def consequence(clause: Clause,
     if cs is None:
         return None
     head = clause.head
-    got = simplify(project(cs, head.args).rename(
-        dict(zip(head.args, canonical_args(head.arity)))))
+    got = simplify(renamed(project(cs, head.args), head.args,
+                           canonical_args(head.arity)))
     return None if got is FALSE_SET else got
 
 

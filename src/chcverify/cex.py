@@ -32,6 +32,7 @@ from .linalg import (
     Rat,
     farkas_refutation,
     is_satisfiable,
+    renamed,
 )
 from .polyhedra import canonical_args
 
@@ -201,8 +202,8 @@ class TreeInterpolant(NamedTuple):
         """Per-predicate conjunction of all facts, over canonical arguments."""
         pooled: Dict[str, List[LinearConstraint]] = {}
         for atom, cs in self.facts:
-            onto = dict(zip(atom.args, canonical_args(len(atom.args))))
-            pooled.setdefault(atom.pred, []).extend(cs.rename(onto))
+            pooled.setdefault(atom.pred, []).extend(
+                renamed(cs, atom.args, canonical_args(len(atom.args))))
         return {p: ConstraintSet.make(rows) for p, rows in pooled.items()}
 
 

@@ -7,6 +7,10 @@ its canonical form: coprime Python `int` coefficients and bound. Rationals
 integer: inputs to `LinearConstraint.make`, the bound of a constant
 constraint, LP points, and Farkas multipliers.
 
+A fact moves between canonical argument names and an atom's arguments by a
+positional rename, `renamed`, cached per set and pair of name tuples: the
+analysis moves the same few facts onto the same atoms again and again.
+
 Satisfiability, entailment and redundancy are decided by one incremental
 simplex with Bland's rule on a fraction-free integer tableau (`_Tableau`).
 It is kept feasible while rows are added one at a time: a `<=` row whose
@@ -90,6 +94,7 @@ __all__ = [
     "TRUE",
     "FALSE_CONSTRAINT",
     "FALSE_SET",
+    "renamed",
     "is_satisfiable",
     "entails",
     "entails_all",
@@ -365,9 +370,6 @@ class ConstraintSet:
     def evaluate(self, point: Mapping[str, Rat]) -> bool:
         return all(c.evaluate(point) for c in self.constraints)
 
-    def closure(self) -> "ConstraintSet":
-        return ConstraintSet.make(c.closure() for c in self.constraints)
-
     def __str__(self) -> str:
         if not self.constraints:
             return "true"
@@ -380,6 +382,16 @@ def _constraint_key(c: LinearConstraint):
 
 TRUE = ConstraintSet(())
 FALSE_SET = ConstraintSet((FALSE_CONSTRAINT,))
+
+
+@lru_cache(maxsize=65536)
+def renamed(cs: ConstraintSet, src: Tuple[str, ...], dst: Tuple[str, ...]
+            ) -> ConstraintSet:
+    """`cs` with each name src[i] renamed to dst[i]: a fact moved between
+    canonical argument names and an atom's arguments. The analysis places
+    the same few facts on the same atoms again and again, so the renaming
+    is cached; a one-off map goes through `ConstraintSet.rename`."""
+    return cs.rename(dict(zip(src, dst)))
 
 
 # ---------------------------------------------------------------------------
@@ -1122,14 +1134,14 @@ def simplify(cs: ConstraintSet) -> ConstraintSet:
 
 # The cached functions themselves, so that `reset_caches` reaches their caches
 # even when the module attributes are rebound (by a tracer, say).
-_CACHED = (is_satisfiable, _entails_cached, _tableau_of, _project_cached,
-           simplify, replaces_a_row, convex_hull)
+_CACHED = (renamed, is_satisfiable, _entails_cached, _tableau_of,
+           _project_cached, simplify, replaces_a_row, convex_hull)
 
 
 def reset_caches() -> None:
-    """Empty the kernel's caches and their counts: satisfiability,
-    entailment, the entailment tableaux, projection, `simplify`, the
-    widening's row replacements and the convex hulls.
+    """Empty the kernel's caches and their counts: the positional renames,
+    satisfiability, entailment, the entailment tableaux, projection,
+    `simplify`, the widening's row replacements and the convex hulls.
 
     `verify` calls this when a run starts, so that what a run costs does
     not depend on what ran before it in the process. The entries stay until

@@ -16,7 +16,7 @@ from typing import Dict, List, Optional, Set, Tuple
 from .analysis import instantiate
 from .cex import TraceTerm
 from .chc_ast import Atom, Clause, Program
-from .linalg import ConstraintSet, project, simplify
+from .linalg import ConstraintSet, project, renamed, simplify
 from .polyhedra import canonical_args
 
 FAN_OUT_LIMIT = 10_000
@@ -50,9 +50,9 @@ def bounded_derive(program: Program, goal: Atom, depth: int
         if key not in steps:
             full = instantiate(cl, answers)
             head_args = cl.head.args
-            steps[key] = None if full is None else simplify(
-                project(full, head_args)).rename(
-                    dict(zip(head_args, canonical_args(len(head_args)))))
+            steps[key] = None if full is None else renamed(
+                simplify(project(full, head_args)), head_args,
+                canonical_args(len(head_args)))
         return steps[key]
 
     def derive(pred: str, d: int) -> Tuple[Tuple[TraceTerm, ConstraintSet], ...]:

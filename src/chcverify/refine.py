@@ -30,6 +30,7 @@ from .linalg import (
     ConstraintSet,
     ResourceLimitError,
     entails,
+    renamed,
     simplify,
 )
 from .polyhedra import Polyhedron, canonical_args
@@ -112,13 +113,11 @@ def polyvariant_specialise(program: Program, split: SplitModel
         cells = split.parts[pred]
         return cells[k] if k < len(cells) else split.wholes[pred]
 
-    def renamed(poly: Polyhedron, args: Tuple[str, ...]) -> ConstraintSet:
-        return poly.constraints.rename(dict(zip(poly.space, args)))
-
     def dispatch(known: ConstraintSet, atom: Atom) -> int:
         cells = split.parts[atom.pred]
         for k, cell in enumerate(cells):
-            if all(entails(known, c) for c in renamed(cell, atom.args)):
+            if all(entails(known, c) for c in
+                   renamed(cell.constraints, cell.space, atom.args)):
                 return k
         return len(cells)
 

@@ -200,6 +200,11 @@ def in_hull_2d(hull: Sequence[Tuple[Fraction, Fraction]],
     return True
 
 
+def closure(cs: ConstraintSet) -> ConstraintSet:
+    """`cs` with every strict row made non-strict."""
+    return ConstraintSet.make(c.closure() for c in cs)
+
+
 def mixing_hull(p: ConstraintSet, q: ConstraintSet,
                 space: Sequence[str], simplified: bool = True) -> ConstraintSet:
     """The hull of two satisfiable sets over `space` by the mixing encoding
@@ -224,7 +229,7 @@ def mixing_hull(p: ConstraintSet, q: ConstraintSet,
     rows += [LinearConstraint.make({f"$h1{v}": 1, f"$h2{v}": 1, v: -1}, EQ, 0)
              for v in space]
     for k, cs in ((1, p), (2, q)):
-        for c in cs.closure():
+        for c in closure(cs):
             coeffs = {f"$h{k}{v}": a for v, a in c.coeffs}
             coeffs[f"$lam{k}"] = -c.bound
             rows.append(LinearConstraint.make(coeffs, c.rel, 0))

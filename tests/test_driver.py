@@ -18,7 +18,7 @@ from chcverify.chc_ast import (FALSE, Atom, Program, components, parse_program,
                                program_text)
 from chcverify.driver import Config, Verdict, main, verify
 from chcverify.linalg import (_entails_cached, _tableau_of, convex_hull,
-                              is_satisfiable, simplify)
+                              is_satisfiable, renamed, simplify)
 from chcverify.qa import answer_pred, qa_transform, query_pred
 from chcverify.refine import polyvariant_specialise, split_facts
 
@@ -92,7 +92,7 @@ class TestVerify:
         def cache_counts():
             return (is_satisfiable.cache_info(), _entails_cached.cache_info(),
                     simplify.cache_info(), _tableau_of.cache_info(),
-                    convex_hull.cache_info())
+                    convex_hull.cache_info(), renamed.cache_info())
 
         evaluations = _count_evaluations(monkeypatch)
 
@@ -115,6 +115,15 @@ class TestVerify:
         # (34 of 60 on updown), which is what the hull cache is for.
         verify(parse_program(UPDOWN))
         info = convex_hull.cache_info()
+        assert info.hits > info.misses > 0
+
+    def test_updown_renames_most_facts_again(self):
+        # A run places the same few facts on the same atoms again and again,
+        # and renames the same projections back to canonical names. So most
+        # positional renames of a run hit (601 of 774 on updown), which is
+        # what the rename cache is for.
+        verify(parse_program(UPDOWN))
+        info = renamed.cache_info()
         assert info.hits > info.misses > 0
 
     def test_an_early_safe_model_is_re_checked(self, monkeypatch):

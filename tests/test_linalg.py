@@ -22,6 +22,7 @@ from chcverify.linalg import (
     is_satisfiable,
     project,
     rat,
+    renamed,
     simplify,
     solve_lp,
 )
@@ -596,6 +597,27 @@ class TestSetRename:
             assert out.constraints == expected.constraints, (cs, mapping)
             assert hash(out) == hash(expected)
         assert 50 <= injective <= 150
+
+
+class TestPositionalRename:
+    def test_agrees_with_the_dict_rename_and_renames_back(self):
+        # As the analysis renames facts: canonical names onto an atom's
+        # distinct arguments, which may be canonical names in another
+        # order, and back.
+        rng = random.Random(32)
+        canonical = ("A", "B", "C", "D")
+        flipped = 0
+        for _ in range(300):
+            cs = S(*(random_row(rng, canonical) for _ in range(rng.randint(0, 4))))
+            args = tuple(rng.sample(canonical + ("W", "X", "Y", "Z"), 4))
+            onto = dict(zip(canonical, args))
+            out = renamed(cs, canonical, args)
+            assert out.constraints == cs.rename(onto).constraints, (cs, args)
+            assert renamed(cs, canonical, args) is out
+            assert renamed(out, args, canonical) == cs
+            flipped += any(c.rel == EQ and c.coeffs and sorted(
+                (onto[v], k) for v, k in c.coeffs)[0][1] < 0 for c in cs)
+        assert flipped >= 20
 
 
 class TestIncrementalTableau:

@@ -170,22 +170,50 @@ def test_only_chc_ast_and_qa_use_the_query_and_answer_suffixes():
     assert found == ["chc_ast", "qa"]
 
 
-def test_only_tableau_add_reads_the_artificial_column_kind():
-    # An artificial column lives only inside the `_Tableau.add` call that
-    # made it. Code anywhere else that reads `_ART` would treat a second
-    # row form, one not held through its own slack.
-    found = []
+def _definitions():
+    """(name, node) of each top-level statement of the package, and of each
+    statement of a top-level class, named module.name or
+    module.Class.name ("line N" for a statement without a name)."""
     for path in sorted(PACKAGE.glob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         for stmt in tree.body:
             owner = f"{stmt.name}." if isinstance(stmt, ast.ClassDef) else ""
             for node in stmt.body if owner else [stmt]:
-                if any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
-                       and n.id == "_ART" or isinstance(n, ast.Attribute)
-                       and n.attr == "_ART" for n in ast.walk(node)):
-                    name = getattr(node, "name", f"line {node.lineno}")
-                    found.append(f"{path.stem}.{owner}{name}")
+                name = getattr(node, "name", f"line {node.lineno}")
+                yield f"{path.stem}.{owner}{name}", node
+
+
+def test_only_tableau_add_reads_the_artificial_column_kind():
+    # An artificial column lives only inside the `_Tableau.add` call that
+    # made it. Code anywhere else that reads `_ART` would treat a second
+    # row form, one not held through its own slack.
+    found = [name for name, node in _definitions()
+             if any(isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load)
+                    and n.id == "_ART" or isinstance(n, ast.Attribute)
+                    and n.attr == "_ART" for n in ast.walk(node))]
     assert found == ["linalg._Tableau.add"]
+
+
+def test_only_the_cached_rename_builds_a_positional_rename_map():
+    # A fact moves between canonical names and an atom's arguments through
+    # `linalg.renamed`, which caches the move. A definition anywhere else
+    # that zips names into a map and renames by it would redo that work on
+    # every call.
+    def zips_a_map(n):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Name)
+                and n.func.id == "dict" and len(n.args) == 1
+                and isinstance(n.args[0], ast.Call)
+                and isinstance(n.args[0].func, ast.Name)
+                and n.args[0].func.id == "zip")
+
+    def renames(n):
+        return (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                and n.func.attr == "rename")
+
+    found = [name for name, node in _definitions()
+             if any(map(zips_a_map, ast.walk(node)))
+             and any(map(renames, ast.walk(node)))]
+    assert found == ["linalg.renamed"]
 
 
 def test_package_imports_only_the_standard_library():

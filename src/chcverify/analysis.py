@@ -21,14 +21,15 @@ implies. `analyze` mines a predicate's bounds from its clauses
 them for the rest of the call; a predicate that no cyclic component widens
 is never mined.
 
-`_place` is the one place where canonical facts are put on a clause's atoms
+`place` is the one place where canonical facts are put on a clause's atoms
 and conjoined with its constraint. `instantiate` also checks the conjunction
-for satisfiability, and the specialisers emit what it returns:
-`specialise.strengthen` the clause with its head's answer placed,
+for satisfiability. The specialisers emit what they placed, simplified:
+`specialise.strengthen` the clause with its head's answer placed, once
+`instantiate` found it satisfiable with the body answers too, and
 `refine.polyvariant_specialise` the clause with its head cell and body
-facts placed. `consequence` projects the unchecked conjunction onto the
-head instead: projection keeps emptiness, so `simplify` of that small set
-is the one decision.
+facts placed, as `instantiate` returned it. `consequence` projects the
+unchecked conjunction onto the head instead: projection keeps emptiness,
+so `simplify` of that small set is the one decision.
 
 While iterating, `analyze` keeps, per predicate, the clause that first made
 its approximation non-empty. That clause contributed only because each of
@@ -50,6 +51,7 @@ from .polyhedra import Polyhedron, canonical_args
 
 __all__ = [
     "AbstractModel",
+    "place",
     "instantiate",
     "consequence",
     "compute_thresholds",
@@ -72,10 +74,10 @@ class AbstractModel(NamedTuple):
         return got
 
 
-def _place(clause: Clause,
-           body_facts: Sequence[Optional[ConstraintSet]],
-           head_fact: Optional[ConstraintSet] = None
-           ) -> Optional[ConstraintSet]:
+def place(clause: Clause,
+          body_facts: Sequence[Optional[ConstraintSet]],
+          head_fact: Optional[ConstraintSet] = None
+          ) -> Optional[ConstraintSet]:
     """The clause's constraint with each fact placed on its atom's
     arguments, as `instantiate` describes, unchecked; None when a fact is
     bottom."""
@@ -101,7 +103,7 @@ def instantiate(clause: Clause,
     head's arguments. Returns None when a body fact is bottom or the
     conjunction is unsatisfiable.
     """
-    cs = _place(clause, body_facts, head_fact)
+    cs = place(clause, body_facts, head_fact)
     return cs if cs is not None and is_satisfiable(cs) else None
 
 
@@ -111,7 +113,7 @@ def consequence(clause: Clause,
     """What the clause derives for its head under `body_facts`: the
     simplified projection onto the head, over canonical names; None when it
     derives nothing, which `simplify` of the projection decides."""
-    cs = _place(clause, body_facts)
+    cs = place(clause, body_facts)
     if cs is None:
         return None
     head = clause.head

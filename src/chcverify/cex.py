@@ -169,7 +169,7 @@ def feasible(node: AndNode) -> bool:
 
 def interpolate(itp: LinearConstraint, shared: Iterable[Var]) -> LinearConstraint:
     """The interpolant that `itp`, the weighted sum of one side's rows of a
-    refutation (`FarkasCertificate.sum_of`), gives against the other side:
+    refutation (`farkas_refutation`), gives against the other side:
     `itp` itself, or FALSE_CONSTRAINT when it is a false constant (a true
     constant is the label `true`).
 
@@ -218,9 +218,9 @@ def tree_interpolants(tree: AndNode) -> TreeInterpolant:
     arguments, the only variables the two sides share. The sums are built
     in post-order, each from the node's own rows and its children's sums,
     kept unnormalised until `LinearConstraint.make`: every label is
-    exactly `cert.sum_of(subtree)`, and an n-level chain adds O(n) rows
-    where summing each subtree afresh would add O(n^2). ValueError when
-    the tree is feasible.
+    exactly the weighted sum of its subtree's rows, and an n-level chain
+    adds O(n) rows where summing each subtree afresh would add O(n^2).
+    ValueError when the tree is feasible.
     """
     order: List[AndNode] = []
     todo: List[Tuple[AndNode, bool]] = [(tree, False)]

@@ -52,6 +52,11 @@ rows of an LP included, so a rational input is scaled to integers once, by
 `LinearConstraint.make`, and only an LP point is turned back into
 rationals.
 
+A Farkas refutation of an unsatisfiable conjunction is one LP over the row
+weights (`farkas_refutation`). Every solution is a certificate of one of
+two kinds, a negative sum of bounds or a sum of 0 with weight on a strict
+row, and by Motzkin's transposition theorem an unsatisfiable system has one.
+
 Projection is Fourier-Motzkin elimination. Equalities are first used for
 Gaussian substitution, which keeps the combinatorial part small. Both steps
 build each new row as one integer combination of two rows (`_combine`),
@@ -81,7 +86,7 @@ import math
 import operator
 from fractions import Fraction as Rat
 from functools import lru_cache
-from typing import (Container, Dict, Iterable, List, Mapping, NamedTuple, Optional,
+from typing import (Dict, Iterable, List, Mapping, NamedTuple, Optional,
                     Sequence, Tuple)
 
 __all__ = [
@@ -232,14 +237,6 @@ class LinearConstraint:
     def is_trivially_false(self) -> bool:
         return self.is_constant() and not self.is_trivially_true()
 
-    def evaluate(self, point: Mapping[str, Rat]) -> bool:
-        lhs = sum((c * point.get(v, _ZERO) for v, c in self.coeffs), _ZERO)
-        if self.rel == LE:
-            return lhs <= self.bound
-        if self.rel == LT:
-            return lhs < self.bound
-        return lhs == self.bound
-
     # -- transformations ---------------------------------------------------
 
     def rename(self, mapping: Mapping[str, str]) -> "LinearConstraint":
@@ -367,9 +364,6 @@ class ConstraintSet:
     def rename(self, mapping: Mapping[str, str]) -> "ConstraintSet":
         return ConstraintSet.make(c.rename(mapping) for c in self.constraints)
 
-    def evaluate(self, point: Mapping[str, Rat]) -> bool:
-        return all(c.evaluate(point) for c in self.constraints)
-
     def __str__(self) -> str:
         if not self.constraints:
             return "true"
@@ -462,6 +456,9 @@ class _Tableau:
     tableau in place (a strict tie fixes columns only for the moment), and
     `others_imply` copies it to relax the row it asks about. The last two
     test one of the added rows, with the row's slack as their objective.
+    Every query after `add` is one bounded maximisation, `_bounded`:
+    `satisfiable` asks whether the rows entail eps <= 0, and
+    `reverse_holds` whether they entail that row k's slack is <= 0.
     """
 
     __slots__ = ("rows", "basis", "kind", "col", "slacks", "strict")
@@ -593,11 +590,9 @@ class _Tableau:
         return False
 
     def satisfiable(self) -> bool:
-        """Do the rows hold, the strict ones strictly, at some point?"""
-        if not self.strict:
-            return True
-        zrow = self._optimise(self._reduced([(self.col[_EPS], 1)]), 0)
-        return zrow is None or zrow[0] < 0
+        """Do the rows hold, the strict ones strictly, at some point: do
+        they not entail eps <= 0?"""
+        return not self.strict or not self._bounded(LE, [(self.col[_EPS], 1)], 0)
 
     def implies(self, c: LinearConstraint) -> bool:
         """Do the rows entail `c`? Leaves the rows and their slacks as they
@@ -632,8 +627,7 @@ class _Tableau:
         """Do the rows entail the reverse a.x >= b of the k-th row (a.x <= b,
         not constant): is the maximum of b - a.x, row k's slack, 0? Pivots
         the tableau in place, as `implies` does."""
-        zrow = self._optimise(self._reduced([(self.slacks[k][0], 1)]), 0)
-        return zrow is not None and zrow[0] >= 0
+        return self._bounded(LE, [(self.slacks[k][0], 1)], 0)
 
     def _row_objective(self, k: int) -> List[Tuple[int, int]]:
         """The objective a.x - b of the k-th added row (a.x rel b), as
@@ -1156,21 +1150,18 @@ def reset_caches() -> None:
 # ---------------------------------------------------------------------------
 
 
-def _weighted_sum(rows: Sequence[LinearConstraint], parts: Sequence[int],
-                  multipliers: Sequence[Rat],
-                  select: Optional[Container[int]] = None) -> LinearConstraint:
-    """The sum of multipliers[i] * rows[i] over the rows whose part is in
-    `select` (over every row when None), as a single constraint."""
+def _weighted_sum(rows: Sequence[LinearConstraint],
+                  multipliers: Sequence[Rat]) -> LinearConstraint:
+    """The sum of multipliers[i] * rows[i], as a single constraint."""
     coeffs: Dict[str, Rat] = {}
     bound = _ZERO
     strict = False
-    for row, part, lam in zip(rows, parts, multipliers):
-        if lam == 0 or (select is not None and part not in select):
-            continue
-        for v, c in row.coeffs:
-            coeffs[v] = coeffs.get(v, _ZERO) + lam * c
-        bound += lam * row.bound
-        strict = strict or row.rel == LT
+    for row, lam in zip(rows, multipliers):
+        if lam:
+            for v, c in row.coeffs:
+                coeffs[v] = coeffs.get(v, _ZERO) + lam * c
+            bound += lam * row.bound
+            strict = strict or row.rel == LT
     return LinearConstraint.make(coeffs, LT if strict else LE, bound)
 
 
@@ -1180,18 +1171,14 @@ class FarkasCertificate(NamedTuple):
     `constraints` are inequality rows (equalities of the input appear as
     their two halves), `parts[i]` is the index of the input set that row i
     came from, `multipliers[i]` is the weight of row i. `derived` is the
-    weighted sum: a constant constraint that is false.
+    weighted sum of all rows: a constant constraint that is false, either
+    a negative bound or a bound of 0 with weight on a strict row.
     """
 
     constraints: Tuple[LinearConstraint, ...]
     parts: Tuple[int, ...]
     multipliers: Tuple[Rat, ...]
     derived: LinearConstraint
-
-    def sum_of(self, select: Optional[Container[int]] = None) -> LinearConstraint:
-        """The weighted sum of the rows of the parts in `select` (of every
-        row when None), as a single constraint."""
-        return _weighted_sum(self.constraints, self.parts, self.multipliers, select)
 
 
 def farkas_refutation(*parts: ConstraintSet) -> FarkasCertificate:
@@ -1201,8 +1188,17 @@ def farkas_refutation(*parts: ConstraintSet) -> FarkasCertificate:
     Each part's rows enter in turn, so a row that two parts hold enters
     once for each. The returned multipliers are non-negative; rows coming
     from equalities are the two inequality halves so negative equality
-    weights never arise. The certificate is re-checked before it is
-    returned; RuntimeError means the LP kernel returned no valid one.
+    weights never arise.
+
+    The multipliers are a solution of one LP (Motzkin's transposition
+    theorem): weights lam >= 0 under which every variable cancels, with
+    sum(lam * b) - sum(lam over strict rows) <= -1 and sum(lam * b) <= 0.
+    Every solution derives a false constant, either a negative bound or a
+    bound of 0 with weight on a strict row, and an unsatisfiable system has
+    one. Without strict rows the first of the two rows is the whole
+    condition, and the second enters without a pivot. The certificate is
+    re-checked before it is returned; RuntimeError means the LP kernel
+    returned no valid one.
     """
     if is_satisfiable(ConstraintSet.make(c for part in parts for c in part)):
         raise ValueError("farkas_refutation: constraint union is satisfiable")
@@ -1219,26 +1215,18 @@ def farkas_refutation(*parts: ConstraintSet) -> FarkasCertificate:
     for l, row in zip(lam, rows):
         for v, a in row.coeffs:
             by_var.setdefault(v, {})[l] = a
-    lp_rows = [(by_var[v], EQ, 0) for v in sorted(by_var)]
-    bound_row = {lam[i]: rows[i].bound for i in range(len(rows)) if rows[i].bound != 0}
-    # Case A: sum of bounds strictly negative.
-    point = solve_lp(lp_rows + [(bound_row, LE, -1)])
+    # The sum of the bounds, and that sum less the weight on strict rows.
+    bounds = {l: row.bound for l, row in zip(lam, rows) if row.bound}
+    less_strict = {l: b for l, row in zip(lam, rows)
+                   if (b := row.bound - (row.rel == LT))}
+    point = solve_lp([(by_var[v], EQ, 0) for v in sorted(by_var)]
+                     + [(less_strict, LE, -1), (bounds, LE, 0)])
     if point is None:
-        # Case B: bounds sum to <= 0 with positive weight on a strict row.
-        strict_row = {lam[i]: 1 for i in range(len(rows)) if rows[i].rel == LT}
-        if not strict_row:
-            raise RuntimeError(
-                "farkas_refutation: no certificate with a negative bound sum "
-                "for an unsatisfiable system without strict rows")
-        point = solve_lp(
-            lp_rows + [(bound_row, LE, 0),
-                       ({k: -v for k, v in strict_row.items()}, LE, -1)])
-        if point is None:
-            raise RuntimeError(
-                "farkas_refutation: no certificate for an unsatisfiable system "
-                "(Motzkin transposition guarantees one)")
+        raise RuntimeError(
+            "farkas_refutation: no certificate for an unsatisfiable system "
+            "(Motzkin transposition guarantees one)")
     multipliers = tuple(point.get(l, _ZERO) for l in lam)
-    derived = _weighted_sum(rows, origin, multipliers)
+    derived = _weighted_sum(rows, multipliers)
     if any(m < 0 for m in multipliers) or not derived.is_trivially_false():
         raise RuntimeError(
             "farkas_refutation: the multipliers do not re-multiply to a "

@@ -67,10 +67,6 @@ class Polyhedron:
         return cls(tuple(space), None)
 
     @classmethod
-    def top(cls, space: Sequence[str]) -> "Polyhedron":
-        return cls(tuple(space), ConstraintSet.make(()))
-
-    @classmethod
     def of(cls, space: Sequence[str], cs: ConstraintSet) -> "Polyhedron":
         # simplify returns FALSE_SET itself for an unsatisfiable input and
         # an equivalent (so satisfiable) set otherwise.

@@ -56,7 +56,9 @@ def split_facts(program: Program, model: AbstractModel,
 
     with every negation disjunct relaxed to its closure; empty cells are
     dropped.  Any point of the fact lands in the cell of the first atom it
-    violates (or the first cell), so the cells cover the fact exactly.
+    violates (or the first cell), so the cells cover the fact exactly, and
+    a non-bottom fact keeps at least one cell, as `meet` decides emptiness
+    exactly (RuntimeError otherwise).
     """
     pooled = interpolant.by_predicate() if interpolant is not None else {}
     parts: Dict[str, Tuple[Polyhedron, ...]] = {}
@@ -78,7 +80,10 @@ def split_facts(program: Program, model: AbstractModel,
                     space, ConstraintSet.make(prefix + (neg.closure(),))))
                 cells.append(cell)
         kept = tuple(c for c in cells if not c.is_bottom)
-        parts[pred] = kept if kept else (fact,)
+        if not kept:
+            raise RuntimeError(
+                f"split_facts: every cell of the non-empty fact of {pred} is empty")
+        parts[pred] = kept
     return SplitModel(parts, wholes)
 
 

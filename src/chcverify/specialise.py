@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import List
 
-from .analysis import AbstractModel, instantiate
+from .analysis import AbstractModel, instantiate, place
 from .chc_ast import FALSE, Clause, Program
 from .linalg import TRUE, simplify
 from .qa import answer_pred
@@ -23,7 +23,7 @@ def strengthen(program: Program, qa_model: AbstractModel) -> Program:
     """Conjoin each head's answer constraint; delete clauses that cannot fire.
 
     Only the head's answer constraint is inserted into the clause, placed on
-    the head's arguments by `instantiate`; the body atoms' answer
+    the head's arguments by `place`; the body atoms' answer
     constraints participate in the deletion test only. Clause ids are
     preserved. A predicate with a bottom answer approximation is never
     derivable in a computation from the goal, so its clauses (and, for a
@@ -39,10 +39,7 @@ def strengthen(program: Program, qa_model: AbstractModel) -> Program:
                         for b in cl.body]
         if instantiate(cl, body_answers, head_answer.constraints) is None:
             continue
-        # Never None: these rows are a subset of those just found
-        # satisfiable, and `simplify` reuses the tableau that checks them.
-        strengthened = instantiate(cl, [TRUE] * len(cl.body),
-                                   head_answer.constraints)
+        strengthened = place(cl, [TRUE] * len(cl.body), head_answer.constraints)
         out.append(Clause(cl.id, cl.head, simplify(strengthened), cl.body))
     return Program(tuple(out))
 

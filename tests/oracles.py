@@ -5,6 +5,8 @@ and exhaustive vertex enumeration, sharing no code with the simplex or the
 projection in chcverify.linalg. The one exception is `mixing_hull`, the
 reference for the double-description hull: it projects the mixing encoding
 with `linalg.project`, which shares no code with the double description.
+`evaluate`, `evaluate_all` and `sum_of` read constraints and Farkas
+certificates directly: a point's truth and a certificate's subset sums.
 
 Strict inequalities are tightened by the fixed rational EPS before the
 closed-polyhedron check.  That is exact when EPS is below every breakpoint
@@ -20,10 +22,10 @@ inputs outside the range instead of risking a wrong answer.
 import math
 from fractions import Fraction
 from itertools import combinations
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Container, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from chcverify.linalg import (EQ, LE, ConstraintSet, LinearConstraint, entails,
-                              project, simplify)
+from chcverify.linalg import (EQ, LE, LT, ConstraintSet, FarkasCertificate,
+                              LinearConstraint, entails, project, simplify)
 
 MAX_DIM = 4
 BOX = Fraction(10 ** 10)
@@ -75,6 +77,40 @@ def _rows(constraints: Iterable[LinearConstraint],
         raise OracleRangeError(
             f"coefficients too large for an exact answer (scale {scale})")
     return rows, variables
+
+
+def evaluate(c: LinearConstraint, point: Mapping[str, Fraction]) -> bool:
+    """Whether `c` holds at `point`; a variable the point omits is 0."""
+    lhs = sum((k * point.get(v, 0) for v, k in c.coeffs), Fraction(0))
+    if c.rel == LE:
+        return lhs <= c.bound
+    if c.rel == LT:
+        return lhs < c.bound
+    return lhs == c.bound
+
+
+def evaluate_all(cs: Iterable[LinearConstraint],
+                 point: Mapping[str, Fraction]) -> bool:
+    """Whether every constraint of `cs` holds at `point`."""
+    return all(evaluate(c, point) for c in cs)
+
+
+def sum_of(cert: FarkasCertificate,
+           select: Optional[Container[int]] = None) -> LinearConstraint:
+    """The weighted sum of the certificate's rows whose part is in `select`
+    (of every row when None), as a single constraint: strict when a strict
+    row has a positive weight."""
+    coeffs: Dict[str, Fraction] = {}
+    bound = Fraction(0)
+    strict = False
+    for row, part, lam in zip(cert.constraints, cert.parts, cert.multipliers):
+        if lam == 0 or (select is not None and part not in select):
+            continue
+        for v, k in row.coeffs:
+            coeffs[v] = coeffs.get(v, 0) + lam * k
+        bound += lam * row.bound
+        strict = strict or row.rel == LT
+    return LinearConstraint.make(coeffs, LT if strict else LE, bound)
 
 
 def _solve_square(system: Sequence[Tuple[Dict[str, Fraction], Fraction]],

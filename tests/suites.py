@@ -19,9 +19,11 @@ from fractions import Fraction
 from oracles import (
     OracleRangeError,
     convex_hull_2d,
+    evaluate_all,
     in_hull_2d,
     oracle_entails,
     oracle_sat,
+    sum_of,
     vertices,
 )
 
@@ -120,7 +122,7 @@ def run_suite_a(n_cases=220, seed=101):
             proj = project(cs, keep)
             assert proj.variables() <= set(keep), f"{tag}: projection kept extras"
             for pt in _int_grid(keep, -2, 2):
-                ours = proj.evaluate({v: rat(int(x)) for v, x in pt.items()})
+                ours = evaluate_all(proj, {v: rat(int(x)) for v, x in pt.items()})
                 truth = oracle_sat(cs, pin=pt)
                 assert ours == truth, f"{tag}: projection wrong at {pt}"
                 grid_points += 1
@@ -138,7 +140,7 @@ def run_suite_a(n_cases=220, seed=101):
 def _check_refutation(first, second, tag):
     cert = farkas_refutation(first, second)
     _check_certificate(cert, first, second, tag)
-    itp = cert.sum_of({0})
+    itp = sum_of(cert, {0})
     assert oracle_entails(first, itp), f"{tag}: first part not implied"
     assert not oracle_sat(tuple(second) + (itp,)), \
         f"{tag}: first part consistent with the second set"
@@ -223,7 +225,7 @@ def _check_hull_geometry(rng, space, p, q, tag):
     closed = ConstraintSet.make([c.closure() for c in ours.constraints])
     for x in range(-5, 6):
         for y in range(-5, 6):
-            inside = closed.evaluate({space[0]: rat(x), space[1]: rat(y)})
+            inside = evaluate_all(closed, {space[0]: rat(x), space[1]: rat(y)})
             truth = in_hull_2d(hull, (Fraction(x), Fraction(y)))
             assert inside == truth, \
                 f"{tag}: hull wrong at ({x},{y}): ours {inside}, oracle {truth}"
@@ -417,7 +419,7 @@ def _check_interpolation_pair(rng, tag):
         c1 = c1.add(LinearConstraint.make({v: rat(1)}, LE, rat(b)))
         c2 = c2.add(LinearConstraint.make({v: rat(-1)}, LE, rat(-(b + 1))))
     assert not oracle_sat(c1 & c2), f"{tag}: seeded pair still satisfiable"
-    itp = interpolate(farkas_refutation(c1, c2).sum_of({0}), shared)
+    itp = interpolate(sum_of(farkas_refutation(c1, c2), {0}), shared)
     assert itp.variables() <= set(shared), f"{tag}: interpolant leaks locals"
     try:
         assert oracle_entails(c1, itp), f"{tag}: interpolant not implied"
@@ -553,10 +555,10 @@ def run_suite_e(n_cases=210, seed=505):
                 if not fact.is_bottom:
                     for pt in _int_grid(list(fact.space), -3, 3):
                         point = {v: rat(int(x)) for v, x in pt.items()}
-                        if not fact.constraints.evaluate(point):
+                        if not evaluate_all(fact.constraints, point):
                             continue
                         coverage_points += 1
-                        assert any(not c.is_bottom and c.constraints.evaluate(point)
+                        assert any(not c.is_bottom and evaluate_all(c.constraints, point)
                                    for c in cells), \
                             f"{tag}: point {point} of {pred} not covered"
             ps, origin = polyvariant_specialise(prog, split)

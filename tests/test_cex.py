@@ -4,6 +4,7 @@ import pytest
 
 import suites
 from conftest import T4, chain_program, shallow_stack, tr
+from oracles import sum_of
 from chcverify import cex
 from chcverify.analysis import analyze
 from chcverify.cex import (
@@ -129,7 +130,7 @@ class TestInterpolation:
     def test_interpolant_separates_and_respects_the_interface(self):
         c1 = ConstraintSet.make([C({"X": 1, "U": -1}, LE, 0), C({"U": 1}, LE, 1)])
         c2 = ConstraintSet.make([C({"X": -1, "W": 1}, LE, -3), C({"W": -1}, LE, 0)])
-        itp = interpolate(farkas_refutation(c1, c2).sum_of({0}), ["X"])
+        itp = interpolate(sum_of(farkas_refutation(c1, c2), {0}), ["X"])
         assert itp.variables() <= {"X"}
         assert entails(c1, itp)
         assert not is_satisfiable(c2.add(itp))
@@ -137,14 +138,14 @@ class TestInterpolation:
     def test_inconsistent_first_part_yields_false(self):
         c1 = ConstraintSet.make([C({"U": 1}, LT, 0), C({"U": -1}, LT, 0)])
         c2 = ConstraintSet.make([C({"X": 1}, LE, 5)])
-        itp = interpolate(farkas_refutation(c1, c2).sum_of({0}), ["X"])
+        itp = interpolate(sum_of(farkas_refutation(c1, c2), {0}), ["X"])
         assert itp == FALSE_CONSTRAINT
 
     def test_satisfiable_conjunction_is_rejected(self):
         c1 = ConstraintSet.make([C({"X": 1}, LE, 1)])
         c2 = ConstraintSet.make([C({"X": -1}, LE, 0)])
         with pytest.raises(ValueError):
-            interpolate(farkas_refutation(c1, c2).sum_of({0}), ["X"])
+            interpolate(sum_of(farkas_refutation(c1, c2), {0}), ["X"])
 
 
 class TestTreeInterpolants:
@@ -235,7 +236,7 @@ class TestTreeInterpolants:
         walk(tree)
         cert = farkas_refutation(*(n.clause.constraint for n in order))
         want = tuple(
-            (n.atom, ConstraintSet.make([interpolate(cert.sum_of(sub), n.atom.args)]))
+            (n.atom, ConstraintSet.make([interpolate(sum_of(cert, sub), n.atom.args)]))
             for n, sub in zip(order[:-1], subtrees[:-1]))
         assert len(want) == len(order) - 1 > 0
         assert tree_interpolants(tree).facts == want

@@ -27,7 +27,7 @@ from chcverify.linalg import (
     solve_lp,
 )
 
-from oracles import oracle_entails, oracle_sat
+from oracles import evaluate, evaluate_all, oracle_entails, oracle_sat, sum_of
 
 
 def C(coeffs, rel, b):
@@ -81,8 +81,8 @@ class TestCanonicalForm:
 
     def test_evaluate(self):
         c = C({"X": 2, "Y": -1}, LT, 5)
-        assert c.evaluate({"X": rat(1), "Y": rat(0)})
-        assert not c.evaluate({"X": rat(3), "Y": rat(1)})
+        assert evaluate(c, {"X": rat(1), "Y": rat(0)})
+        assert not evaluate(c, {"X": rat(3), "Y": rat(1)})
 
 
 class TestConstraintSet:
@@ -302,7 +302,7 @@ class TestSolveLP:
         assert oracle_sat(lp_constraints(rows))
         point = solve_lp(rows)
         assert set(point) == set(variables)
-        assert all(c.evaluate(point) for c in lp_constraints(rows))
+        assert evaluate_all(lp_constraints(rows), point)
 
     def test_fractional_rows_give_an_exact_point(self):
         rows = [({"X": rat(1, 2), "Y": rat(1, 3)}, EQ, rat(5, 6)),
@@ -360,7 +360,7 @@ class TestSolveLP:
             tag = f"case {case}: {rows}"
             assert (point is None) == (not oracle_sat(lp_constraints(rows))), tag
             if point is not None:
-                assert all(c.evaluate(point) for c in lp_constraints(rows)), tag
+                assert evaluate_all(lp_constraints(rows), point), tag
         assert seen == {True, False}
 
 
@@ -385,7 +385,7 @@ class TestFarkasRefutation:
         first = S(C({"X": 1, "U": 1}, LE, 0), C({"U": -1}, LE, 0))
         second = S(C({"X": -1, "W": 1}, LE, -1), C({"W": -1}, LE, 0))
         cert = farkas_refutation(first, second)
-        itp = cert.sum_of({0})
+        itp = sum_of(cert, {0})
         assert itp.variables() <= {"X"}
         assert entails(first, itp)
         assert not is_satisfiable(second.add(itp))
@@ -422,16 +422,35 @@ class TestFarkasRefutation:
         for k in (1, 2, 3):
             cert = farkas_refutation(S(C({"X": 1}, LE, 1)), S(C({"X": -1}, LE, -3)))
             assert len(calls) == k
-        assert cert.derived == weighted_sum(
-            cert.constraints, cert.parts, cert.multipliers)
+        assert cert.derived == weighted_sum(cert.constraints, cert.multipliers)
+        assert cert.derived == sum_of(cert)
         assert cert.derived.is_trivially_false()
 
     def test_no_certificate_raises(self, monkeypatch):
+        # One LP decides both kinds of certificate, so a kernel that finds
+        # none fails the same way with strict rows and without.
         monkeypatch.setattr(linalg, "solve_lp", lambda rows: None)
         with pytest.raises(RuntimeError, match="Motzkin"):
             farkas_refutation(S(C({"X": 1}, LT, 0)), S(C({"X": -1}, LT, 0)))
-        with pytest.raises(RuntimeError, match="strict"):
+        with pytest.raises(RuntimeError, match="Motzkin"):
             farkas_refutation(S(C({"X": 1}, LE, 1)), S(C({"X": -1}, LE, -3)))
+
+    @pytest.mark.parametrize("parts", [
+        (S(C({"X": 1}, LE, 1)), S(C({"X": -1}, LE, -3))),
+        (S(C({"X": 1}, LT, 0)), S(C({"X": -1}, LT, 0)))],
+        ids=["negative-bound", "strict-only"])
+    def test_one_refutation_is_one_lp(self, monkeypatch, parts):
+        # Motzkin's two kinds of certificate are the solutions of one
+        # system: the strict-only refutation, whose bounds sum to 0, needs
+        # no second LP after the negative-bound one fails.
+        calls = []
+        solve_lp = linalg.solve_lp
+        monkeypatch.setattr(linalg, "solve_lp",
+                            lambda rows: calls.append(rows) or solve_lp(rows))
+        cert = farkas_refutation(*parts)
+        assert len(calls) == 1
+        assert cert.derived.is_trivially_false()
+        assert all(m >= 0 for m in cert.multipliers)
 
 
 def test_false_constraint_is_constant_and_false():

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chcverify import linalg
-from chcverify.linalg import (EQ, LE, LT, ConstraintSet, LinearConstraint,
+from chcverify.linalg import (EQ, LE, LT, TRUE, ConstraintSet, LinearConstraint,
                               ResourceLimitError, entails, entails_all, rat,
                               simplify)
 from chcverify.polyhedra import Polyhedron, canonical_args
@@ -33,7 +33,7 @@ def test_canonical_args_are_stable():
 
 class TestLattice:
     def test_bottom_and_top(self):
-        bot, top = Polyhedron.bottom(("X",)), Polyhedron.top(("X",))
+        bot, top = Polyhedron.bottom(("X",)), Polyhedron(("X",), TRUE)
         assert bot.is_bottom and not top.is_bottom
         assert str(bot) == "false" and str(top) == "true"
         assert bot.leq(top) and not top.leq(bot)

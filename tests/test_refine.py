@@ -2,6 +2,8 @@
 
 import functools
 
+import pytest
+
 from conftest import T4
 from chcverify.analysis import analyze
 from chcverify.cex import build_and_tree, extract_trace, tree_interpolants
@@ -74,6 +76,16 @@ class TestSplitFacts:
         spec, model, _ = first_round()
         split = split_facts(spec, model, None)
         assert all(len(cells) == 1 for cells in split.parts.values())
+
+    def test_a_fact_left_without_cells_raises(self, monkeypatch):
+        # The cells cover the fact and `meet` decides emptiness exactly, so
+        # a non-empty fact whose cells are all empty is a kernel fault, not
+        # a reason to keep the fact whole.
+        spec, model, interp = first_round()
+        monkeypatch.setattr(Polyhedron, "meet",
+                            lambda self, other: Polyhedron.bottom(self.space))
+        with pytest.raises(RuntimeError, match="split_facts: .* of l "):
+            split_facts(spec, model, interp)
 
 
 class TestPolyvariantSpecialise:

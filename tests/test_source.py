@@ -158,6 +158,31 @@ def test_every_module_level_definition_is_used():
     assert len(defined) > 50
 
 
+def test_every_method_of_a_package_class_is_used():
+    # As for module-level definitions: a method that only its own body or
+    # the tests call is dead code. Dunders are called by the language, and
+    # a reference is its name anywhere in `src/` or `bench/` outside the
+    # method itself, so a method shares its liveness with any attribute
+    # of the same name.
+    defined = []  # (module.Class.name, defining statement)
+    used_by = {}  # identifier -> units (methods or top-level statements)
+    for path in sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for stmt in tree.body:
+            units = stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]
+            for unit in units:
+                if (path.parent == PACKAGE and unit is not stmt
+                        and isinstance(unit, ast.FunctionDef)
+                        and not unit.name.startswith("__")):
+                    defined.append((f"{path.stem}.{stmt.name}.{unit.name}", unit))
+                for name in _references(unit):
+                    used_by.setdefault(name, []).append(unit)
+    unused = [name for name, unit in defined
+              if not any(u is not unit for u in used_by.get(unit.name, ()))]
+    assert not unused, f"methods not used outside their own body: {unused}"
+    assert len(defined) > 50
+
+
 def test_only_chc_ast_and_qa_use_the_query_and_answer_suffixes():
     # The parser reserves the suffixes and `qa` spells its names with them.
     # Any other module that reads them depends on how `qa` names predicates,

@@ -232,8 +232,9 @@ def check_safety(model: AbstractModel) -> bool:
 def is_inductive_model(program: Program, model: AbstractModel) -> bool:
     """True iff every clause's consequence under `model` is below its head fact.
 
-    Independent audit for Safe verdicts; does not rely on how `model` was
-    produced.
+    The re-check of a safe verdict: it re-runs `_contribution` through the
+    kernel and the caches the analysis filled, so it catches a wrong model
+    but not a wrong kernel answer.
     """
     for cl in program.clauses:
         contrib = _contribution(cl, model)

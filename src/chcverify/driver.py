@@ -45,8 +45,9 @@ class Verdict(NamedTuple):
     """Outcome of a run: kind is "safe", "unsafe" or "unknown".
 
     `refinements` counts completed splitting rounds.  Unsafe verdicts carry
-    the feasible trace; unknown ones carry a reason.  Safe verdicts keep the
-    final program and its inductive model so callers can audit them.
+    the feasible trace; unknown ones carry a reason.  Safe and unsafe
+    verdicts keep the last round's program and model so callers can audit
+    them: the model's inductiveness, or the trace's tree rebuilt from it.
     """
 
     kind: str

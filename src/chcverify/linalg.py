@@ -33,9 +33,8 @@ holds meets that precondition. The queries on one constraint set share a
 single phase 1: `_tableau_of` caches the tableau of a set, or None, and is
 the only place where a set's satisfiability is decided. `is_satisfiable`
 asks whether it exists, `entails` maximises on it in place (a set without
-one entails everything), and `simplify` relaxes each row of a copy in turn
-and tests it against the rest, as `_semantic_prune` does on the tableau of
-its rows.
+one entails everything), and `simplify`, the only redundancy procedure,
+relaxes each row of a copy in turn and tests it against the rest.
 Most queries ask about one of the tableau's own rows: whether the others
 entail it (`_drop_redundant`, `replaces_a_row`) or whether its reverse
 holds (`simplify`'s upgrade pass). Their objective is read off the row's
@@ -57,13 +56,14 @@ weights (`farkas_refutation`). Every solution is a certificate of one of
 two kinds, a negative sum of bounds or a sum of 0 with weight on a strict
 row, and by Motzkin's transposition theorem an unsatisfiable system has one.
 
-Projection is Fourier-Motzkin elimination. Equalities are first used for
-Gaussian substitution, which keeps the combinatorial part small. Both steps
-build each new row as one integer combination of two rows (`_combine`),
-made canonical as `LinearConstraint.make` makes its rows (`_canonical`). The
-number of intermediate constraints is capped (`FM_LIMIT`) and exceeding
-the cap raises ResourceLimitError so callers can degrade to an "unknown"
-verdict instead of diverging.
+Projection alternates a Gaussian pass, which substitutes the variables of
+equalities away, with one Fourier-Motzkin step, as CLP(R) does (Jaffar,
+Maher, Stuckey & Yap 1993). Both build each new row as one integer
+combination of two rows (`_combine`), made canonical as `make` makes its
+rows (`_canonical`). `simplify` prunes a step that leaves more than 12
+rows, and an implied equality it finds goes back to the Gaussian pass.
+The number of intermediate constraints is capped (`FM_LIMIT`); exceeding
+it raises ResourceLimitError so callers can degrade to "unknown".
 
 The convex hull of two sets is computed by double description (Motzkin et
 al. 1953; Fukuda & Prodon 1996), in integers throughout, and cached per
@@ -822,8 +822,9 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
     Exact for linear rational arithmetic: the result is FALSE_SET when
     elimination derives a false constant, and otherwise holds exactly where
     some values of the other variables satisfy `cs`. An unsatisfiable `cs`
-    need not give FALSE_SET, but its projection is unsatisfiable too, so
-    `simplify` of it gives FALSE_SET (as `analysis.consequence` uses). Raises
+    need not give FALSE_SET (a prune that finds a step's rows empty gives
+    it), but its projection is unsatisfiable too, so `simplify` of it gives
+    FALSE_SET (as `analysis.consequence` uses). Raises
     ResourceLimitError when the intermediate constraint count exceeds
     `FM_LIMIT`.
     """
@@ -832,35 +833,35 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
 
 @lru_cache(maxsize=65536)
 def _project_cached(cs: ConstraintSet, keep: frozenset) -> ConstraintSet:
-    work: List[LinearConstraint] = list(cs.constraints)
-
-    # Gaussian pass: use equalities to substitute eliminable variables away.
-    # Eliminating `var` with  e: a*var + ... = b  from a row d with
-    # coefficient k is the row  |a|*d - sign(a)*k*e.
+    rows: List[LinearConstraint] = list(cs.constraints)
     while True:
-        pick = next(((i, e, v, a) for i, e in enumerate(work) if e.rel == EQ
-                     for v, a in e.coeffs if v not in keep), None)
-        if pick is None:
-            break
-        idx, e, var, a = pick
-        p, sign = abs(a), (1 if a > 0 else -1)
-        work = [_combine(p, d, -sign * k, e, d.rel) if (k := d.coeff(var)) else d
-                for d in work[:idx] + work[idx + 1:]]
+        # Gaussian pass: use equalities to substitute eliminable variables
+        # away. Eliminating `var` with  e: a*var + ... = b  from a row d
+        # with coefficient k is the row  |a|*d - sign(a)*k*e.
+        while True:
+            pick = next(((i, e, v, a) for i, e in enumerate(rows) if e.rel == EQ
+                         for v, a in e.coeffs if v not in keep), None)
+            if pick is None:
+                break
+            idx, e, var, a = pick
+            p, sign = abs(a), (1 if a > 0 else -1)
+            rows = [_combine(p, d, -sign * k, e, d.rel) if (k := d.coeff(var)) else d
+                    for d in rows[:idx] + rows[idx + 1:]]
+        rows = [c for c in rows if not c.is_trivially_true()]
+        if any(c.is_trivially_false() for c in rows):
+            return FALSE_SET
+        remaining = {v for c in rows for v, _ in c.coeffs if v not in keep}
+        if not remaining:
+            return ConstraintSet.make(rows)
 
-    rows = [c for c in work if not c.is_trivially_true()]
-    if any(c.is_trivially_false() for c in rows):
-        return FALSE_SET
-
-    remaining = sorted({v for c in rows for v in c.variables() if v not in keep})
-    while remaining:
-        # Cheapest variable first: fewest lower*upper combinations.
+        # One Fourier-Motzkin step, cheapest variable first: fewest
+        # lower*upper combinations.
         def cost(v: str) -> Tuple[int, str]:
             pos = sum(1 for c in rows if c.coeff(v) > 0)
             neg = sum(1 for c in rows if c.coeff(v) < 0)
             return (pos * neg, v)
 
         var = min(remaining, key=cost)
-        remaining.remove(var)
         uppers, lowers, rest = [], [], []
         for c in rows:
             k = c.coeff(var)
@@ -883,9 +884,11 @@ def _project_cached(cs: ConstraintSet, keep: frozenset) -> ConstraintSet:
             raise ResourceLimitError(
                 f"projection exceeded {FM_LIMIT} constraints while eliminating {var}")
         if len(rows) > 12:
-            rows = _semantic_prune(rows)
-
-    return ConstraintSet.make(rows)
+            # Implied equalities `simplify` finds go back to the Gaussian pass.
+            pruned = simplify(ConstraintSet.make(rows))
+            if pruned == FALSE_SET:
+                return FALSE_SET
+            rows = list(pruned.constraints)
 
 
 def _combine(p: int, c: LinearConstraint, q: int, d: LinearConstraint,
@@ -922,25 +925,15 @@ def _dominance_prune(rows: List[LinearConstraint]) -> List[LinearConstraint]:
     return equalities + list(best.values())
 
 
-def _semantic_prune(rows: List[LinearConstraint]) -> List[LinearConstraint]:
-    """`rows` less the rows the others entail; unchanged when they are not
-    strictly satisfiable, which `project` allows for an unsatisfiable
-    input."""
-    base = _Tableau.of(rows)
-    if base is None:
-        return rows
-    return _drop_redundant(rows, range(len(rows)), base)
-
-
 def _drop_redundant(rows: Sequence[LinearConstraint], order: Iterable[int],
                     base: _Tableau) -> List[LinearConstraint]:
     """`rows` less each row, visited in `order`, that the rows kept entail.
 
-    `base` is the tableau of `rows`, added in order, from `_Tableau.of`; it
-    is changed. Every query is one `others_imply(i)` on it, which relaxes
-    row i on a copy and maximises the row's own slack. A row found
-    redundant is then relaxed on `base` too and stays relaxed, so a
-    parallel twin or a duplicate goes the same way as any other entailed
+    `simplify`'s helper. `base` is a tableau of `rows`, added in order, from
+    `_Tableau.of`; it is changed. Every query is one `others_imply(i)` on
+    it, which relaxes row i on a copy and maximises the row's own slack. A
+    row found redundant is then relaxed on `base` too and stays relaxed, so
+    a parallel twin or a duplicate goes the same way as any other entailed
     row.
     """
     kept = [True] * len(rows)

@@ -1,5 +1,6 @@
 """Exact rational constraints, satisfiability, projection, refutations."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -211,6 +212,86 @@ class TestProjection:
         assert project(cs, ["X"]) is first
         info = linalg._project_cached.cache_info()
         assert (info.misses, info.hits) == (1, 1)
+
+
+class TestProjectionPruning:
+    """Projections with an elimination step that leaves more than 12 rows,
+    which `simplify` prunes, judged on an integer grid by vertex
+    enumeration."""
+
+    @pytest.fixture
+    def pruned(self, monkeypatch):
+        """The (input, output) of each `simplify` call, the prunes of
+        `project` among them."""
+        linalg.reset_caches()
+        calls = []
+        real = linalg.simplify
+
+        def recording(cs):
+            out = real(cs)
+            calls.append((cs, out))
+            return out
+
+        monkeypatch.setattr(linalg, "simplify", recording)
+        yield calls
+        linalg.reset_caches()
+
+    @staticmethod
+    def judge(cs, keep, tag):
+        """Check `project(cs, keep)` at every point of the grid -2..2 over
+        `keep`; the number of points where it holds."""
+        out = project(cs, keep)
+        assert out.variables() <= set(keep), tag
+        inside = 0
+        for values in itertools.product(range(-2, 3), repeat=len(keep)):
+            pt = {v: Fraction(x) for v, x in zip(keep, values)}
+            truth = oracle_sat(cs, pin=pt)
+            assert evaluate_all(out, pt) == truth, f"{tag}: wrong at {pt}"
+            inside += truth
+        return inside
+
+    def test_random_sets(self, pruned):
+        rng = random.Random(7)
+        names = ("W", "X", "Y", "Z")
+        branch = substituted = emptied = inside = outside = 0
+        for case in range(32):
+            keep = sorted(rng.sample(names, rng.randint(1, 2)))
+            rows = [C({v: rng.randint(-3, 3) for v in names if rng.random() < 0.7},
+                      rng.choice((LE, LE, LE, LT)), rng.randint(0, 6))
+                    for _ in range(rng.randint(9, 12))]
+            # Two opposite rows on an eliminated variable: an implied
+            # equality that a prune may find, or with one of them strict,
+            # a set whose closure is not empty but which has no point.
+            var = rng.choice([v for v in names if v not in keep])
+            b, extra = rng.randint(-2, 2), rng.choice(((), (LE, LE), (LT, LE)))
+            rows += [C({var: sign}, rel, sign * b)
+                     for sign, rel in zip((1, -1), extra)]
+            cs = S(*rows)
+            first = len(pruned)
+            n = self.judge(cs, keep, f"case {case}: {cs} onto {keep}")
+            inside += n
+            outside += 5 ** len(keep) - n
+            prunes = pruned[first:]
+            branch += bool(prunes)
+            emptied += any(out == FALSE_SET for _, out in prunes)
+            substituted += any(c.rel == EQ and not c.variables() <= set(keep)
+                               for _, out in prunes for c in out)
+        assert all(len(cs) > 12 for cs, _ in pruned)
+        assert branch >= 24 and substituted >= 5 and emptied >= 8
+        assert inside >= 100 and outside >= 300
+
+    def test_strictly_unsatisfiable_step_gives_false(self, pruned):
+        # X < 0 and X >= 0 have the closure X = 0 and no point. Eliminating
+        # Y, Z and W leaves them in place, beside more than 12 rows after
+        # the first step; that step's prune finds the set empty.
+        ups = [(1, 0), (0, 1), (2, 1), (1, 3), (-1, 2)]
+        lows = [(-1, 1), (1, -1), (-2, -1), (0, -2), (3, 1)]
+        cs = S(C({"X": 1}, LT, 0), C({"X": 1}, ">=", 0),
+               *(C({"Y": 1, "Z": a, "W": b}, LE, 1) for a, b in ups),
+               *(C({"Y": -1, "Z": a, "W": b}, LE, 1) for a, b in lows))
+        assert self.judge(cs, ["X"], str(cs)) == 0
+        assert project(cs, ["X"]) == FALSE_SET
+        assert [out for _, out in pruned] == [FALSE_SET]
 
 
 class TestDoubleDescription:
@@ -687,7 +768,9 @@ class TestIncrementalTableau:
 
     def test_duplicate_equalities_prune_to_one(self):
         e = C({"X": 1, "Y": 2}, EQ, 1)
-        assert linalg._semantic_prune([e, e, C({"X": 1}, LE, 0)]) == [
+        rows = [e, e, C({"X": 1}, LE, 0)]
+        assert linalg._drop_redundant(
+            rows, range(len(rows)), linalg._Tableau.of(rows)) == [
             e, C({"X": 1}, LE, 0)]
         cs = S(C({"X": 1, "Y": -1}, EQ, 0), C({"Y": 1, "Z": -1}, EQ, 0),
                C({"X": 1, "Z": -1}, EQ, 0))
@@ -709,13 +792,13 @@ class TestIncrementalTableau:
         assert t.implies(C({"X": -1}, LT, 0))
 
     def test_infeasible_rows_are_pruned_one_set_at_a_time(self):
-        # The closure is empty, so there is no shared tableau, and the rows
-        # come back unchanged: `project` does not promise FALSE_SET for an
-        # unsatisfiable input.
+        # The closure is empty, so there is no shared tableau, and
+        # `simplify`, which also prunes a projection's intermediate sets,
+        # gives FALSE_SET.
         rows = [C({"X": 1}, LE, 0), C({"X": -1}, LE, -1), C({"Y": 1}, LE, 5),
                 C({"Y": 1}, LE, 6)]
         assert linalg._Tableau.of(rows) is None
-        assert linalg._semantic_prune(rows) == rows
+        assert simplify(S(*rows)) == FALSE_SET
 
 
 class TestOneTableauPerSet:
@@ -834,8 +917,9 @@ class TestImplies:
         assert linalg._Tableau.of(rows) is None
         assert not is_satisfiable(S(*rows))
         assert entails(S(*rows[:2]), C({"X": 1}, LE, -5))
-        # Not strictly satisfiable: no row is dropped.
-        assert linalg._semantic_prune(rows) == rows
+        # Not strictly satisfiable: no tableau, and `simplify` gives
+        # FALSE_SET.
+        assert simplify(S(*rows)) == FALSE_SET
         with pytest.raises(ValueError):
             linalg.replaces_a_row(tuple(rows[:-1]), rows[-1])
 
@@ -950,7 +1034,12 @@ class TestKernelAgainstOracles:
                     if d.rel == LE:
                         reverse = C({v: -k for v, k in d.coeffs}, LE, -d.bound)
                         assert not oracle_entails(cs, reverse), f"{tag}: {d}"
-            pruned = linalg._semantic_prune(list(rows))
+            # `simplify`'s redundancy helper on the rows as they come, a
+            # dependent equality and duplicates included.
+            base = linalg._Tableau.of(rows)
+            assert (base is None) == (not sat), tag
+            pruned = (rows if base is None else
+                      linalg._drop_redundant(rows, range(len(rows)), base))
             assert all(d in rows for d in pruned), tag
             if not sat:
                 assert not oracle_sat(pruned), tag

@@ -219,6 +219,22 @@ def test_only_tableau_add_reads_the_artificial_column_kind():
     assert found == ["linalg._Tableau.add"]
 
 
+def test_one_redundancy_procedure_and_one_tableau_build_per_set():
+    # `simplify` is the kernel's one redundancy procedure, projection's
+    # prunes included, and a set's satisfiability is decided where its
+    # tableau is built and cached. A second caller of `_drop_redundant` or
+    # of `_Tableau.of` would bring back a second redundancy pass or a
+    # satisfiability check outside the cache; `replaces_a_row` builds the
+    # tableau of a candidate row together with the rows it may replace.
+    def callers(func):
+        return [name for name, node in _definitions()
+                if any(isinstance(n, ast.Call) and ast.unparse(n.func) == func
+                       for n in ast.walk(node))]
+
+    assert callers("_drop_redundant") == ["linalg.simplify"]
+    assert callers("_Tableau.of") == ["linalg._tableau_of", "linalg.replaces_a_row"]
+
+
 def test_only_the_cached_rename_builds_a_positional_rename_map():
     # A fact moves between canonical names and an atom's arguments through
     # `linalg.renamed`, which caches the move. A definition anywhere else

@@ -14,12 +14,15 @@ and a predicate's value only grows, so a skipped clause adds nothing. An
 update starts from the predicate's value and folds in each evaluated
 contribution: one below the value is skipped, one above it replaces it, and
 any other is hulled in, so each direction of inclusion is asked once per
-contribution and no hull has an operand that includes the other. The
-widening thresholds are the head bounds that each clause's own constraint
-implies. `analyze` mines a predicate's bounds from its clauses
-(`compute_thresholds`) the first time it widens that predicate, and keeps
-them for the rest of the call; a predicate that no cyclic component widens
-is never mined.
+contribution and no hull has an operand that includes the other. A
+contribution is the clause's projection onto its head, not simplified:
+inclusion and the hull depend only on its points, so it is simplified only
+when it replaces the value, and every value, widening operand and model
+holds simplified rows. The widening thresholds are the head bounds that
+each clause's own constraint implies. `analyze` mines a predicate's bounds
+from its clauses (`compute_thresholds`) the first time it widens that
+predicate, and keeps them for the rest of the call; a predicate that no
+cyclic component widens is never mined.
 
 `place` is the one place where canonical facts are put on a clause's atoms
 and conjoined with its constraint. `instantiate` also checks the conjunction
@@ -27,9 +30,10 @@ for satisfiability. The specialisers emit what they placed, simplified:
 `specialise.strengthen` the clause with its head's answer placed, once
 `instantiate` found it satisfiable with the body answers too, and
 `refine.polyvariant_specialise` the clause with its head cell and body
-facts placed, as `instantiate` returned it. `consequence` projects the
+facts placed, as `instantiate` returned it. A contribution projects the
 unchecked conjunction onto the head instead: projection keeps emptiness,
-so `simplify` of that small set is the one decision.
+so the cached tableau of that small set (`is_satisfiable`) is the one
+decision, and `consequence` is that projection simplified.
 
 While iterating, `analyze` keeps, per predicate, the clause that first made
 its approximation non-empty. That clause contributed only because each of
@@ -44,9 +48,8 @@ from __future__ import annotations
 from typing import Dict, List, Mapping, NamedTuple, Optional, Sequence, Tuple
 
 from .chc_ast import Atom, Clause, FALSE, Program, components
-from .linalg import (FALSE_SET, TRUE, ConstraintSet, LinearConstraint,
-                     ResourceLimitError, is_satisfiable, project, renamed,
-                     simplify)
+from .linalg import (TRUE, ConstraintSet, LinearConstraint, ResourceLimitError,
+                     is_satisfiable, project, renamed, simplify)
 from .polyhedra import Polyhedron, canonical_args
 
 __all__ = [
@@ -107,27 +110,38 @@ def instantiate(clause: Clause,
     return cs if cs is not None and is_satisfiable(cs) else None
 
 
-def consequence(clause: Clause,
-                body_facts: Sequence[Optional[ConstraintSet]]
-                ) -> Optional[ConstraintSet]:
-    """What the clause derives for its head under `body_facts`: the
-    simplified projection onto the head, over canonical names; None when it
-    derives nothing, which `simplify` of the projection decides."""
+def _projected(clause: Clause,
+               body_facts: Sequence[Optional[ConstraintSet]]
+               ) -> Optional[ConstraintSet]:
+    """The clause's placed conjunction projected onto its head, over
+    canonical names and not simplified; None when it derives nothing.
+    Projection keeps emptiness, so the cached tableau of the projection
+    (`is_satisfiable`) is the one decision."""
     cs = place(clause, body_facts)
     if cs is None:
         return None
     head = clause.head
-    got = simplify(renamed(project(cs, head.args), head.args,
-                           canonical_args(head.arity)))
-    return None if got is FALSE_SET else got
+    got = renamed(project(cs, head.args), head.args, canonical_args(head.arity))
+    return got if is_satisfiable(got) else None
 
 
-def _contribution(clause: Clause, model: AbstractModel) -> Polyhedron:
-    """Abstract consequence of one clause under `model`, in canonical space."""
-    got = consequence(clause, [model.value(b.pred, b.arity).constraints
+def consequence(clause: Clause,
+                body_facts: Sequence[Optional[ConstraintSet]]
+                ) -> Optional[ConstraintSet]:
+    """What the clause derives for its head under `body_facts`: the
+    projection onto the head, over canonical names, simplified; None when
+    it derives nothing."""
+    got = _projected(clause, body_facts)
+    return None if got is None else simplify(got)
+
+
+def _contribution(clause: Clause, model: AbstractModel
+                  ) -> Optional[ConstraintSet]:
+    """What one clause derives for its head under `model`, over canonical
+    names: the projection as `consequence` builds it, but not simplified,
+    since inclusion and the hull read only its points; None for bottom."""
+    return _projected(clause, [model.value(b.pred, b.arity).constraints
                                for b in clause.body])
-    space = canonical_args(clause.head.arity)
-    return Polyhedron.bottom(space) if got is None else Polyhedron(space, got)
 
 
 def compute_thresholds(clauses: Sequence[Clause]) -> Tuple[LinearConstraint, ...]:
@@ -200,12 +214,19 @@ def analyze(program: Program) -> Tuple[AbstractModel, Dict[str, Clause]]:
                     if evaluated.get(cl) == stamp:
                         continue
                     evaluated[cl] = stamp
-                    contrib = _contribution(cl, snapshot)
+                    raw = _contribution(cl, snapshot)
+                    if raw is None:
+                        continue
+                    contrib = Polyhedron(new.space, raw)
                     if contrib.leq(new):
                         continue
                     if grower is None:
                         grower = cl
-                    new = contrib if new.leq(contrib) else new.hull(contrib)
+                    # Only a contribution that takes the value's place is
+                    # simplified: the hull's rows depend on its operands'
+                    # points alone.
+                    new = (Polyhedron(new.space, simplify(raw))
+                           if new.leq(contrib) else new.hull(contrib))
                 if grower is None:
                     continue
                 # `new` contains the grower's contribution, and widening
@@ -232,13 +253,15 @@ def check_safety(model: AbstractModel) -> bool:
 def is_inductive_model(program: Program, model: AbstractModel) -> bool:
     """True iff every clause's consequence under `model` is below its head fact.
 
-    The re-check of a safe verdict: it re-runs `_contribution` through the
-    kernel and the caches the analysis filled, so it catches a wrong model
-    but not a wrong kernel answer.
+    The re-check of a safe verdict: it asks the join's inclusion of each
+    unsimplified `_contribution` again, through the kernel and the caches
+    the analysis filled, so it catches a wrong model but not a wrong kernel
+    answer.
     """
     for cl in program.clauses:
-        contrib = _contribution(cl, model)
-        if not contrib.leq(model.value(cl.head.pred, cl.head.arity)):
+        raw = _contribution(cl, model)
+        head = model.value(cl.head.pred, cl.head.arity)
+        if raw is not None and not Polyhedron(head.space, raw).leq(head):
             return False
     return True
 

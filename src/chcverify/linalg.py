@@ -34,7 +34,9 @@ single phase 1: `_tableau_of` caches the tableau of a set, or None, and is
 the only place where a set's satisfiability is decided. `is_satisfiable`
 asks whether it exists, `entails` maximises on it in place (a set without
 one entails everything), and `simplify`, the only redundancy procedure,
-relaxes each row of a copy in turn and tests it against the rest.
+relaxes each row of a copy in turn and tests it against the rest. The
+widening's `replaces_a_row` adds its candidate row to a copy of the rows'
+cached tableau, so one build serves every candidate of a widening.
 Most queries ask about one of the tableau's own rows: whether the others
 entail it (`_drop_redundant`, `replaces_a_row`) or whether its reverse
 holds (`simplify`'s upgrade pass). Their objective is read off the row's
@@ -43,8 +45,8 @@ column to reduce instead of one per coefficient, and the reduced row is
 the one the coefficients give.
 A maximisation only pivots, which keeps the tableau feasible and its rows
 the same, so a query copies the tableau only when it relaxes a row. After
-`_Tableau.of` no row is added: `simplify` makes an implied equality of a row
-by fixing its slack at 0 on its copy.
+`_Tableau.of` no query adds a row: `simplify` makes an implied equality of
+a row by fixing its slack at 0 on its copy.
 The tableau is the only entailment procedure: no syntactic test answers
 first. Every row enters the tableau as a canonical `LinearConstraint`, the
 rows of an LP included, so a rational input is scaled to integers once, by
@@ -798,17 +800,21 @@ def entails_all(cs: ConstraintSet, other: ConstraintSet) -> bool:
 def replaces_a_row(rows: Tuple[LinearConstraint, ...], c: LinearConstraint
                    ) -> bool:
     """Can `c` take the place of one of `rows`: is there a row r that the
-    other rows together with c entail?
+    other rows together with c entail? A duplicate row counts once.
 
     Precondition: `rows` are strictly satisfiable and entail `c`, so each
     row relaxed leaves a strictly satisfiable set; ValueError when `rows`
-    and `c` together are not strictly satisfiable. One tableau, of the rows
-    and c, answers for every row, asked with `others_imply`.
+    and `c` together are not strictly satisfiable. The cached tableau of
+    the rows, which every candidate of one widening shares, is copied and
+    `c` added; that one tableau answers for every row, asked with
+    `others_imply`.
     """
-    t = _Tableau.of(rows + (c,))
-    if t is None:
+    cs = ConstraintSet.make(rows)
+    base = _tableau_of(cs)
+    t = None if base is None else base.copy()
+    if t is None or not (t.add(c) and t.satisfiable()):
         raise ValueError(f"replaces_a_row: the rows contradict {c}")
-    return any(t.others_imply(k) for k in range(len(rows)))
+    return any(t.others_imply(k) for k in range(len(cs)))
 
 
 # ---------------------------------------------------------------------------
@@ -823,8 +829,8 @@ def project(cs: ConstraintSet, keep: Iterable[str]) -> ConstraintSet:
     elimination derives a false constant, and otherwise holds exactly where
     some values of the other variables satisfy `cs`. An unsatisfiable `cs`
     need not give FALSE_SET (a prune that finds a step's rows empty gives
-    it), but its projection is unsatisfiable too, so `simplify` of it gives
-    FALSE_SET (as `analysis.consequence` uses). Raises
+    it), but its projection is unsatisfiable too, so `is_satisfiable` of
+    the projection decides (as `analysis` uses). Raises
     ResourceLimitError when the intermediate constraint count exceeds
     `FM_LIMIT`.
     """
@@ -1041,9 +1047,8 @@ def convex_hull(p: ConstraintSet, q: ConstraintSet,
     entail it strictly, no redundant row and every implied equality an
     equality. A convex combination of two points that satisfy a strict row
     satisfies it too, so the result contains the union, and it is exact on
-    closed sets. Cached, strictness included, because a round's program
-    analysis joins pairs that its query-answer analysis joined, and a later
-    round joins pairs that an earlier one did.
+    closed sets. Cached, strictness included, because the analyses of a
+    later round join pairs that an earlier round joined.
 
     The closed hull's cone is generated by the generators of both closures
     (`_generators`), and its rows are the generators of the polar cone:

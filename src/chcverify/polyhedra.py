@@ -102,10 +102,13 @@ class Polyhedron:
         """The convex hull of both (`linalg.convex_hull`), the other
         operand when one is bottom. The double description leaves no
         redundant row and no unmarked implied equality, so the rows need
-        no `simplify`. A strict row that is no facet of the closed hull is
-        lost, also when one operand includes the other: the hull of
-        X >= 0, Y >= 0, X + Y > 0 with itself keeps the origin. So
-        `analysis.analyze` decides inclusion before it asks for a hull."""
+        no `simplify`, and the operands need none either: the result
+        depends on their points, not on how their rows are written.
+        `analysis.analyze` hulls each contribution as projected. A strict
+        row that is no facet of the closed hull is lost, also when one
+        operand includes the other: the hull of X >= 0, Y >= 0, X + Y > 0
+        with itself keeps the origin. So `analysis.analyze` decides
+        inclusion before it asks for a hull."""
         if self.space != other.space:
             raise ValueError("hull of polyhedra over different spaces")
         if self.is_bottom:
@@ -126,13 +129,13 @@ class Polyhedron:
         and (c) every threshold that both self and other entail. Self
         entails c in (b), so the swap keeps self exactly when self's other
         constraints together with c entail the one dropped
-        (`linalg.replaces_a_row`, one tableau per c). Part (b) makes the
-        result independent of which of several equivalent representations
-        self happens to carry (a point written as I=0, A=0, B=0 keeps an
-        implied relation like A+B=3I if other entails it), which plain
-        constraint filtering loses. Equalities are split into their
-        inequality halves first so one-sided bounds survive. The kept rows
-        are simplified once, together.
+        (`linalg.replaces_a_row`: one tableau of self's rows, copied for
+        each c). Part (b) makes the result independent of which of several
+        equivalent representations self happens to carry (a point written
+        as I=0, A=0, B=0 keeps an implied relation like A+B=3I if other
+        entails it), which plain constraint filtering loses. Equalities are
+        split into their inequality halves first so one-sided bounds
+        survive. The kept rows are simplified once, together.
         """
         if self.space != other.space:
             raise ValueError("widen of polyhedra over different spaces")

@@ -3,7 +3,7 @@
 import random
 from collections import Counter
 
-from conftest import T4, random_program
+from conftest import REPO, T4, random_program
 from chcverify import analysis
 from chcverify.analysis import (
     AbstractModel,
@@ -99,6 +99,33 @@ class TestSemiNaive:
         calls = self._evaluations(monkeypatch, prog)
         assert calls[fact.id] == 1
         assert calls[prog.clauses[1].id] > 1
+
+    def test_the_lazy_join_gives_what_an_eager_one_gives(self, monkeypatch):
+        # The join simplifies a contribution only when it replaces the
+        # value. Simplifying every contribution first, as an eager join
+        # would, gives the same model and the same first clauses.
+        progs = [parse_program(T4),
+                 parse_program((REPO / "bench" / "corpus" / "updown.pl")
+                               .read_text())]
+        for attempt in range(1, 101):
+            rng = random.Random(606 * 1_000_000 + attempt)
+            prog = random_program(rng, max_clauses=5)
+            progs += [prog, qa_transform(prog, FALSE)]
+
+        def run(p):
+            model, first = analyze(p)
+            return model.facts, {q: cl.id for q, cl in first.items()}
+
+        lazy = [run(p) for p in progs]
+        contribution = analysis._contribution
+
+        def eager(cl, model):
+            got = contribution(cl, model)
+            return None if got is None else simplify(got)
+
+        monkeypatch.setattr(analysis, "_contribution", eager)
+        for n, (p, want) in enumerate(zip(progs, lazy)):
+            assert run(p) == want, f"program {n}"
 
     def test_every_result_is_a_post_fixpoint(self):
         # whatever the verdict, each clause's consequence under the result

@@ -6,6 +6,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import pytest
 
@@ -19,6 +20,7 @@ from chcverify.chc_ast import (FALSE, Atom, Program, components, parse_program,
 from chcverify.driver import Config, Verdict, main, verify
 from chcverify.linalg import (_entails_cached, _tableau_of, convex_hull,
                               is_satisfiable, renamed, simplify)
+from chcverify.polyhedra import Polyhedron
 from chcverify.qa import answer_pred, qa_transform, query_pred
 from chcverify.refine import polyvariant_specialise, split_facts
 
@@ -109,13 +111,16 @@ class TestVerify:
         assert after_other_runs[0].misses > 0 and after_other_runs[4].misses > 0
         assert evaluations[:2] == evaluations[2:] and evaluations[1] > 0
 
-    def test_updown_hulls_most_operands_again(self):
-        # The analyses of a run join many pairs of sets again, most of all
-        # in the rounds after a split. So most hull lookups of a run hit
-        # (34 of 60 on updown), which is what the hull cache is for.
+    def test_updown_hulls_operands_of_earlier_rounds_again(self):
+        # The analyses of a later round join many pairs of sets that an
+        # earlier round joined. So over a quarter of the hull lookups of a
+        # run hit (19 of 60 on updown), which is what the hull cache is
+        # for. The join hulls contributions as projected, so a round's
+        # query-answer analysis and its program analysis seldom join the
+        # same pair.
         verify(parse_program(UPDOWN))
         info = convex_hull.cache_info()
-        assert info.hits > info.misses > 0
+        assert 4 * info.hits > info.hits + info.misses > 0
 
     def test_updown_renames_most_facts_again(self):
         # A run places the same few facts on the same atoms again and again,
@@ -125,6 +130,46 @@ class TestVerify:
         verify(parse_program(UPDOWN))
         info = renamed.cache_info()
         assert info.hits > info.misses > 0
+
+    def test_t4_simplifies_only_the_contributions_that_replace_a_value(
+            self, monkeypatch):
+        # The join asks both inclusions and hulls on a contribution as
+        # projected, and simplifies it only when it takes the value's
+        # place. A cold T4 run skips 11 non-empty contributions and hulls
+        # 17, and simplifies none of them; so `simplify` misses 55 sets,
+        # where simplifying every contribution missed 79.
+        log = []
+
+        def logging(owner, name, entry):
+            real = getattr(owner, name)
+
+            def logged(*args):
+                got = real(*args)
+                log.append(entry(args, got))
+                return got
+
+            monkeypatch.setattr(owner, name, logged)
+
+        logging(analysis, "_contribution", lambda args, got: ("raw", got))
+        logging(analysis, "simplify", lambda args, got: ("simplify", args[0]))
+        logging(Polyhedron, "leq", lambda args, got: ("leq", got))
+        logging(Polyhedron, "hull",
+                lambda args, got: ("hull", args[1].constraints))
+        verify(parse_program(T4))
+        outcomes = Counter()
+        starts = [i for i, (kind, _) in enumerate(log) if kind == "raw"]
+        for i, end in zip(starts, starts[1:] + [len(log)]):
+            raw, window = log[i][1], log[i + 1:end]
+            if raw is None:
+                continue
+            answers = [got for kind, got in window if kind == "leq"]
+            outcome = ("skipped" if answers[0] else
+                       "replaced" if answers[1] else "hulled")
+            outcomes[outcome] += 1
+            assert (("simplify", raw) in window) == (outcome == "replaced")
+            assert (("hull", raw) in window) == (outcome == "hulled")
+        assert outcomes["skipped"] > 0 and outcomes["hulled"] > 0
+        assert simplify.cache_info().misses < 79
 
     def test_an_early_safe_model_is_re_checked(self, monkeypatch):
         # No integrity clause: safe before any analysis, but the model that

@@ -834,8 +834,8 @@ class TestOneTableauPerSet:
 
 
 class TestReplacesARow:
-    """The widening's swap test: one tableau per candidate answers for
-    every row."""
+    """The widening's swap test: one tableau of the rows, copied with each
+    candidate added, answers for every row."""
 
     # the point A = B = 0
     ROWS = (C({"A": 1}, LE, 0), C({"A": -1}, LE, 0),
@@ -846,7 +846,9 @@ class TestReplacesARow:
         assert linalg.replaces_a_row(self.ROWS, diagonal)
         assert not linalg.replaces_a_row(self.ROWS, loose)
 
-    def test_one_tableau_per_candidate(self, monkeypatch):
+    def test_one_tableau_of_the_rows_serves_every_candidate(self, monkeypatch):
+        # the rows' tableau is built once, through the cache of `_tableau_of`,
+        # and each candidate is added to a copy of it
         linalg.reset_caches()
         built = []
         real = linalg._Tableau.of
@@ -859,10 +861,15 @@ class TestReplacesARow:
         monkeypatch.setattr(linalg._Tableau, "of", staticmethod(of))
         candidates = [C({"A": 1, "B": 1}, LE, 0), C({"A": 1}, LE, 5),
                       C({"A": 1, "B": -1}, LT, 1)]
-        for c in candidates:
-            linalg.replaces_a_row(self.ROWS, c)
-        assert built == [self.ROWS + (c,) for c in candidates]
+        got = [linalg.replaces_a_row(self.ROWS, c) for c in candidates]
+        assert got == [True, False, False]
+        assert built == [S(*self.ROWS).constraints]
         linalg.reset_caches()
+
+    def test_a_duplicate_row_counts_once(self):
+        # with A =< 0 twice, the twin does not make the row replaceable
+        loose = C({"A": 1}, LE, 5)
+        assert not linalg.replaces_a_row(self.ROWS + self.ROWS[:1], loose)
 
     def test_a_candidate_the_rows_do_not_entail_is_refused(self):
         with pytest.raises(ValueError):
@@ -1504,7 +1511,7 @@ def test_no_pivot_is_a_no_op_on_t4_and_updown(monkeypatch):
     for text, kind in ((T4, "unsafe"), (updown, "unknown")):
         del pivots[:]
         assert verify(parse_program(text)).kind == kind
-        assert len(pivots) > 1000 and not no_ops
+        assert len(pivots) > 800 and not no_ops
 
 
 def test_reset_caches_reaches_every_kernel_cache():

@@ -7,8 +7,8 @@ import pytest
 
 from chcverify import linalg
 from chcverify.linalg import (EQ, LE, LT, TRUE, ConstraintSet, LinearConstraint,
-                              ResourceLimitError, entails, entails_all, rat,
-                              simplify)
+                              ResourceLimitError, entails, entails_all,
+                              is_satisfiable, rat, simplify)
 from chcverify.polyhedra import Polyhedron, canonical_args
 
 from oracles import convex_hull_2d, in_hull_2d, mixing_hull, vertices
@@ -146,6 +146,53 @@ class TestHull:
         p = P(("X", "Y"), C({"X": -1}, LE, 0), C({"Y": -1}, LE, 0),
               C({"X": -1, "Y": -1}, LT, 0))
         assert str(p.hull(p)) == "-1*X =< 0, -1*Y =< 0"
+
+    def test_a_hull_does_not_depend_on_how_an_operand_is_written(self):
+        # `analyze` hulls a contribution as projected, not simplified: rows
+        # that q entails (sums of two rows, loosened bounds, the halves of
+        # an equality) change neither hull that has q as an operand
+        rng = random.Random("hull rows")
+
+        def rows(space):
+            return [LinearConstraint.make(
+                {v: rng.randint(-3, 3) for v in space if rng.random() < 0.7},
+                rng.choice((LE, LE, LT, EQ)), rng.randint(-4, 4))
+                for _ in range(rng.randint(1, 4))]
+
+        def entailed(q_rows):
+            if len(q_rows) >= 2 and rng.random() < 0.5:
+                a, b = rng.sample(q_rows, 2)
+                total = dict(a.coeffs)
+                for v, k in b.coeffs:
+                    total[v] = total.get(v, 0) + k
+                rel = (EQ if a.rel == b.rel == EQ
+                       else LT if LT in (a.rel, b.rel) else LE)
+                return LinearConstraint.make(total, rel, a.bound + b.bound)
+            half = rng.choice(rng.choice(q_rows).split_equality())
+            slack = rng.randint(0, 3)
+            rel = rng.choice((LE, LT)) if slack else half.rel
+            return LinearConstraint.make(dict(half.coeffs), rel,
+                                         half.bound + slack)
+
+        compared = strict = equal = 0
+        while compared < 200:
+            space = canonical_args(rng.randint(1, 4))
+            p_rows, q_rows = rows(space), rows(space)
+            p, q = ConstraintSet.make(p_rows), ConstraintSet.make(q_rows)
+            if not (q.constraints and is_satisfiable(p) and is_satisfiable(q)):
+                continue
+            q2 = q.add(*(entailed(q.constraints)
+                         for _ in range(rng.randint(1, 3))))
+            if q2 == q:
+                continue
+            assert entails_all(q, q2)
+            hull = linalg.convex_hull
+            assert hull(p, q2, space) == hull(p, q, space), (p, q, q2)
+            assert hull(q2, p, space) == hull(q, p, space), (p, q, q2)
+            compared += 1
+            strict += any(c.rel == LT for c in q2)
+            equal += any(c.rel == EQ for c in q2)
+        assert strict >= 50 and equal >= 50
 
     def test_a_tiny_limit_stops_the_double_description(self, monkeypatch):
         a = P(("X", "Y"), C({"X": 1}, EQ, 0), C({"Y": 1}, EQ, 0))

@@ -224,15 +224,15 @@ def test_one_redundancy_procedure_and_one_tableau_build_per_set():
     # prunes included, and a set's satisfiability is decided where its
     # tableau is built and cached. A second caller of `_drop_redundant` or
     # of `_Tableau.of` would bring back a second redundancy pass or a
-    # satisfiability check outside the cache; `replaces_a_row` builds the
-    # tableau of a candidate row together with the rows it may replace.
+    # satisfiability check outside the cache; `replaces_a_row` adds its
+    # candidate row to a copy of the cached tableau of the rows.
     def callers(func):
         return [name for name, node in _definitions()
                 if any(isinstance(n, ast.Call) and ast.unparse(n.func) == func
                        for n in ast.walk(node))]
 
     assert callers("_drop_redundant") == ["linalg.simplify"]
-    assert callers("_Tableau.of") == ["linalg._tableau_of", "linalg.replaces_a_row"]
+    assert callers("_Tableau.of") == ["linalg._tableau_of"]
 
 
 def test_only_the_cached_rename_builds_a_positional_rename_map():
